@@ -186,7 +186,7 @@ fn file_refs(fs: &Filesystem) -> Vec<(u64, u128)> {
     let img = fs.committed_image().expect("CP committed");
     let mut refs = Vec::new();
     for vi in &img.volumes {
-        for (_f, blocks) in &vi.files {
+        for blocks in vi.files.values() {
             for (_fbn, ptr) in blocks {
                 refs.push((ptr.pvbn.0, ptr.stamp));
             }

@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 /// Opaque handle for one submitted write I/O.
 ///
 /// Tickets are minted only by [`AioEngine::submit`] (the field is
-/// private, and `scripts/lint_concurrency.py` additionally enforces
-/// that no code outside this module constructs one): a completion can
+/// private, and `ward --check` additionally enforces that no code
+/// outside this module constructs one): a completion can
 /// therefore never be forged or double-sourced by a caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IoTicket(u64);

@@ -176,9 +176,16 @@ impl WaffinityPool {
     }
 
     fn shutdown_impl(&mut self) {
-        // ordering: Release — all work queued before shutdown is visible to
-        // the draining workers; pairs-with: waffinity.shutdown.
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the scheduler lock: a worker tests it with
+        // that lock held and gives the lock up only inside `wait`, so the
+        // notification below cannot slip in between its test and its wait
+        // (it would sleep through shutdown and `join` would never return).
+        {
+            let _sched = self.inner.sched.lock();
+            // ordering: Release — all work queued before shutdown is visible
+            // to the draining workers; pairs-with: waffinity.shutdown.
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

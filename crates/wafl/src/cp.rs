@@ -25,10 +25,23 @@
 //!    residual blocks are written in place at their previous locations
 //!    (first-time blocks take one final allocation whose bitmap dirt is
 //!    dropped, counted in [`CpReport::residual_dirty_dropped`]);
-//! 5. **commit** — atomically publish the new [`DiskImage`] superblock
-//!    and discard the in-flight NVLog half.
+//! 5. **commit** — wait for the CP's writes (5a, the barrier), then
+//!    overwrite the superblock in place and discard the in-flight NVLog
+//!    half (5b). Because the file system is copy-on-write a CP persists
+//!    only what changed, and so does the commit: the committed
+//!    [`DiskImage`] is kept and *updated* with this CP's delta — the
+//!    cleaned lists of phase 3, the files whose block maps changed in a
+//!    way no cleaned list describes (created, truncated, deleted: copied
+//!    or dropped whole), new volumes, the snapshot lists — at a cost of
+//!    O(buffers cleaned), not O(blocks in the file system). Invariant:
+//!    after every committed CP the image equals one rebuilt from every
+//!    live inode's block map. Readers are point-in-time: a handle from
+//!    [`SuperblockStore::load`] never changes under its holder. See
+//!    [`SuperblockStore`] and DESIGN.md §7½ "Superblock as logical
+//!    snapshot".
 
-use crate::cleaner::{partition_work, CleanerPool};
+use crate::buffer::CleanedBlock;
+use crate::cleaner::{partition_work, CleanResult, CleanerPool};
 use crate::config::FsConfig;
 use crate::inode::{BlockPtr, FileId};
 use crate::nvlog::NvLog;
@@ -100,18 +113,18 @@ impl MetafileLocs {
 /// The point-in-time on-disk image committed by a CP: what the superblock
 /// roots. (Real WAFL serializes this state into metafile/inodefile blocks;
 /// the simulation snapshots it logically — see DESIGN.md §3.)
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiskImage {
     /// CP sequence number.
     pub cp_id: u64,
-    /// Per-volume file system trees.
+    /// Per-volume file system trees, ascending by volume id.
     pub volumes: Vec<VolumeImage>,
     /// Metafile block locations.
     pub metafile_locs: Vec<((MetafileSrc, u64), Vbn)>,
 }
 
 /// One volume's committed state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VolumeImage {
     /// Volume id.
     pub id: VolumeId,
@@ -119,17 +132,53 @@ pub struct VolumeImage {
     pub aggr: u32,
     /// VVBN space size.
     pub vvbn_total: u64,
-    /// Every file with its committed block map.
-    pub files: Vec<(FileId, Vec<(u64, BlockPtr)>)>,
+    /// Every file with its committed block map, ascending by fbn. A file
+    /// without holes therefore keeps fbn `i` at index `i`, which is what
+    /// lets the commit update it without a search.
+    pub files: BTreeMap<FileId, Vec<(u64, BlockPtr)>>,
     /// Retained snapshots (part of the on-disk state: a snapshot is a
-    /// kept CP image).
-    pub snapshots: Vec<Snapshot>,
+    /// kept CP image). Shared with the volume's [`crate::SnapshotSet`]:
+    /// a snapshot never changes once taken.
+    pub snapshots: Vec<Arc<Snapshot>>,
 }
 
-/// The superblock slot: atomically replaceable committed image.
+/// Install one cleaner result into a committed file map (ascending by
+/// fbn). Overwrites are an index hit on a file without holes and a binary
+/// search otherwise; first-time blocks are merged in afterwards.
+fn install_cleaned(map: &mut Vec<(u64, BlockPtr)>, cleaned: &[CleanedBlock]) {
+    let committed = map.len();
+    let mut ascending = true;
+    for c in cleaned {
+        let ptr = BlockPtr {
+            vvbn: c.vvbn,
+            pvbn: c.pvbn,
+            stamp: c.stamp,
+        };
+        let dense = usize::try_from(c.fbn)
+            .ok()
+            .filter(|&i| i < committed && map[i].0 == c.fbn);
+        let slot = dense.or_else(|| map[..committed].binary_search_by_key(&c.fbn, |e| e.0).ok());
+        match slot {
+            Some(i) => map[i].1 = ptr,
+            None => {
+                ascending &= map.last().is_none_or(|e| e.0 < c.fbn);
+                map.push((c.fbn, ptr));
+            }
+        }
+    }
+    // A cleaner's list ascends by fbn, so a file that only grew at its end
+    // is still in order. Anything else (a filled hole, region-split lists
+    // landing out of order) is two sorted runs, which the stable sort
+    // merges in one pass.
+    if !ascending {
+        map.sort_by_key(|e| e.0);
+    }
+}
+
+/// The superblock slot: the committed image, updated in place by each CP.
 #[derive(Debug, Default)]
 pub struct SuperblockStore {
-    image: Mutex<Option<Arc<DiskImage>>>, // lock-rank: cp.image 21
+    image: Mutex<Option<Arc<DiskImage>>>, // lock-rank: cp.image 12
 }
 
 impl SuperblockStore {
@@ -138,14 +187,87 @@ impl SuperblockStore {
         Self::default()
     }
 
-    /// Atomically overwrite the superblock (the commit point).
-    pub fn commit(&self, image: DiskImage) {
-        *self.image.lock() = Some(Arc::new(image));
+    /// Root an image that already exists (recovery: the superblock lives
+    /// on persistent storage, so the recovered instance roots the very
+    /// image it was recovered from).
+    pub fn install(&self, image: Arc<DiskImage>) {
+        *self.image.lock() = Some(image);
     }
 
-    /// The most recently committed image.
+    /// The most recently committed image. The returned handle is a
+    /// point-in-time copy: later CPs never change what it shows.
     pub fn load(&self) -> Option<Arc<DiskImage>> {
         self.image.lock().clone()
+    }
+
+    /// The commit point: bring the committed image up to this CP by
+    /// applying what the CP changed — the cleaner results phase 3
+    /// installed in the inodes, each volume's restructured files (created,
+    /// truncated or deleted since the previous commit; re-copied or
+    /// dropped whole), volumes that appeared, the snapshot lists and the
+    /// metafile locations. Cost is O(buffers cleaned + blocks of
+    /// restructured files), not O(blocks in the file system).
+    ///
+    /// Invariant: afterwards the image equals one rebuilt from every live
+    /// inode's block map. A reader still holding an earlier
+    /// [`SuperblockStore::load`] keeps its image ([`Arc::make_mut`] copies
+    /// first in that case); with no reader the update is in place.
+    fn commit_delta(
+        &self,
+        cp_id: u64,
+        volumes: &[Arc<Volume>],
+        results: &[CleanResult],
+        metafile_locs: Vec<((MetafileSrc, u64), Vbn)>,
+    ) {
+        let mut slot = self.image.lock();
+        let image = Arc::make_mut(slot.get_or_insert_with(Arc::default));
+        image.cp_id = cp_id;
+        image.metafile_locs = metafile_locs;
+        // `volumes` ascends by id and volumes are never removed, so the
+        // image's volumes are a sorted subset: once index `i` is visited
+        // it holds volume `volumes[i]` on both sides.
+        let mut restructured = Vec::with_capacity(volumes.len());
+        for (i, v) in volumes.iter().enumerate() {
+            if image.volumes.get(i).map(|vi| vi.id) != Some(v.id()) {
+                image.volumes.insert(
+                    i,
+                    VolumeImage {
+                        id: v.id(),
+                        aggr: v.aggr(),
+                        vvbn_total: v.vvbn().total(),
+                        files: BTreeMap::new(),
+                        snapshots: Vec::new(),
+                    },
+                );
+            }
+            let vi = &mut image.volumes[i];
+            vi.snapshots = v.snapshots().list();
+            let files = v.take_restructured();
+            for &f in &files {
+                match v.inode(f) {
+                    Some(inode) => {
+                        let inode = inode.lock();
+                        let map = inode.block_map().iter().map(|(k, p)| (*k, *p));
+                        vi.files.insert(f, map.collect());
+                    }
+                    None => {
+                        vi.files.remove(&f);
+                    }
+                }
+            }
+            restructured.push(files);
+        }
+        for r in results {
+            let i = image
+                .volumes
+                .binary_search_by_key(&r.vol, |vi| vi.id)
+                .expect("cleaned volume is live");
+            // Restructured files were copied whole above.
+            if !restructured[i].contains(&r.file) {
+                let map = image.volumes[i].files.entry(r.file).or_default();
+                install_cleaned(map, &r.cleaned);
+            }
+        }
     }
 }
 
@@ -208,7 +330,7 @@ pub struct CpReport {
     pub metafile_ns: u64,
     /// Phase 5a wall time (async-I/O drain / media fsync barrier).
     pub barrier_ns: u64,
-    /// Phase 5b wall time (disk-image build + superblock commit +
+    /// Phase 5b wall time (delta commit of the superblock image +
     /// NVLog half-swap).
     pub commit_ns: u64,
     /// Whole-CP wall time, measured around all phases. The per-phase
@@ -436,41 +558,14 @@ fn run_cp_inner(
     // (and the file backend fsynced) before the superblock can root the
     // new image. Until this point nothing waited on in-flight writes.
     // The profiler splits it at the barrier: `barrier_ns` is where a
-    // deep I/O queue pays (or hides) its debt, `commit_ns` is pure
-    // in-memory image assembly.
+    // deep I/O queue pays (or hides) its debt, `commit_ns` is the
+    // in-memory update of the committed image.
     let t0 = std::time::Instant::now();
     let _sp5 = obs::trace_span!(obs::EventKind::CpPhase, 5);
     io_barrier(alloc);
     report.barrier_ns = t0.elapsed().as_nanos() as u64;
     let t0 = std::time::Instant::now();
-    let image = DiskImage {
-        cp_id,
-        volumes: volumes
-            .iter()
-            .map(|v| VolumeImage {
-                id: v.id(),
-                aggr: v.aggr(),
-                vvbn_total: v.vvbn().total(),
-                files: v
-                    .file_ids()
-                    .into_iter()
-                    .map(|f| {
-                        let inode = v.inode(f).expect("listed file exists");
-                        let map = inode
-                            .lock()
-                            .block_map()
-                            .iter()
-                            .map(|(k, p)| (*k, *p))
-                            .collect();
-                        (f, map)
-                    })
-                    .collect(),
-                snapshots: v.snapshots().snapshot_images(),
-            })
-            .collect(),
-        metafile_locs: mf_locs.snapshot(),
-    };
-    sb.commit(image);
+    sb.commit_delta(cp_id, volumes, &results, mf_locs.snapshot());
     nvlog.commit_cp();
     report.commit_ns = t0.elapsed().as_nanos() as u64;
     report.total_ns = cp_t0.elapsed().as_nanos() as u64;
@@ -635,5 +730,112 @@ fn alloc_one(
             alloc.put_bucket(old);
         }
         *bucket = Some(alloc.get_bucket()?);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::inode::Inode;
+
+    fn cleaned(fbn: u64, generation: u64) -> CleanedBlock {
+        CleanedBlock {
+            fbn,
+            vvbn: generation * 1000 + fbn % 1000,
+            pvbn: Vbn(generation * 1000 + fbn % 1000),
+            stamp: wafl_blockdev::stamp(1, fbn, generation),
+        }
+    }
+
+    /// The map an inode holds after the same lists were applied to it.
+    fn via_inode(lists: &[&[CleanedBlock]]) -> Vec<(u64, BlockPtr)> {
+        let mut inode = Inode::new(FileId(1));
+        for l in lists {
+            inode.apply_cleaned(l);
+        }
+        inode.block_map().iter().map(|(k, p)| (*k, *p)).collect()
+    }
+
+    fn check(lists: &[Vec<CleanedBlock>]) {
+        let lists: Vec<&[CleanedBlock]> = lists.iter().map(Vec::as_slice).collect();
+        let mut map = Vec::new();
+        for l in &lists {
+            install_cleaned(&mut map, l);
+        }
+        assert_eq!(map, via_inode(&lists));
+    }
+
+    #[test]
+    fn install_cleaned_matches_the_inode_map() {
+        let run = |fbns: std::ops::Range<u64>, g| fbns.map(|f| cleaned(f, g)).collect::<Vec<_>>();
+        // Dense file: append, then overwrite by index.
+        check(&[run(0..8, 1), run(2..5, 2), run(8..12, 3)]);
+        // Region-split lists of one new file landing out of order.
+        check(&[run(8..16, 1), run(0..8, 1), run(4..12, 2)]);
+        // Holes: the head is not dense, so overwrites fall back to search.
+        check(&[
+            vec![cleaned(3, 1), cleaned(9, 1), cleaned(1 << 40, 1)],
+            vec![cleaned(9, 2), cleaned(1 << 40, 2)],
+            vec![cleaned(0, 3), cleaned(5, 3), cleaned((1 << 40) + 1, 3)],
+        ]);
+        // An fbn below the length whose slot holds another block.
+        check(&[
+            vec![cleaned(1, 1), cleaned(2, 1), cleaned(7, 1)],
+            vec![cleaned(0, 2), cleaned(2, 2)],
+        ]);
+    }
+
+    #[test]
+    fn file_deleted_while_its_cp_is_in_flight_leaves_the_image() {
+        let vol = Volume::new(VolumeId(0), 0, 1 << 14);
+        let sb = SuperblockStore::new();
+        let commit = |cp_id, results: &[CleanResult]| {
+            sb.commit_delta(cp_id, std::slice::from_ref(&vol), results, Vec::new());
+            sb.load().expect("committed")
+        };
+        let result = |file: u64, fbns: std::ops::Range<u64>, g| {
+            let mut cleaned: Vec<_> = fbns.map(|f| cleaned(f, g)).collect();
+            for c in &mut cleaned {
+                c.vvbn += file * 100;
+                vol.vvbn().adopt(c.vvbn);
+            }
+            CleanResult {
+                vol: VolumeId(0),
+                file: FileId(file),
+                cleaned,
+            }
+        };
+        for f in [1, 2] {
+            vol.create_file(FileId(f));
+            vol.write(FileId(f), 0, 0xA);
+        }
+        // CP 1: both files frozen and cleaned; file 1 is deleted before
+        // phase 3, so its result is never applied to an inode.
+        vol.freeze_for_cp();
+        vol.delete_file(FileId(1));
+        let r2 = result(2, 0..1, 1);
+        vol.inode(FileId(2))
+            .unwrap()
+            .lock()
+            .apply_cleaned(&r2.cleaned);
+        let image = commit(1, &[result(1, 0..1, 1), r2]);
+        let files: Vec<FileId> = image.volumes[0].files.keys().copied().collect();
+        assert_eq!(files, [FileId(2)]);
+        drop(image);
+        // CP 2: deleted after a commit that rooted it, then re-created
+        // and cleaned within one CP — the live inode wins.
+        vol.delete_file(FileId(2));
+        vol.create_file(FileId(2));
+        let r2 = result(2, 4..6, 2);
+        vol.inode(FileId(2))
+            .unwrap()
+            .lock()
+            .apply_cleaned(&r2.cleaned);
+        let image = commit(2, &[r2]);
+        let fbns: Vec<u64> = image.volumes[0].files[&FileId(2)]
+            .iter()
+            .map(|e| e.0)
+            .collect();
+        assert_eq!(fbns, [4, 5]);
     }
 }

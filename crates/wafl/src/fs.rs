@@ -222,8 +222,15 @@ impl Filesystem {
     }
 
     /// The most recently committed superblock image, if any CP has run.
+    /// A point-in-time copy: later CPs never change what the handle shows.
     pub fn committed_image(&self) -> Option<Arc<DiskImage>> {
         self.sb.load()
+    }
+
+    /// Where the metafile blocks currently live.
+    #[inline]
+    pub fn metafile_locs(&self) -> &MetafileLocs {
+        &self.mf_locs
     }
 
     /// The Waffinity topology.
@@ -492,7 +499,7 @@ impl Filesystem {
     pub fn crash_and_recover(&self, exec: ExecMode) -> Filesystem {
         let image = self.sb.load();
         let ops = self.nvlog.replay_ops();
-        Self::recover(self.cfg, Arc::clone(&self.io), image.as_deref(), &ops, exec)
+        Self::recover(self.cfg, Arc::clone(&self.io), image, &ops, exec)
     }
 
     /// Attach a real-file backend under `dir`: from now on every write
@@ -544,20 +551,14 @@ impl Filesystem {
         fresh_io.attach_mirror(backend);
         let image = self.sb.load();
         let ops = self.nvlog.replay_ops();
-        Ok(Self::recover(
-            self.cfg,
-            fresh_io,
-            image.as_deref(),
-            &ops,
-            exec,
-        ))
+        Ok(Self::recover(self.cfg, fresh_io, image, &ops, exec))
     }
 
     /// Build a file system from a committed image + unreplayed NVRAM ops.
     pub fn recover(
         cfg: FsConfig,
         io: Arc<IoEngine>,
-        image: Option<&DiskImage>,
+        image: Option<Arc<DiskImage>>,
         ops: &[Op],
         exec: ExecMode,
     ) -> Filesystem {
@@ -574,7 +575,7 @@ impl Filesystem {
     pub(crate) fn recover_shared(
         cfg: FsConfig,
         io: Arc<IoEngine>,
-        image: Option<&DiskImage>,
+        image: Option<Arc<DiskImage>>,
         ops: &[Op],
         executor: Arc<dyn Executor>,
         topo: Arc<Topology>,
@@ -589,13 +590,9 @@ impl Filesystem {
 
     /// Restore committed state from `image` and replay `ops` into a
     /// freshly assembled instance.
-    fn populate_from(&self, image: Option<&DiskImage>, ops: &[Op]) {
+    fn populate_from(&self, image: Option<Arc<DiskImage>>, ops: &[Op]) {
         let fs = self;
         if let Some(img) = image {
-            // The superblock lives on persistent storage: a recovered
-            // instance must still root the same committed image, or a
-            // second crash before the next CP would lose it.
-            fs.sb.commit(img.clone());
             // ordering: recovery/replay is single-threaded.
             fs.cp_counter.store(img.cp_id, Ordering::Relaxed);
             // Blocks may be referenced by both the active maps and one or
@@ -647,8 +644,11 @@ impl Filesystem {
                             v.vvbn().adopt(ptr.vvbn);
                         }
                     }
-                    v.snapshots().add(snap.clone());
+                    v.snapshots().add(Arc::clone(snap));
                 }
+                // The files above came out of the image: creating them
+                // was no change the next commit has to copy.
+                v.take_restructured();
             }
             for ((_src, _block), vbn) in &img.metafile_locs {
                 fs.alloc
@@ -660,6 +660,10 @@ impl Filesystem {
             for (key, vbn) in &img.metafile_locs {
                 fs.mf_locs.set(key.0, key.1, *vbn);
             }
+            // The superblock lives on persistent storage: a recovered
+            // instance must still root the same committed image, or a
+            // second crash before the next CP would lose it.
+            fs.sb.install(img);
         }
         // Replay unacknowledged-on-disk ops; they re-enter the NVRAM log
         // because they are still not covered by a committed CP.

@@ -435,7 +435,7 @@ fn build_image_refs(fs: &Filesystem) -> BTreeMap<u64, Option<BlockStamp>> {
     let mut refs = BTreeMap::new();
     if let Some(img) = fs.committed_image() {
         for vi in &img.volumes {
-            for (_file, blocks) in &vi.files {
+            for blocks in vi.files.values() {
                 for (_fbn, ptr) in blocks {
                     refs.insert(ptr.pvbn.0, Some(ptr.stamp));
                 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use wafl_blockdev::Vbn;
 
 /// A retained point-in-time image of one volume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// User-visible name (unique per volume).
     pub name: String,
@@ -83,13 +83,15 @@ impl SnapshotSet {
         self.snaps.read().is_empty()
     }
 
-    /// Add a snapshot. Returns `false` if the name exists.
-    pub fn add(&self, snap: Snapshot) -> bool {
+    /// Add a snapshot. Returns `false` if the name exists. The set, the
+    /// committed image and any recovered instance share the one
+    /// allocation: a snapshot never changes once taken.
+    pub fn add(&self, snap: Arc<Snapshot>) -> bool {
         let mut s = self.snaps.write();
         if s.iter().any(|x| x.name == snap.name) {
             return false;
         }
-        s.push(Arc::new(snap));
+        s.push(snap);
         true
     }
 
@@ -117,25 +119,13 @@ impl SnapshotSet {
             .iter()
             .any(|s| s.references(file, fbn, pvbn))
     }
-
-    /// Restore from a superblock image.
-    pub fn restore(snapshots: Vec<Snapshot>) -> Self {
-        Self {
-            snaps: parking_lot::RwLock::new(snapshots.into_iter().map(Arc::new).collect()),
-        }
-    }
-
-    /// Plain clones for the superblock image.
-    pub fn snapshot_images(&self) -> Vec<Snapshot> {
-        self.snaps.read().iter().map(|s| (**s).clone()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap(name: &str, file: u64, fbn: u64, pvbn: u64) -> Snapshot {
+    fn snap(name: &str, file: u64, fbn: u64, pvbn: u64) -> Arc<Snapshot> {
         let mut files = BTreeMap::new();
         let mut m = BTreeMap::new();
         m.insert(
@@ -147,11 +137,11 @@ mod tests {
             },
         );
         files.insert(FileId(file), m);
-        Snapshot {
+        Arc::new(Snapshot {
             name: name.to_string(),
             cp_id: 1,
             files,
-        }
+        })
     }
 
     #[test]
@@ -182,7 +172,7 @@ mod tests {
 
     #[test]
     fn iter_and_count() {
-        let mut s = snap("a", 1, 5, 100);
+        let mut s = Arc::unwrap_or_clone(snap("a", 1, 5, 100));
         s.files.get_mut(&FileId(1)).unwrap().insert(
             6,
             BlockPtr {
@@ -194,17 +184,5 @@ mod tests {
         assert_eq!(s.block_count(), 2);
         let blocks: Vec<_> = s.iter_blocks().collect();
         assert_eq!(blocks.len(), 2);
-    }
-
-    #[test]
-    fn restore_roundtrip() {
-        let set = SnapshotSet::new();
-        set.add(snap("a", 1, 0, 10));
-        set.add(snap("b", 2, 0, 20));
-        let images = set.snapshot_images();
-        let back = SnapshotSet::restore(images);
-        assert_eq!(back.len(), 2);
-        assert!(back.get("a").is_some());
-        assert!(back.any_references(FileId(2), 0, Vbn(20)));
     }
 }

@@ -152,7 +152,7 @@ impl StorageSystem {
                 Filesystem::recover_shared(
                     *a.config(),
                     Arc::clone(a.io()),
-                    image.as_deref(),
+                    image,
                     &ops,
                     Arc::clone(&executor),
                     Arc::clone(&topo),

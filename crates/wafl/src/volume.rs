@@ -32,6 +32,13 @@ pub struct Volume {
     dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 16
     /// Retained point-in-time images (see [`crate::snapshot`]).
     snapshots: SnapshotSet,
+    /// Files created, truncated or deleted since the last committed CP:
+    /// the block-map changes no cleaner result describes. The commit
+    /// re-copies (or drops) exactly these files in the committed image.
+    /// A file is added *after* its change is in place: a commit that takes
+    /// the set just before the mark lands copies nothing stale, and the
+    /// next commit picks the file up.
+    restructured: Mutex<BTreeSet<FileId>>, // lock-rank: volume.restructured 17
 }
 
 impl Volume {
@@ -44,6 +51,7 @@ impl Volume {
             vvbn: VvbnSpace::new(vvbn_total),
             dirty: Mutex::new(BTreeSet::new()),
             snapshots: SnapshotSet::new(),
+            restructured: Mutex::new(BTreeSet::new()),
         })
     }
 
@@ -67,11 +75,14 @@ impl Volume {
 
     /// Create an empty file. Returns `false` if it already exists.
     pub fn create_file(&self, file: FileId) -> bool {
-        let mut inodes = self.inodes.write();
-        if inodes.contains_key(&file) {
-            return false;
+        {
+            let mut inodes = self.inodes.write();
+            if inodes.contains_key(&file) {
+                return false;
+            }
+            inodes.insert(file, Arc::new(Mutex::new(Inode::new(file))));
         }
-        inodes.insert(file, Arc::new(Mutex::new(Inode::new(file))));
+        self.restructured.lock().insert(file);
         true
     }
 
@@ -119,6 +130,9 @@ impl Volume {
     ) -> Option<Vec<wafl_blockdev::Vbn>> {
         let inode = self.inode(file)?;
         let freed = inode.lock().truncate(new_size_fbns);
+        if !freed.is_empty() {
+            self.restructured.lock().insert(file);
+        }
         let mut pvbns = Vec::with_capacity(freed.len());
         for (fbn, vvbn, pvbn) in freed {
             if self.snapshots.any_references(file, fbn, pvbn) {
@@ -142,7 +156,15 @@ impl Volume {
         let pvbns = self.truncate_file(file, 0)?;
         self.inodes.write().remove(&file);
         self.dirty.lock().remove(&file);
+        self.restructured.lock().insert(file);
         Some(pvbns)
+    }
+
+    /// Take the set of files restructured since the previous call (the
+    /// superblock commit, or recovery once it has installed the image's
+    /// files).
+    pub(crate) fn take_restructured(&self) -> BTreeSet<FileId> {
+        std::mem::take(&mut *self.restructured.lock())
     }
 
     /// Number of inodes on the dirty list.
@@ -205,11 +227,11 @@ impl Volume {
                 files.insert(f, map);
             }
         }
-        self.snapshots.add(Snapshot {
+        self.snapshots.add(Arc::new(Snapshot {
             name: name.to_string(),
             cp_id,
             files,
-        })
+        }))
     }
 
     /// Delete a snapshot, returning the physical/virtual blocks that are

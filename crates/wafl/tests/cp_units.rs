@@ -2,6 +2,7 @@
 //! superblock store, and CP report semantics driven through the public
 //! file-system API.
 
+use std::sync::Arc;
 use wafl::cp::MetafileSrc;
 use wafl::{
     DiskImage, ExecMode, FileId, Filesystem, FsConfig, MetafileLocs, SuperblockStore, VolumeId,
@@ -39,21 +40,24 @@ fn metafile_locs_snapshot_restore_roundtrip() {
 }
 
 #[test]
-fn superblock_store_is_atomic_replace() {
+fn superblock_store_roots_the_installed_image() {
     let sb = SuperblockStore::new();
     assert!(sb.load().is_none());
-    sb.commit(DiskImage {
-        cp_id: 1,
-        volumes: vec![],
-        metafile_locs: vec![],
-    });
-    assert_eq!(sb.load().unwrap().cp_id, 1);
-    sb.commit(DiskImage {
-        cp_id: 2,
-        volumes: vec![],
-        metafile_locs: vec![],
-    });
+    let image = |cp_id| {
+        Arc::new(DiskImage {
+            cp_id,
+            ..Default::default()
+        })
+    };
+    let first = image(1);
+    sb.install(Arc::clone(&first));
+    assert!(
+        Arc::ptr_eq(&sb.load().unwrap(), &first),
+        "rooted, not copied"
+    );
+    sb.install(image(2));
     assert_eq!(sb.load().unwrap().cp_id, 2);
+    assert_eq!(first.cp_id, 1, "an earlier handle keeps its image");
 }
 
 fn fs() -> Filesystem {

@@ -49,12 +49,27 @@ fn fill(fs: &Filesystem, files: u64, fbns: u64) {
     fs.run_cp();
 }
 
+/// One more file, a whole refill round of the bucket cache long (a
+/// 64-block bucket on each of the 2 × 3 data drives), cleaned in a CP of
+/// its own: one cleaner message, so one cleaner uses up the round's
+/// buckets and the file fills every stripe of the round's tetrises —
+/// whatever the timing, a fully referenced stripe exists afterwards.
+/// (The 48-block files of [`fill`] cover one only when their cleaner
+/// happens to draw three buckets of one RAID group in a row.)
+fn fill_whole_round(fs: &Filesystem, file: FileId) {
+    fs.create_file(VolumeId(0), file);
+    for fbn in 0..6 * 64 {
+        fs.write(VolumeId(0), file, fbn, stamp(file.0, fbn, 1));
+    }
+    fs.run_cp();
+}
+
 /// vbn → expected stamp for every committed file block.
 fn file_refs(fs: &Filesystem) -> BTreeMap<u64, BlockStamp> {
     let img = fs.committed_image().expect("at least one CP committed");
     let mut refs = BTreeMap::new();
     for vi in &img.volumes {
-        for (_f, blocks) in &vi.files {
+        for blocks in vi.files.values() {
             for (_fbn, ptr) in blocks {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
@@ -201,6 +216,7 @@ proptest! {
     fn every_corruption_class_is_detected_and_repaired(seed in seeds()) {
         let fs = mk_fs();
         fill(&fs, 4, FBNS);
+        fill_whole_round(&fs, FileId(4));
         let (required, allowed) = plant(&fs, seed);
 
         let store = ScrubCheckpointStore::new();

@@ -52,6 +52,26 @@ fn fill(fs: &Filesystem, vol: VolumeId, files: u64, generation: u64) {
     fs.run_cp();
 }
 
+/// Blocks in one refill round of the bucket cache: a 64-block bucket on
+/// each of the 2 × 3 data drives.
+const ROUND_BLOCKS: u64 = 6 * 64;
+
+/// Give `vol` stripes that it alone references, whatever the cleaner
+/// timing: one more file, a whole refill round long, cleaned in a CP of
+/// its own. Below the region-split threshold a file is one cleaner
+/// message, and a CP starts on a fresh round, so a single cleaner uses up
+/// that round's buckets — one per data drive, oldest round first — and
+/// this file fills every stripe of the round's tetrises. (The 48-block
+/// files of [`fill`] cover a whole stripe only when their cleaner happens
+/// to draw three buckets of one RAID group in a row.)
+fn fill_whole_round(fs: &Filesystem, vol: VolumeId, file: FileId, generation: u64) {
+    fs.create_file(vol, file);
+    for fbn in 0..ROUND_BLOCKS {
+        fs.write(vol, file, fbn, stamp(file.0, fbn, generation));
+    }
+    fs.run_cp();
+}
+
 /// vbn → expected stamp for every file block the committed image
 /// references in `vol`.
 fn image_refs(fs: &Filesystem, vol: VolumeId) -> BTreeMap<u64, BlockStamp> {
@@ -61,7 +81,7 @@ fn image_refs(fs: &Filesystem, vol: VolumeId) -> BTreeMap<u64, BlockStamp> {
         if vi.id != vol {
             continue;
         }
-        for (_f, blocks) in &vi.files {
+        for blocks in vi.files.values() {
             for (_fbn, ptr) in blocks {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
@@ -75,7 +95,7 @@ fn all_refs(fs: &Filesystem) -> BTreeSet<u64> {
     let img = fs.committed_image().expect("at least one CP committed");
     let mut refs = BTreeSet::new();
     for vi in &img.volumes {
-        for (_f, blocks) in &vi.files {
+        for blocks in vi.files.values() {
             for (_fbn, ptr) in blocks {
                 refs.insert(ptr.pvbn.0);
             }
@@ -92,7 +112,7 @@ fn all_file_refs(fs: &Filesystem) -> BTreeMap<u64, BlockStamp> {
     let img = fs.committed_image().expect("at least one CP committed");
     let mut refs = BTreeMap::new();
     for vi in &img.volumes {
-        for (_f, blocks) in &vi.files {
+        for blocks in vi.files.values() {
             for (_fbn, ptr) in blocks {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
@@ -211,6 +231,7 @@ fn scrub_detects_and_repairs_every_seeded_corruption_class() {
     let fs = mk_fs(ExecMode::Inline);
     fill(&fs, VolumeId(0), 4, 1);
     fill(&fs, VolumeId(1), 3, 2);
+    fill_whole_round(&fs, VolumeId(1), FileId(3), 2);
     let refs1 = image_refs(&fs, VolumeId(1));
     let all = all_refs(&fs);
     let aggmap = fs.allocator().infra().aggmap();
@@ -531,6 +552,7 @@ fn online_scrub_against_active_cleaners_catches_all_seeds() {
     let fs = mk_fs(ExecMode::Pool(4));
     // Volume 1 is the quiescent victim; volume 0 takes foreground churn.
     fill(&fs, VolumeId(1), 4, 7);
+    fill_whole_round(&fs, VolumeId(1), FileId(4), 7);
     fill(&fs, VolumeId(0), 4, 1);
     let refs1 = image_refs(&fs, VolumeId(1));
     let all = all_refs(&fs);

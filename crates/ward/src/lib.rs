@@ -2,8 +2,8 @@
 //!
 //! A dependency-free static-analysis pass over the whole Rust tree
 //! (token-level lexer, no `syn`), run from CI as
-//! `cargo run -p ward -- --check`. It replaces and extends the old
-//! `scripts/lint_concurrency.py` regex gates with *cross-site* checks:
+//! `cargo run -p ward -- --check`. Beside per-line gates it makes
+//! *cross-site* checks:
 //!
 //! 1. **Lock-order graph** ([`locks`]): every `Mutex`/`RwLock`
 //!    declaration carries `// lock-rank: <name> <n>`; nested

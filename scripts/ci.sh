@@ -18,6 +18,13 @@ echo "=== cargo test --workspace --features trace -q (obs rings compiled in) ===
 # rings; the whole suite must stay green with them armed.
 cargo test --workspace --features trace -q
 
+echo "=== e2e: the benchmark's own tests ==="
+# e2e/ is its own workspace, so the workspace runs above do not reach
+# it. Its smoke test is the only check that BENCHMARK.json and the
+# harness agree (workloads, metric names, units, directions), and it
+# drives every workload at 1/16 geometry through the correctness gate.
+cargo test --release --offline --manifest-path e2e/Cargo.toml
+
 echo "=== lock-free cache stress under debug assertions ==="
 # The Treiber-stack hot path's internal invariants (tag monotonicity,
 # arena bounds, fill accounting) are debug_assert!s; arm them while the
