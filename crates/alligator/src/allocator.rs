@@ -24,7 +24,7 @@ use crate::executor::Executor;
 use crate::infra::Infrastructure;
 use crate::stage::Stage;
 use crate::stats::{AllocStats, StatsSnapshot};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use waffinity::{Affinity, Topology};
@@ -67,10 +67,6 @@ pub struct Allocator {
     aggr: u32,
     /// Deduplicates concurrent async refill requests.
     refill_inflight: Arc<AtomicBool>,
-    /// Rotates the affinity shard handed to identity-less GETs
-    /// ([`Allocator::get_bucket`]) so they spread over shards instead of
-    /// all contending on shard 0.
-    anon_rr: AtomicUsize,
     stats: Arc<AllocStats>,
 }
 
@@ -88,22 +84,7 @@ impl Allocator {
         aggr: u32,
     ) -> Arc<Self> {
         let stats = Arc::new(AllocStats::default());
-        // cache_shards == 0 → one shard per data drive, so every bucket
-        // built by a refill round has a dedicated queue and cleaners with
-        // distinct affinities never share a lock on the GET fast path.
-        let nshards = match cfg.cache_shards {
-            0 => aggmap.geometry().total_data_drives() as usize,
-            n => n,
-        };
-        let cache = if cfg.cache_lockfree {
-            Arc::new(BucketCache::with_shards_capped(
-                nshards,
-                cfg.cache_arena_cap,
-                Arc::clone(&stats),
-            ))
-        } else {
-            Arc::new(BucketCache::with_shards_mutex(nshards, Arc::clone(&stats)))
-        };
+        let cache = Arc::new(BucketCache::with_stats(Arc::clone(&stats)));
         let infra = Infrastructure::new(cfg, aggmap, io, Arc::clone(&stats));
         Arc::new(Self {
             cfg,
@@ -113,7 +94,6 @@ impl Allocator {
             topo,
             aggr,
             refill_inflight: Arc::new(AtomicBool::new(false)),
-            anon_rr: AtomicUsize::new(0),
             stats,
         })
     }
@@ -149,8 +129,8 @@ impl Allocator {
     }
 
     /// The live statistics atomics — for reading *gauges* (levels such
-    /// as `arena_chunks_live`), which a [`StatsSnapshot`] deliberately
-    /// omits because they are not monotone counters.
+    /// as `io_inflight`), which a [`StatsSnapshot`] deliberately omits
+    /// because they are not monotone counters.
     pub fn raw_stats(&self) -> &Arc<AllocStats> {
         &self.stats
     }
@@ -200,37 +180,30 @@ impl Allocator {
     /// bucket cache. Triggers refills as needed and keeps the cache warm
     /// (low-watermark prefetch). Returns `None` when the aggregate is out
     /// of space.
-    ///
-    /// Paths without a stable cleaner identity (CP-end allocation, tests)
-    /// use this; the affinity shard rotates with a relaxed counter so
-    /// anonymous GETs spread over all shards instead of convoying on
-    /// shard 0.
     pub fn get_bucket(&self) -> Option<Bucket> {
-        // ordering: statistics counter; staleness is acceptable.
-        self.get_bucket_from(self.anon_rr.fetch_add(1, Ordering::Relaxed))
+        self.get_bucket_from(0)
     }
 
-    /// **GET** with shard affinity: cleaner `cleaner` pops from shard
-    /// `cleaner % nshards` first and work-steals from the other shards on
-    /// a miss, so concurrent cleaners with distinct indices take disjoint
-    /// locks on the common path (§IV-C's synchronization amortization,
-    /// divided per drive).
+    /// **GET** on behalf of cleaner `cleaner`. The cache is one queue
+    /// shared by every cleaner, so the index selects nothing; the
+    /// parameter stays because the cleaner pool and the end-to-end
+    /// benchmark call GET with it.
     pub fn get_bucket_from(&self, cleaner: usize) -> Option<Bucket> {
         self.get_bucket_many(cleaner, 1)
             .map(|mut batch| batch.pop().expect("non-empty batch"))
     }
 
-    /// Batched **GET**: acquire up to `max` buckets with a single cache
-    /// synchronization event (one CAS pop of the home shard's chain, or
-    /// one lock acquisition in the mutex layout) — §IV-C's amortization
-    /// applied to GET itself. Returns at least one bucket, or `None`
-    /// when the aggregate is out of space; a deep cleaner queue holds
-    /// the extras and returns unused ones via
-    /// [`requeue_bucket`](Self::requeue_bucket).
-    pub fn get_bucket_many(&self, cleaner: usize, max: usize) -> Option<Vec<Bucket>> {
+    /// Batched **GET**: acquire up to `max` buckets of the oldest refill
+    /// round with a single acquisition of the cache lock — §IV-C's
+    /// amortization applied to GET itself. Returns at least one bucket,
+    /// or `None` when the aggregate is out of space; a deep cleaner queue
+    /// holds the extras and returns unused ones via
+    /// [`requeue_bucket`](Self::requeue_bucket). `_cleaner` selects
+    /// nothing (see [`get_bucket_from`](Self::get_bucket_from)).
+    pub fn get_bucket_many(&self, _cleaner: usize, max: usize) -> Option<Vec<Bucket>> {
         let t0 = std::time::Instant::now();
         let mut sp = obs::trace_span!(obs::EventKind::Get);
-        let out = self.get_bucket_many_inner(cleaner, max);
+        let out = self.get_bucket_many_inner(max);
         sp.set_arg(out.as_ref().map_or(0, |b| b.len() as u64));
         self.stats
             .get_wait_ns
@@ -239,11 +212,11 @@ impl Allocator {
         out
     }
 
-    fn get_bucket_many_inner(&self, cleaner: usize, max: usize) -> Option<Vec<Bucket>> {
+    fn get_bucket_many_inner(&self, max: usize) -> Option<Vec<Bucket>> {
         let max = max.max(1);
         let mut stalled = false;
         loop {
-            let batch = self.cache.get_many_from(cleaner, max);
+            let batch = self.cache.get_many(max);
             if !batch.is_empty() {
                 self.stats
                     .gets
@@ -263,10 +236,7 @@ impl Allocator {
             self.request_refill();
             // Give the executor a chance to run the refill; the inline
             // executor has already completed it by now.
-            if let Some(b) = self
-                .cache
-                .get_timeout_from(cleaner, Duration::from_millis(2))
-            {
+            if let Some(b) = self.cache.get_timeout(Duration::from_millis(2)) {
                 // ordering: statistics counter; staleness is acceptable.
                 self.stats.gets.fetch_add(1, Ordering::Relaxed);
                 return Some(vec![b]);

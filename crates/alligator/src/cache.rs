@@ -7,167 +7,50 @@
 //! cache and keeps this list non-empty to ensure that the GET operation
 //! does not block" (§IV-D).
 //!
-//! GET is a single synchronization event per *bucket* (i.e., per
-//! `chunk` VBNs) — the amortization of §IV-C. The cache is **sharded**
-//! per drive (keyed off [`Bucket::drive`]) and supports two shard
-//! layouts:
+//! This is that list and nothing more: one [`Mutex`] over one FIFO kept
+//! in refill-generation order, one [`Condvar`] for GETs that find it
+//! empty, and an atomic copy of the length so `len`/`is_empty` (the
+//! starvation and low-watermark checks) take no lock. A GET is one lock
+//! acquisition per *bucket* — per `chunk` VBNs — which is the
+//! amortization §IV-C relies on; on the end-to-end ledger it is 3–4 ns of
+//! the 680–1 700 ns a buffer costs (DESIGN.md §7½).
 //!
-//! * **Lock-free** (the default, [`BucketCache::with_shards`]): each
-//!   shard's hot path is a [`TreiberStack`] — `try_get_from` is a
-//!   single CAS pop with *no mutex* on the common path, following the
-//!   non-blocking allocator designs of Marotta et al. and
-//!   Blelloch & Wei. The shard mutex+condvar survives only for
-//!   [`BucketCache::get_timeout_from`] waiters, and one `publish`
-//!   mutex serializes collective refill publishes (plus the rare
-//!   undo/re-push paths — see below).
-//! * **Mutex** ([`BucketCache::with_shards_mutex`]): the previous
-//!   mutex+condvar FIFO per shard, kept as the measurable baseline for
-//!   `exp_cache_contention`.
+//! Under one lock the cache's contracts are properties of the queue:
 //!
-//! Shared behavior in both layouts:
+//! * **Collective visibility** (§IV-D): [`BucketCache::insert_all`] is one
+//!   critical section, so no GET observes half a refill round.
+//! * **Oldest round first / equal progress**: a round deposits one bucket
+//!   per drive and the queue is sorted by generation, so round N drains
+//!   before round N+1 and every drive advances one chunk per round. A
+//!   bucket of an older round inserted late ([`BucketCache::insert`], the
+//!   requeue path) goes ahead of the newer rounds, not behind them.
+//! * **Round boundary**: [`BucketCache::get_many`] takes a
+//!   same-generation prefix — a batch never mixes round N+1 into an
+//!   unfinished round N, which would delay round N's tetris.
+//! * **No lost wakeup**: the queue changes, `len` is stored and the
+//!   condvar is notified all under the lock, and a blocked GET re-checks
+//!   the queue under the same lock before it parks.
 //!
-//! * cleaner *i* GETs from shard `i % nshards` first (its *affinity
-//!   shard*) and work-steals on a miss, keeping per-drive consumption
-//!   balanced (DESIGN.md invariant 7);
-//! * a global [`AtomicUsize`] length keeps `len`/`is_empty` (the
-//!   starvation and low-watermark checks) lock-free;
-//! * [`BucketCache::insert_all`] publishes a refill batch
-//!   *collectively* — no getter can observe half a batch (§IV-D);
-//! * contention is observable: fast-path vs stolen vs batched pops,
-//!   lock/gate wait time, and blocked GETs all count into
-//!   [`AllocStats`].
-//!
-//! ### The lock-free equal-progress rule: an O(1) hint
-//!
-//! The mutex layout enforced equal progress by scanning every shard's
-//! fill on every GET — O(nshards) on the hot path. The lock-free
-//! layout replaces the scan with an **epoch-sampled fullest-shard
-//! hint**: a single `AtomicUsize` refreshed by each collective refill
-//! publish (one O(nshards) scan per *round*, not per GET), nudged by
-//! single inserts, and re-sampled after every steal. A GET compares
-//! only `fill[home]` against `fill[hint]` — O(1) — and steals from the
-//! hinted shard iff it is strictly fuller. The hint may be stale
-//! between refresh points, so equal progress is approximate at
-//! sub-round granularity; it re-converges at every refill round, which
-//! is exactly the granularity §IV-D's collective reinsertion cares
-//! about.
-//!
-//! ### Collective visibility without shard locks
-//!
-//! A CAS popper takes no locks, so `insert_all` cannot exclude it by
-//! holding them. Instead the cache uses a seqlock-style **gate**: the
-//! publisher flips a generation counter odd, pushes each shard's batch
-//! with a single `push_many` CAS, and flips it even. Poppers read the
-//! gate before and after their pop; a change means a publish
-//! overlapped, so they *undo* (push the bucket back) and retry. An
-//! unchanged even gate proves the pop did not run inside a publish
-//! window — the §IV-D guarantee with two unfenced loads on the fast
-//! path instead of a mutex.
-//!
-//! ### Oldest-round-first and the undo paths
-//!
-//! `insert_all_lf` re-publishes any unconsumed older buckets *on top*
-//! of the new batch so the oldest refill round always pops first — a
-//! buried old bucket would leave its round's tetris permanently
-//! partial. Every path that pushes an **already-published** bucket back
-//! onto a shard (`unpop_lf`, the `get_many_from` undo) and every
-//! single-bucket insert therefore serializes with publishers on the
-//! `publish` mutex: a bare "wait for an even gate, then push" would be
-//! check-then-act — a publisher could begin (and drain the shard)
-//! between the gate check and the push, landing the new batch on top of
-//! the older bucket. This burial race is model-checked in
-//! `crates/mc/tests/cache_invariants.rs` (the oldest-round-first
-//! invariant fails within a few hundred schedules if the undo paths are
-//! reverted to gate-polling).
-//!
-//! [`BucketCache::get_many_from`] pops up to `k` buckets from the home
-//! shard in **one** CAS (`pop_many`) or one lock acquisition,
-//! amortizing GET synchronization per *batch* the way §IV-C amortizes
-//! it per chunk.
-//!
-//! [`BucketCache::new`] builds the single-shard mutex layout — the
-//! pre-sharding baseline for tests and the `exp_cache_contention`
-//! single-lock curve.
-//!
-//! All synchronization comes through [`crate::sync`], so `--features
-//! mc` routes every atomic access, lock, and condvar wait below through
-//! the model checker's controlled scheduler.
+//! All synchronization comes through [`crate::sync`], so `--features mc`
+//! routes the lock, the condvar and `len` through the model checker
+//! (`crates/mc/tests/cache_invariants.rs`).
 
-use crate::arena::Arena;
 use crate::bucket::Bucket;
 use crate::stats::AllocStats;
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex, MutexGuard};
-use crate::treiber::TreiberStack;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One shard. In the lock-free layout buckets live in `stack` and the
-/// mutex exists only as the condvar parking lock — except under arena
-/// backpressure, when buckets overflow into `q` (see
-/// [`Shard::overflow`]); in the mutex layout buckets live in `q` (FIFO)
-/// and `stack` stays empty.
-#[derive(Debug)]
-struct Shard {
-    stack: TreiberStack<Bucket>,
-    q: Mutex<VecDeque<Bucket>>, // lock-rank: cache.shard 60 via lock_shard
-    available: Condvar,
-    waiters: AtomicUsize,
-    /// Shard population, readable without synchronization. Drives the
-    /// equal-progress rule (scan in the mutex layout, hint in the
-    /// lock-free one). Maintained pessimistically in the lock-free
-    /// layout: incremented *before* a push, decremented *after* a
-    /// successful pop, so it never underflows.
-    fill: AtomicUsize,
-    /// Lock-free layout only: number of buckets parked in `q` because a
-    /// stack push hit [`ArenaFull`](crate::arena::ArenaFull) — the
-    /// mutex-slow-path fallback that replaced the old exhaustion abort.
-    /// Written only while holding `q` (always `store(q.len())`), so it
-    /// mirrors the queue exactly. Invariant: `overflow > 0 ⇒ stack
-    /// empty` — every push path checks it (under `publish`) before
-    /// touching the stack, so pop order stays oldest-first through a
-    /// backpressure episode.
-    overflow: AtomicUsize,
-}
-
-impl Shard {
-    fn new(arena: &Arc<Arena<Bucket>>) -> Self {
-        Self {
-            stack: TreiberStack::with_arena(Arc::clone(arena)),
-            q: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            waiters: AtomicUsize::new(0),
-            fill: AtomicUsize::new(0),
-            overflow: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Sharded pool of available buckets (lock-free or mutex layout).
+/// The lock-protected FIFO of available buckets.
 #[derive(Debug)]
 pub struct BucketCache {
-    shards: Box<[Shard]>,
-    /// Lock-free Treiber layout? (false = mutex+VecDeque baseline)
-    lock_free: bool,
-    /// Seqlock generation for collective publishes: odd while an
-    /// `insert_all` batch is being pushed (lock-free layout only).
-    gate: AtomicU64,
-    /// Serializes collective publishers — and the undo/single-insert
-    /// paths that push already-published buckets (see module docs) —
-    /// never touched by the GET fast path.
-    publish: Mutex<()>, // lock-rank: cache.publish 50 via lock_publish
-    /// Epoch-sampled fullest-shard hint (lock-free layout only).
-    hint: AtomicUsize,
-    /// Total buckets across all shards (lock-free `len`/`is_empty`).
+    /// Available buckets, ascending by refill generation.
+    q: Mutex<VecDeque<Bucket>>, // lock-rank: cache.queue 60 via lock_queue
+    available: Condvar,
+    /// `q.len()`, stored under the lock and read without it.
     len: AtomicUsize,
-    /// Getters currently parked anywhere (gate for cross-shard wakeups).
-    waiters: AtomicUsize,
-    /// The bounded node arena every shard's Treiber stack draws from.
-    /// Shared across shards on purpose: a node freed by any shard is
-    /// allocatable by any other (cross-shard donation), so one hot
-    /// shard cannot exhaust the arena while siblings hold idle frees.
-    arena: Arc<Arena<Bucket>>,
     stats: Arc<AllocStats>,
 }
 
@@ -178,126 +61,43 @@ impl Default for BucketCache {
 }
 
 impl BucketCache {
-    fn with_layout(
-        nshards: usize,
-        lock_free: bool,
-        arena_cap: usize,
-        stats: Arc<AllocStats>,
-    ) -> Self {
-        let n = nshards.max(1);
-        // One arena for every shard: pooled capacity + donation.
-        let arena = Arc::new(Arena::with_stats(arena_cap, Arc::clone(&stats)));
+    /// An empty cache with private statistics.
+    pub fn new() -> Self {
+        Self::with_stats(Arc::new(AllocStats::default()))
+    }
+
+    /// An empty cache recording its GET counters into `stats`.
+    pub fn with_stats(stats: Arc<AllocStats>) -> Self {
         Self {
-            shards: (0..n).map(|_| Shard::new(&arena)).collect(),
-            lock_free,
-            gate: AtomicU64::new(0),
-            publish: Mutex::new(()),
-            hint: AtomicUsize::new(0),
+            q: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
             len: AtomicUsize::new(0),
-            waiters: AtomicUsize::new(0),
-            arena,
             stats,
         }
     }
 
-    /// Single-shard mutex cache with private stats — the pre-sharding
-    /// layout (every GET funnels through one mutex, FIFO order). Kept
-    /// for tests and as the contention baseline.
-    pub fn new() -> Self {
-        Self::with_layout(1, false, 0, Arc::new(AllocStats::default()))
-    }
-
-    /// Lock-free cache with `nshards` Treiber-stack shards (clamped to
-    /// ≥ 1) recording contention counters into `stats`. Buckets map to
-    /// shards by drive id, so one shard per data drive gives every
-    /// refilled bucket of a round its own stack. The shared node arena
-    /// uses the default capacity (see [`Self::with_shards_capped`]).
-    pub fn with_shards(nshards: usize, stats: Arc<AllocStats>) -> Self {
-        Self::with_layout(nshards, true, 0, stats)
-    }
-
-    /// [`Self::with_shards`] with an explicit arena capacity in nodes
-    /// (0 = default, `AllocConfig::cache_arena_cap`). The cap bounds
-    /// the cache's node memory; pushes beyond it take the mutex
-    /// overflow path instead of aborting.
-    pub fn with_shards_capped(nshards: usize, arena_cap: usize, stats: Arc<AllocStats>) -> Self {
-        Self::with_layout(nshards, true, arena_cap, stats)
-    }
-
-    /// Mutex-sharded cache (one mutex+condvar FIFO per shard) — the
-    /// previous hot path, kept as a measurable baseline.
-    pub fn with_shards_mutex(nshards: usize, stats: Arc<AllocStats>) -> Self {
-        Self::with_layout(nshards, false, 0, stats)
-    }
-
-    /// The shared node arena under this cache's Treiber shards.
-    pub fn arena(&self) -> &Arc<Arena<Bucket>> {
-        &self.arena
-    }
-
-    /// Does GET take the lock-free CAS path?
-    #[inline]
-    pub fn is_lock_free(&self) -> bool {
-        self.lock_free
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Buckets currently populating the shard that serves `start` (the
-    /// getter's home shard, before any steal). The pessimistic fill
-    /// counter, readable without synchronization — callers use it as an
-    /// advisory depth signal (e.g. the cleaner's adaptive GET batch),
-    /// never for correctness.
-    #[inline]
-    pub fn shard_fill(&self, start: usize) -> usize {
-        // ordering: Acquire pairs with the Release/AcqRel fill updates on
-        // the insert/pop paths; an advisory depth read, monotonicity of
-        // the underlying population is not required;
-        // pairs-with: cache.fill.
-        self.shards[start % self.shards.len()]
-            .fill
-            .load(Ordering::Acquire)
-    }
-
-    /// Number of buckets currently available (lock-free).
+    /// Number of buckets currently available (no lock taken).
     #[inline]
     pub fn len(&self) -> usize {
-        // ordering: SeqCst — participates in the waiter protocol's total
-        // order (see `wake_parked` / `get_timeout_from`): an inserter's
-        // len bump and a waiter's registration must not both be missed.
-        self.len.load(Ordering::SeqCst)
+        // ordering: Relaxed — an advisory level for the low-watermark and
+        // exhaustion checks; every decision that must be exact (pop, park)
+        // looks at the queue itself under the lock.
+        self.len.load(Ordering::Relaxed)
     }
 
-    /// Is the cache empty (a GET would block)? Lock-free.
+    /// Is the cache empty (a GET would block)? No lock taken.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// CAS retries paid on the Treiber stacks and the shared arena's
-    /// free lists so far — the lock-free layout's contention meter (0
-    /// in the mutex layout).
-    pub fn cas_retries(&self) -> u64 {
-        self.arena.retries()
-    }
-
-    /// The shard a bucket lives in.
-    #[inline]
-    fn shard_of(&self, b: &Bucket) -> usize {
-        b.drive().0 as usize % self.shards.len()
-    }
-
-    /// Lock a shard queue, timing only the contended (slow) path.
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, VecDeque<Bucket>> {
-        if let Some(g) = shard.q.try_lock() {
+    /// Take the queue lock, timing only the contended (slow) path.
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Bucket>> {
+        if let Some(g) = self.q.try_lock() {
             return g;
         }
         let t0 = Instant::now();
-        let g = shard.q.lock();
+        let g = self.q.lock();
         self.stats
             .cache_lock_waits_ns
             // ordering: statistics counter; staleness is acceptable.
@@ -305,811 +105,116 @@ impl BucketCache {
         g
     }
 
-    /// Take the publish mutex, timing only the contended (slow) path.
-    /// Held by collective publishers for the whole gate-odd window and
-    /// by the undo / single-insert paths around their push (see module
-    /// docs: serialization is what keeps older buckets on top).
-    fn lock_publish(&self) -> MutexGuard<'_, ()> {
-        if let Some(g) = self.publish.try_lock() {
-            return g;
-        }
-        let t0 = Instant::now();
-        let g = self.publish.lock();
-        self.stats
-            .cache_lock_waits_ns
-            // ordering: statistics counter; staleness is acceptable.
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        g
+    /// Republish the queue's length. Called with the lock held, after
+    /// every change to the queue.
+    fn store_len(&self, q: &VecDeque<Bucket>) {
+        // ordering: Relaxed — see `len`.
+        self.len.store(q.len(), Ordering::Relaxed);
     }
 
-    /// Wait out any in-progress collective publish and return the (even)
-    /// gate generation. Free when no publish is running: one load.
-    /// Stall time counts into `cache_lock_waits_ns` — it is this
-    /// layout's residual "lock wait".
-    fn gate_enter(&self) -> u64 {
-        // ordering: Acquire pairs with the publisher's closing AcqRel
-        // `fetch_add` — an even gate implies the whole batch (and the
-        // len/fill updates before it) is visible;
-        // pairs-with: cache.gate.
-        let g = self.gate.load(Ordering::Acquire);
-        if g & 1 == 0 {
-            return g;
-        }
-        let t0 = Instant::now();
-        let mut spins = 0u32;
-        loop {
-            // ordering: Acquire — as above; each retry must see the
-            // publisher's writes once the gate goes even;
-            // pairs-with: cache.gate.
-            let g = self.gate.load(Ordering::Acquire);
-            if g & 1 == 0 {
-                self.stats
-                    .cache_lock_waits_ns
-                    // ordering: statistics counter; staleness is OK.
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                return g;
-            }
-            spins += 1;
-            if spins < 32 {
-                crate::sync::hint::spin_loop();
-            } else {
-                // Publishes are short but this may be a single-core box:
-                // let the publisher run.
-                crate::sync::hint::yield_now();
-            }
-        }
+    /// Place `b` behind every bucket of its own or an older refill round
+    /// and ahead of every newer one. The newest round (the common case)
+    /// lands at the back in O(1).
+    fn enqueue(q: &mut VecDeque<Bucket>, b: Bucket) {
+        let at = q.partition_point(|x| x.generation() <= b.generation());
+        q.insert(at, b);
     }
 
-    /// Re-sample the fullest shard into the hint: one O(nshards) scan,
-    /// paid per refill round / steal instead of per GET.
-    fn refresh_hint(&self) {
-        let mut best_s = 0usize;
-        let mut best = 0usize;
-        for (s, shard) in self.shards.iter().enumerate() {
-            // ordering: Acquire pairs with the AcqRel fill updates on the
-            // insert/pop paths; the hint tolerates staleness by design
-            // (it is re-sampled every round) but should not see fills
-            // from before the buckets they count became poppable;
-            // pairs-with: cache.fill.
-            let f = shard.fill.load(Ordering::Acquire);
-            if f > best {
-                best = f;
-                best_s = s;
-            }
-        }
-        // ordering: Relaxed — the hint is advisory; a stale hint only
-        // costs one extra fill comparison on the GET path.
-        self.hint.store(best_s, Ordering::Relaxed);
-    }
-
-    /// Wake parked getters on every shard that has any. Inserts into one
-    /// shard must also wake getters parked on *other* shards (they can
-    /// steal); locking the waiter's shard before notifying closes the
-    /// check-then-park race. Only runs when someone is actually parked.
-    /// SeqCst pairs with the waiter's registration: if this load misses
-    /// a registration, that waiter's later `len` re-check (also SeqCst,
-    /// after registering) is ordered after our pre-insert `len` bump and
-    /// sees the bucket instead of parking.
-    fn wake_parked(&self) {
-        // ordering: SeqCst — single total order with the waiter's
-        // registration and len re-check (see doc comment above); Acquire
-        // here could miss a registration whose len re-check also missed
-        // our insert.
-        if self.waiters.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        for shard in self.shards.iter() {
-            // ordering: SeqCst — same protocol as the global counter.
-            if shard.waiters.load(Ordering::SeqCst) > 0 {
-                let _g = self.lock_shard(shard);
-                shard.available.notify_all();
-            }
-        }
-    }
-
-    /// Infrastructure side: insert one bucket into its drive's shard.
-    pub fn insert(&self, b: Bucket) {
-        if self.lock_free {
-            self.insert_lf(b);
-        } else {
-            self.insert_mutex(b);
-        }
-    }
-
-    fn insert_mutex(&self, b: Bucket) {
-        let shard = &self.shards[self.shard_of(&b)];
-        let mut q = self.lock_shard(shard);
-        q.push_back(b);
-        // ordering: Release — fill counts published buckets; readers pair
-        // with Acquire in the fill scans; pairs-with: cache.fill.
-        shard.fill.fetch_add(1, Ordering::Release);
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_add(1, Ordering::SeqCst);
-        // Notify while holding the lock: a getter of this shard is either
-        // already parked (woken here) or has yet to take the lock (and
-        // will see the bucket).
-        shard.available.notify_one();
-        drop(q);
-        self.wake_parked();
-    }
-
-    /// Park `b` at the back of a shard's overflow queue (the mutex slow
-    /// path a push takes when the arena is at capacity). Caller holds
-    /// `publish`; the invariant `overflow > 0 ⇒ stack empty` is
-    /// maintained by `spill_stack_to_queue` running first whenever the
-    /// shard transitions into overflow mode.
-    fn overflow_push_back(&self, s: usize, b: Bucket) {
-        let shard = &self.shards[s];
-        let mut q = self.lock_shard(shard);
-        q.push_back(b);
-        // ordering: Release — pairs with `pop_lf`'s Acquire probe; the
-        // count mirrors `q` exactly (only ever stored under its lock);
-        // pairs-with: cache.overflow.
-        shard.overflow.store(q.len(), Ordering::Release);
-    }
-
-    /// Enter overflow mode for shard `s`: drain whatever the stack
-    /// still holds into the queue (stack pop order = queue front, so
-    /// FIFO service preserves the stack's oldest-first order), leaving
-    /// the stack empty as the overflow invariant requires. Caller holds
-    /// `publish`, so no publisher races the drain; concurrent CAS
-    /// poppers may take buckets mid-drain, which is harmless (they got
-    /// valid buckets).
-    fn spill_stack_to_queue(&self, s: usize) {
-        let shard = &self.shards[s];
-        // ordering: statistics counter; staleness is acceptable.
-        self.stats
-            .arena_full_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        // Arena exhaustion means the sizing model broke down — worth a
-        // flight-recorder bundle (lock-free; dumped at next service).
-        obs::trigger(obs::Trigger::ArenaFull, s as u64);
-        let drained = shard.stack.pop_many(usize::MAX);
-        let mut q = self.lock_shard(shard);
-        q.extend(drained);
-        // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-        shard.overflow.store(q.len(), Ordering::Release);
-    }
-
-    fn insert_lf(&self, b: Bucket) {
-        let s = self.shard_of(&b);
-        let shard = &self.shards[s];
-        // Serialize with collective publishers: a push landing between a
-        // publisher's leftover drain and its `push_many` would be buried
-        // under the new batch — fatal if this bucket is from an older
-        // round (see module docs, "Oldest-round-first and the undo
-        // paths"). Single inserts are infrastructure-side, so this mutex
-        // is off the GET fast path.
-        let p = self.lock_publish();
-        // len before fill before push: a getter that saw len > 0 may
-        // sweep shards before the push lands and miss — that is a
-        // transient try-get miss, not a protocol violation (timeout
-        // getters re-scan). The reverse order could underflow `fill`.
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_add(1, Ordering::SeqCst);
-        // ordering: AcqRel — fill is read by concurrent equal-progress
-        // scans (Acquire) and updated from multiple insert/pop paths;
-        // pairs-with: cache.fill.
-        let f = shard.fill.fetch_add(1, Ordering::AcqRel) + 1;
-        let key = b.generation();
-        // ordering: Acquire — overflow probe pairs with the Release
-        // stores under the queue lock; under `publish` the mode is
-        // stable (only publish-holders change it);
-        // pairs-with: cache.overflow.
-        if shard.overflow.load(Ordering::Acquire) > 0 {
-            // Already in overflow mode: stay FIFO until the queue
-            // drains (mixing paths would reorder rounds).
-            self.overflow_push_back(s, b);
-        } else if let Err(b) = shard.stack.try_push_keyed(b, key) {
-            // Arena at capacity: fall back to the mutex queue instead
-            // of aborting (the bug this PR fixes). Spill the stack
-            // first so service order stays oldest-first.
-            self.spill_stack_to_queue(s);
-            self.overflow_push_back(s, b);
-        }
-        drop(p);
-        // O(1) hint nudge: adopt this shard if it now looks fullest.
-        // ordering: Relaxed — the hint is advisory (see `refresh_hint`).
-        let h = self.hint.load(Ordering::Relaxed) % self.shards.len();
-        // ordering: Acquire — fill read for the equal-progress compare;
-        // pairs-with: cache.fill.
-        if s != h && f > self.shards[h].fill.load(Ordering::Acquire) {
-            // ordering: Relaxed — advisory hint store.
-            self.hint.store(s, Ordering::Relaxed);
-        }
-        self.wake_parked();
-    }
-
-    /// Infrastructure side: insert a batch of buckets atomically — the
-    /// collective reinsertion of §IV-D ("collectively put back into the
-    /// bucket cache"). No GET can observe a partially visible batch: the
-    /// mutex layout holds every destination shard lock while appending;
-    /// the lock-free layout publishes inside an odd gate window that
-    /// poppers detect and retry across. Each affected shard is notified
-    /// **once**, not once per bucket.
-    pub fn insert_all(&self, buckets: impl IntoIterator<Item = Bucket>) {
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<Bucket>> = (0..n).map(|_| Vec::new()).collect();
-        let mut total = 0usize;
-        for b in buckets {
-            per_shard[self.shard_of(&b)].push(b);
-            total += 1;
-        }
-        if total == 0 {
-            return;
-        }
-        if self.lock_free {
-            self.insert_all_lf(per_shard, total);
-        } else {
-            self.insert_all_mutex(per_shard, total);
-        }
-        self.wake_parked();
-    }
-
-    fn insert_all_mutex(&self, mut per_shard: Vec<Vec<Bucket>>, total: usize) {
-        // Acquire in ascending shard order (the only multi-shard lock
-        // site, so ordering alone rules out deadlock).
-        let mut guards: Vec<(usize, MutexGuard<'_, VecDeque<Bucket>>)> = Vec::new();
-        for (s, batch) in per_shard.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut g = self.lock_shard(&self.shards[s]);
-            self.shards[s]
-                .fill
-                // ordering: Release — pairs with the Acquire fill scans; pairs-with: cache.fill.
-                .fetch_add(batch.len(), Ordering::Release);
-            g.extend(batch.drain(..));
-            guards.push((s, g));
-        }
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_add(total, Ordering::SeqCst);
-        for (s, _) in &guards {
-            self.shards[*s].available.notify_all();
-        }
-    }
-
-    fn insert_all_lf(&self, per_shard: Vec<Vec<Bucket>>, total: usize) {
-        // Publishers serialize on `publish` — also held by the undo and
-        // single-insert paths, so the drain below observes a stable
-        // stack. The gate (odd while the batch lands) makes concurrent
-        // CAS poppers retry, so the batch becomes visible collectively.
-        let _p = self.lock_publish();
-        // ordering: AcqRel — opening fence of the publish window: poppers
-        // that Acquire-load an odd gate know a publish is in flight;
-        // pairs-with: cache.gate.
-        let g = self.gate.fetch_add(1, Ordering::AcqRel);
-        debug_assert_eq!(g & 1, 0, "publisher found the gate already odd");
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_add(total, Ordering::SeqCst);
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            // ordering: AcqRel — fill update paired with Acquire scans;
-            // pairs-with: cache.fill.
-            self.shards[s].fill.fetch_add(batch.len(), Ordering::AcqRel);
-            // ordering: Acquire — overflow probe (see `insert_lf`);
-            // pairs-with: cache.overflow.
-            if self.shards[s].overflow.load(Ordering::Acquire) > 0 {
-                // Overflow mode: the queue already holds the older
-                // rounds at its front (FIFO), so appending the new
-                // batch preserves oldest-round-first directly.
-                let shard = &self.shards[s];
-                let mut q = self.lock_shard(shard);
-                q.extend(batch);
-                // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-                shard.overflow.store(q.len(), Ordering::Release);
-                continue;
-            }
-            // Re-publish any older leftovers *on top* of the new batch:
-            // raw LIFO would bury the previous round's unconsumed bucket
-            // under this one, and a buried bucket that never gets popped
-            // leaves its round's tetris permanently partial — the exact
-            // fill-progress skew §IV-D's collective reinsertion exists
-            // to prevent. Publishers, undo-pushers, and single inserts
-            // all hold `publish`, so the drain is stable; leftovers are
-            // at most a round deep, and one CAS publishes the whole
-            // reordered chain.
-            let older = self.shards[s].stack.pop_many(usize::MAX);
-            let keyed: Vec<(Bucket, u64)> = older
-                .into_iter()
-                .chain(batch)
-                .map(|b| {
-                    let key = b.generation();
-                    (b, key)
-                })
-                .collect();
-            if let Err(items) = self.shards[s].stack.try_push_many_keyed(keyed) {
-                // Arena at capacity mid-refill: the whole chain comes
-                // back in order (all-or-nothing) and moves to the
-                // overflow queue — backpressure, not an abort. The
-                // stack is empty (we just drained it), so the overflow
-                // invariant holds.
-                self.spill_stack_to_queue(s);
-                let shard = &self.shards[s];
-                let mut q = self.lock_shard(shard);
-                q.extend(items.into_iter().map(|(b, _)| b));
-                // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-                shard.overflow.store(q.len(), Ordering::Release);
-            }
-        }
-        // The refill round's epoch sample: one scan per round keeps the
-        // hint honest without any per-GET scan.
-        self.refresh_hint();
-        // ordering: AcqRel — closing fence: Release publishes the batch
-        // to poppers whose even-gate Acquire load pairs with this;
-        // pairs-with: cache.gate.
-        self.gate.fetch_add(1, Ordering::AcqRel);
-        // Arena maintenance rides the refill round, off the GET fast
-        // path and outside the gate window (poppers are running again):
-        // drain slot caches, retire fully-free chunks, advance the
-        // epoch, reclaim post-grace slabs. This is what turns a
-        // shrinking population into returned memory.
-        self.arena.maintain();
-    }
-
-    /// Pop from one specific shard (mutex layout).
-    fn pop_shard(&self, s: usize) -> Option<Bucket> {
-        let mut q = self.lock_shard(&self.shards[s]);
+    /// Pop the oldest bucket and republish the length. Lock held.
+    fn pop(&self, q: &mut VecDeque<Bucket>) -> Option<Bucket> {
         let b = q.pop_front()?;
-        // ordering: Release — pairs with the Acquire fill scans; pairs-with: cache.fill.
-        self.shards[s].fill.fetch_sub(1, Ordering::Release);
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_sub(1, Ordering::SeqCst);
+        self.store_len(q);
         Some(b)
     }
 
-    /// CAS-pop from one specific shard (lock-free layout). Under arena
-    /// backpressure the shard's buckets live in the overflow queue
-    /// instead; serve it FIFO first (it holds the oldest rounds), then
-    /// fall through to the stack.
-    fn pop_lf(&self, s: usize) -> Option<Bucket> {
-        // ordering: Acquire — pairs with the Release overflow stores;
-        // a stale 0 just means we probe the (then-empty) stack and the
-        // timeout path re-scans, a stale >0 costs one queue lock;
-        // pairs-with: cache.overflow.
-        if self.shards[s].overflow.load(Ordering::Acquire) > 0 {
-            let shard = &self.shards[s];
-            let mut q = self.lock_shard(shard);
-            if let Some(b) = q.pop_front() {
-                // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-                shard.overflow.store(q.len(), Ordering::Release);
-                drop(q);
-                // ordering: AcqRel — fill update paired with Acquire scans;
-                // pairs-with: cache.fill.
-                shard.fill.fetch_sub(1, Ordering::AcqRel);
-                // ordering: SeqCst — waiter protocol (see `wake_parked`).
-                self.len.fetch_sub(1, Ordering::SeqCst);
-                return Some(b);
-            }
-            // Queue drained by a racing popper: fall through.
-        }
-        let b = self.shards[s].stack.pop()?;
-        // ordering: AcqRel — fill update paired with Acquire scans;
-        // pairs-with: cache.fill.
-        self.shards[s].fill.fetch_sub(1, Ordering::AcqRel);
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_sub(1, Ordering::SeqCst);
-        Some(b)
+    /// Account `k` buckets handed out by a GET that did not park.
+    fn count_fast(&self, k: usize) {
+        // ordering: statistics counters; staleness is acceptable.
+        self.stats
+            .cache_get_fast
+            .fetch_add(k as u64, Ordering::Relaxed);
+        self.stats
+            .cache_get_batched
+            // ordering: statistics counter.
+            .fetch_add(k.saturating_sub(1) as u64, Ordering::Relaxed);
     }
 
-    /// Undo a CAS pop that raced a collective publish: the bucket goes
-    /// back onto the shard it came from, **on top of** the published
-    /// batch — the undone bucket is older than the batch, and older
-    /// buckets must pop first (see `insert_all_lf`). Holding `publish`
-    /// (not merely polling the gate) is what makes "on top" reliable: a
-    /// publisher cannot start its drain+republish between our check and
-    /// our push and bury this bucket under the new batch.
-    fn unpop_lf(&self, s: usize, b: Bucket) {
-        let p = self.lock_publish();
-        // ordering: SeqCst — waiter protocol (see `wake_parked`).
-        self.len.fetch_add(1, Ordering::SeqCst);
-        // ordering: AcqRel — fill update paired with Acquire scans;
-        // pairs-with: cache.fill.
-        self.shards[s].fill.fetch_add(1, Ordering::AcqRel);
-        let key = b.generation();
-        // ordering: Acquire — overflow probe (see `insert_lf`);
-        // pairs-with: cache.overflow.
-        if self.shards[s].overflow.load(Ordering::Acquire) > 0 {
-            // The undone bucket is the oldest in flight: front of the
-            // FIFO queue plays the role "top of the stack" does below.
-            let shard = &self.shards[s];
-            let mut q = self.lock_shard(shard);
-            q.push_front(b);
-            // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-            shard.overflow.store(q.len(), Ordering::Release);
-        } else if let Err(b) = self.shards[s].stack.try_push_keyed(b, key) {
-            // Arena at capacity: enter overflow mode with the undone
-            // bucket in front of whatever the stack still held.
-            self.spill_stack_to_queue(s);
-            let shard = &self.shards[s];
-            let mut q = self.lock_shard(shard);
-            q.push_front(b);
-            // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-            shard.overflow.store(q.len(), Ordering::Release);
-        }
-        drop(p);
-        // The transient pop may have shown a waiter an empty cache right
-        // before it parked; with several undoing getters in flight the
-        // publisher's own wake can land inside that window, so the undo
-        // must re-issue the wakeup itself.
-        self.wake_parked();
+    /// Infrastructure side: insert one bucket (the Immediate-reinsertion
+    /// ablation, and a cleaner handing back an untouched bucket). A bucket
+    /// of an older round goes ahead of newer rounds.
+    pub fn insert(&self, b: Bucket) {
+        let mut q = self.lock_queue();
+        Self::enqueue(&mut q, b);
+        self.store_len(&q);
+        self.available.notify_one();
     }
 
-    /// Count a successful pop as a home (fast-path) hit or a steal.
-    fn count_pop(&self, shard: usize, home: usize) {
-        if shard == home {
-            // ordering: statistics counter; staleness is acceptable.
-            self.stats.cache_get_fast.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // ordering: statistics counter; staleness is acceptable.
-            self.stats.cache_get_steal.fetch_add(1, Ordering::Relaxed);
+    /// Infrastructure side: insert a refill round atomically — the
+    /// collective reinsertion of §IV-D ("collectively put back into the
+    /// bucket cache"). One critical section, so no GET can observe a
+    /// partially visible round.
+    pub fn insert_all(&self, buckets: impl IntoIterator<Item = Bucket>) {
+        let mut q = self.lock_queue();
+        for b in buckets {
+            Self::enqueue(&mut q, b);
         }
+        self.store_len(&q);
+        self.available.notify_all();
     }
 
-    /// Cleaner side: try to take a bucket without blocking, starting at
-    /// the caller's affinity shard (`start % nshards`) and work-stealing
-    /// on a miss.
-    ///
-    /// **Equal-progress pop rule**: the home shard is taken only when no
-    /// fuller shard is known; otherwise the GET steals from the fullest.
-    /// Refill rounds deposit one bucket per drive (§IV-D), so consuming
-    /// fullest-first keeps per-drive consumption — and therefore
-    /// per-drive fill progress, DESIGN.md invariant 7 — balanced for
-    /// *any* number of cleaners. The mutex layout learns "fullest" from
-    /// a per-GET O(nshards) scan; the lock-free layout from the O(1)
-    /// epoch-sampled hint (see module docs) and is a single CAS on the
-    /// common path.
-    pub fn try_get_from(&self, start: usize) -> Option<Bucket> {
-        if self.lock_free {
-            self.try_get_lf(start)
-        } else {
-            self.try_get_mutex(start)
-        }
-    }
-
-    fn try_get_mutex(&self, start: usize) -> Option<Bucket> {
-        let n = self.shards.len();
-        let home = start % n;
-        if self.is_empty() {
-            return None;
-        }
-        let mut target = home;
-        // ordering: Acquire — fill scan pairs with Release fill updates;
-        // pairs-with: cache.fill.
-        let mut best = self.shards[home].fill.load(Ordering::Acquire);
-        for d in 1..n {
-            let s = (home + d) % n;
-            // ordering: Acquire — as above; pairs-with: cache.fill.
-            let f = self.shards[s].fill.load(Ordering::Acquire);
-            if f > best {
-                best = f;
-                target = s;
-            }
-        }
-        if let Some(b) = self.pop_shard(target) {
-            self.count_pop(target, home);
-            return Some(b);
-        }
-        // Raced with other getters since the fill scan: fall back to a
-        // plain round-robin sweep so `None` still means "every shard was
-        // empty at probe time".
-        for d in 0..n {
-            let s = (home + d) % n;
-            if s == target {
-                continue;
-            }
-            if let Some(b) = self.pop_shard(s) {
-                self.count_pop(s, home);
-                return Some(b);
-            }
-        }
-        None
-    }
-
-    fn try_get_lf(&self, start: usize) -> Option<Bucket> {
-        let n = self.shards.len();
-        let home = start % n;
-        loop {
-            let g1 = self.gate_enter();
-            // ordering: SeqCst — waiter-protocol len read (see `len`).
-            if self.len.load(Ordering::SeqCst) == 0 {
-                // Re-read the gate so "None" is still a collective
-                // statement: no publish overlapped the emptiness probe.
-                // ordering: Acquire — pairs with the publisher's gate
-                // increments (see `gate_enter`);
-                // pairs-with: cache.gate.
-                if self.gate.load(Ordering::Acquire) == g1 {
-                    return None;
-                }
-                continue;
-            }
-            // O(1) target choice: home, unless the hinted shard is
-            // strictly fuller (the epoch-sampled equal-progress rule).
-            // ordering: Relaxed — the hint is advisory (see
-            // `refresh_hint`); a stale read costs one comparison.
-            let hint = self.hint.load(Ordering::Relaxed) % n;
-            let target = if hint != home
-                // ordering: Acquire (×2) — fill compare pairs with the
-                // Release/AcqRel fill updates.
-                && self.shards[hint].fill.load(Ordering::Acquire)
-                    > self.shards[home].fill.load(Ordering::Acquire)
-            {
-                hint
-            } else {
-                home
-            };
-            let mut from = target;
-            let mut got = self.pop_lf(target);
-            if got.is_none() {
-                // Miss (hint stale, or home and hint both drained): fall
-                // off the fast path to a fullest-first scan + sweep.
-                let mut t2 = home;
-                let mut best = 0usize;
-                for d in 0..n {
-                    let s = (home + d) % n;
-                    // ordering: Acquire — fill scan (see above).
-                    let f = self.shards[s].fill.load(Ordering::Acquire);
-                    if f > best {
-                        best = f;
-                        t2 = s;
-                    }
-                }
-                if t2 != target {
-                    if let Some(b) = self.pop_lf(t2) {
-                        from = t2;
-                        got = Some(b);
-                    }
-                }
-                if got.is_none() {
-                    for d in 0..n {
-                        let s = (home + d) % n;
-                        if s == target || s == t2 {
-                            continue;
-                        }
-                        if let Some(b) = self.pop_lf(s) {
-                            from = s;
-                            got = Some(b);
-                            break;
-                        }
-                    }
-                }
-            }
-            // ordering: Acquire — the seqlock read-side validation; pairs
-            // with the publisher's gate increments.
-            if self.gate.load(Ordering::Acquire) != g1 {
-                // A collective publish overlapped: this pop may have
-                // observed half a batch. Undo and retry (§IV-D).
-                if let Some(b) = got.take() {
-                    self.unpop_lf(from, b);
-                }
-                continue;
-            }
-            return got.inspect(|_| {
-                self.count_pop(from, home);
-                if from != home {
-                    // Steals mean the hint led us off home: re-sample it
-                    // (O(nshards), but only on the steal path).
-                    self.refresh_hint();
-                }
-            });
-        }
-    }
-
-    /// [`try_get_from`](Self::try_get_from) with affinity shard 0 (the
-    /// single-shard-era API, used by drain paths and tests).
+    /// Cleaner side: take the oldest bucket without blocking.
     pub fn try_get(&self) -> Option<Bucket> {
-        self.try_get_from(0)
+        let b = self.pop(&mut self.lock_queue())?;
+        self.count_fast(1);
+        Some(b)
     }
 
-    /// Batched GET: pop up to `max` buckets from the affinity shard with
-    /// **one** synchronization event — a single `pop_many` CAS
-    /// (lock-free) or one lock acquisition (mutex) — amortizing GET cost
-    /// per batch as §IV-C amortizes it per chunk. Falls back to a
-    /// single steal-capable [`try_get_from`](Self::try_get_from) when
-    /// the home shard is dry, so the result is non-empty whenever the
-    /// cache has buckets anywhere. Never blocks.
-    ///
-    /// Batches deliberately come from home only: stealing k buckets at
-    /// once would defeat the equal-progress rule, while home batches
-    /// just consume the caller's own per-drive deposits a round early.
-    /// A batch also never crosses a **refill-round boundary** (bucket
-    /// generations): mixing round N+1 buckets into a batch while round
-    /// N is still outstanding would delay — or, at stream end, forfeit —
-    /// round N's tetris completion, turning its whole round of stripes
-    /// partial. With one shard per drive each round deposits one bucket
-    /// per shard, so home batches only exceed 1 when shards are coarser
-    /// than drives.
-    pub fn get_many_from(&self, start: usize, max: usize) -> Vec<Bucket> {
-        let n = self.shards.len();
-        let home = start % n;
-        if max > 1 {
-            if self.lock_free {
-                loop {
-                    let g1 = self.gate_enter();
-                    // Under arena backpressure the home shard serves
-                    // from its FIFO overflow queue; batching degrades
-                    // to the steal-capable single GET (which knows the
-                    // queue) rather than growing a stack-only path.
-                    // ordering: Acquire — overflow probe (see `pop_lf`).
-                    if self.shards[home].overflow.load(Ordering::Acquire) > 0 {
-                        break;
-                    }
-                    // Equal progress still outranks batching: when the
-                    // hinted shard is strictly fuller than home, a home
-                    // batch would let this cleaner's drive race ahead
-                    // while the backlogged drive's older rounds rot, so
-                    // fall through to the steal-capable single GET.
-                    // ordering: Relaxed — advisory hint read.
-                    let hint = self.hint.load(Ordering::Relaxed) % n;
-                    if hint != home
-                        // ordering: Acquire (×2) — fill compare (see
-                        // `try_get_lf`); pairs-with: cache.fill.
-                        && self.shards[hint].fill.load(Ordering::Acquire)
-                            > self.shards[home].fill.load(Ordering::Acquire)
-                    {
-                        break;
-                    }
-                    let got = self.shards[home].stack.pop_many_same_key(max);
-                    if got.is_empty() {
-                        break;
-                    }
-                    let k = got.len();
-                    // ordering: AcqRel — fill update (see `pop_lf`);
-                    // pairs-with: cache.fill.
-                    self.shards[home].fill.fetch_sub(k, Ordering::AcqRel);
-                    // ordering: SeqCst — waiter protocol (see `len`).
-                    self.len.fetch_sub(k, Ordering::SeqCst);
-                    // ordering: Acquire — seqlock read-side validation
-                    // (see `try_get_lf`); pairs-with: cache.gate.
-                    if self.gate.load(Ordering::Acquire) != g1 {
-                        // Raced a collective publish: put the chain back
-                        // on top (one CAS, order preserved, serialized
-                        // with publishers — see `unpop_lf` for why the
-                        // mutex and not the gate) and retry.
-                        let p = self.lock_publish();
-                        // ordering: SeqCst — waiter protocol (see `len`).
-                        self.len.fetch_add(k, Ordering::SeqCst);
-                        // ordering: AcqRel — fill update (see `pop_lf`);
-                        // pairs-with: cache.fill.
-                        self.shards[home].fill.fetch_add(k, Ordering::AcqRel);
-                        let keyed: Vec<(Bucket, u64)> = got
-                            .into_iter()
-                            .map(|b| {
-                                let key = b.generation();
-                                (b, key)
-                            })
-                            .collect();
-                        if let Err(items) = self.shards[home].stack.try_push_many_keyed(keyed) {
-                            // The k nodes we just freed were stolen by
-                            // concurrent allocators before our re-push
-                            // (shared arena): overflow instead of abort.
-                            // The undone chain is the oldest in flight,
-                            // so it goes to the queue front.
-                            self.spill_stack_to_queue(home);
-                            let shard = &self.shards[home];
-                            let mut q = self.lock_shard(shard);
-                            for (b, _) in items.into_iter().rev() {
-                                q.push_front(b);
-                            }
-                            // ordering: Release — see `overflow_push_back`; pairs-with: cache.overflow.
-                            shard.overflow.store(q.len(), Ordering::Release);
-                        }
-                        drop(p);
-                        // Same lost-wakeup window as `unpop_lf`: the
-                        // transient pop may have parked a waiter.
-                        self.wake_parked();
-                        continue;
-                    }
-                    self.stats
-                        .cache_get_fast
-                        // ordering: statistics counter.
-                        .fetch_add(k as u64, Ordering::Relaxed);
-                    self.stats
-                        .cache_get_batched
-                        // ordering: statistics counter.
-                        .fetch_add((k - 1) as u64, Ordering::Relaxed);
-                    return got;
-                }
-            } else {
-                // Same equal-progress guard as the lock-free branch,
-                // via this layout's per-GET fill scan.
-                // ordering: Acquire — fill scan (see `try_get_mutex`);
-                // pairs-with: cache.fill.
-                let home_fill = self.shards[home].fill.load(Ordering::Acquire);
-                let fuller = (0..n)
-                    // ordering: Acquire — fill scan (see `try_get_mutex`);
-                    // pairs-with: cache.fill.
-                    .any(|s| s != home && self.shards[s].fill.load(Ordering::Acquire) > home_fill);
-                if fuller {
-                    return self.try_get_from(start).into_iter().collect();
-                }
-                let mut q = self.lock_shard(&self.shards[home]);
-                let mut k = 0usize;
-                if let Some(front) = q.front() {
-                    let gen0 = front.generation();
-                    while k < max.min(q.len()) && q[k].generation() == gen0 {
-                        k += 1;
-                    }
-                }
-                if k > 0 {
-                    let got: Vec<Bucket> = q.drain(..k).collect();
-                    // ordering: Release — fill update (see `pop_shard`);
-                    // pairs-with: cache.fill.
-                    self.shards[home].fill.fetch_sub(k, Ordering::Release);
-                    // ordering: SeqCst — waiter protocol (see `len`).
-                    self.len.fetch_sub(k, Ordering::SeqCst);
-                    drop(q);
-                    self.stats
-                        .cache_get_fast
-                        // ordering: statistics counter.
-                        .fetch_add(k as u64, Ordering::Relaxed);
-                    self.stats
-                        .cache_get_batched
-                        // ordering: statistics counter.
-                        .fetch_add((k - 1) as u64, Ordering::Relaxed);
-                    return got;
-                }
-            }
-        }
-        self.try_get_from(start).into_iter().collect()
+    /// Batched GET: take up to `max` buckets of the oldest refill round
+    /// with one lock acquisition, amortizing GET synchronization per batch
+    /// as §IV-C amortizes it per chunk. The batch stops at the round
+    /// boundary (see the module docs). Never blocks; empty when the cache
+    /// is.
+    pub fn get_many(&self, max: usize) -> Vec<Bucket> {
+        let mut q = self.lock_queue();
+        let Some(oldest) = q.front().map(Bucket::generation) else {
+            return Vec::new();
+        };
+        let k = q
+            .iter()
+            .take(max)
+            .take_while(|b| b.generation() == oldest)
+            .count();
+        let got: Vec<Bucket> = q.drain(..k).collect();
+        self.store_len(&q);
+        self.count_fast(k);
+        got
     }
 
-    /// Cleaner side: take a bucket, blocking up to `timeout`, with the
-    /// same affinity/steal order as [`try_get_from`](Self::try_get_from).
+    /// Cleaner side: take the oldest bucket, blocking up to `timeout`.
     /// Returns `None` on timeout (callers treat that as "aggregate may be
     /// exhausted; re-check and retry or give up").
-    ///
-    /// A blocked getter parks on its affinity shard's condvar; inserts
-    /// into *any* shard wake it (see [`Self::wake_parked`]), after which
-    /// it re-scans all shards. This is the one place the lock-free
-    /// layout still touches the shard mutex — the blocking slow path.
-    pub fn get_timeout_from(&self, start: usize, timeout: Duration) -> Option<Bucket> {
-        if let Some(b) = self.try_get_from(start) {
+    pub fn get_timeout(&self, timeout: Duration) -> Option<Bucket> {
+        let mut q = self.lock_queue();
+        if let Some(b) = self.pop(&mut q) {
+            self.count_fast(1);
             return Some(b);
         }
-        let shard = &self.shards[start % self.shards.len()];
-        let deadline = Instant::now() + timeout;
         self.stats
             .cache_blocked_gets
             // ordering: statistics counter; staleness is acceptable.
             .fetch_add(1, Ordering::Relaxed);
-        // Register as a waiter *before* the re-scan: any insert that
-        // lands after the scan will see the registration and notify
-        // (SeqCst pairs with `wake_parked`'s check).
-        // ordering: SeqCst (×2) — waiter registration; must be in a
-        // single total order with `wake_parked`'s waiter loads and the
-        // inserter's len bump so that either the inserter sees us or our
-        // re-check below sees its bucket.
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        shard.waiters.fetch_add(1, Ordering::SeqCst); // ordering: see above
-        let got = loop {
-            if let Some(b) = self.try_get_from(start) {
-                break Some(b);
+        let deadline = Instant::now() + timeout;
+        loop {
+            // The predicate was checked under the lock the wait releases,
+            // and inserters notify under that lock: no wakeup is lost.
+            let timed_out = self.available.wait_until(&mut q, deadline).timed_out();
+            if let Some(b) = self.pop(&mut q) {
+                return Some(b);
             }
-            let mut q = self.lock_shard(shard);
-            // Predicate re-check under the shard lock: an inserter bumps
-            // `len` before it notifies, so either we see len > 0 here
-            // (and re-scan) or our park happens before its notify (and
-            // we are woken).
-            // ordering: SeqCst — the waiter-protocol len re-check.
-            if self.len.load(Ordering::SeqCst) == 0
-                && shard.available.wait_until(&mut q, deadline).timed_out()
-            {
-                drop(q);
-                break self.try_get_from(start);
+            if timed_out {
+                return None;
             }
-        };
-        // ordering: SeqCst (×2) — deregistration, same protocol.
-        shard.waiters.fetch_sub(1, Ordering::SeqCst);
-        self.waiters.fetch_sub(1, Ordering::SeqCst); // ordering: see above
-        got
-    }
-
-    /// [`get_timeout_from`](Self::get_timeout_from) with affinity shard 0.
-    pub fn get_timeout(&self, timeout: Duration) -> Option<Bucket> {
-        self.get_timeout_from(0, timeout)
+        }
     }
 }
 
@@ -1118,10 +223,6 @@ mod tests {
     use super::*;
     use crate::tetris::Tetris;
     use wafl_blockdev::{AaId, DriveId, DriveKind, GeometryBuilder, IoEngine, RaidGroupId, Vbn};
-
-    fn mk_bucket_on(drive: u32, start: u64) -> Bucket {
-        mk_bucket_gen(drive, start, 0)
-    }
 
     fn mk_bucket_gen(drive: u32, start: u64, generation: u64) -> Bucket {
         let engine = Arc::new(IoEngine::new(
@@ -1150,56 +251,100 @@ mod tests {
     }
 
     fn mk_bucket(start: u64) -> Bucket {
-        mk_bucket_on(0, start)
+        mk_bucket_gen(0, start, 0)
     }
 
-    /// Lock-free layout (the default GET path).
-    fn sharded(n: usize) -> (BucketCache, Arc<AllocStats>) {
-        let stats = Arc::new(AllocStats::default());
-        (BucketCache::with_shards(n, Arc::clone(&stats)), stats)
+    /// One refill round: a bucket per drive, all of generation `gen`.
+    fn round(drives: u32, gen: u64) -> impl Iterator<Item = Bucket> {
+        (0..drives).map(move |d| mk_bucket_gen(d, gen * 1000 + u64::from(d) * 10, gen))
     }
 
-    /// Mutex baseline layout.
-    fn sharded_mutex(n: usize) -> (BucketCache, Arc<AllocStats>) {
-        let stats = Arc::new(AllocStats::default());
-        (BucketCache::with_shards_mutex(n, Arc::clone(&stats)), stats)
+    fn drain_gens(c: &BucketCache) -> Vec<u64> {
+        std::iter::from_fn(|| c.try_get())
+            .map(|b| b.generation())
+            .collect()
     }
 
     #[test]
-    fn fifo_order() {
+    fn fifo_order_and_len() {
         let c = BucketCache::new();
-        assert!(!c.is_lock_free(), "new() keeps the single-mutex layout");
         c.insert(mk_bucket(0));
         c.insert(mk_bucket(100));
         assert_eq!(c.len(), 2);
         assert_eq!(c.try_get().unwrap().start_vbn(), Vbn(0));
         assert_eq!(c.try_get().unwrap().start_vbn(), Vbn(100));
         assert!(c.try_get().is_none());
-    }
-
-    #[test]
-    fn lock_free_shard_is_lifo() {
-        let (c, _) = sharded(1);
-        assert!(c.is_lock_free());
-        c.insert(mk_bucket(0));
-        c.insert(mk_bucket(100));
-        assert_eq!(c.try_get().unwrap().start_vbn(), Vbn(100));
-        assert_eq!(c.try_get().unwrap().start_vbn(), Vbn(0));
-        assert!(c.try_get().is_none());
-    }
-
-    #[test]
-    fn insert_all_is_atomic_batch() {
-        let c = BucketCache::new();
+        assert!(c.is_empty());
         c.insert_all((0..5).map(|i| mk_bucket(i * 10)));
         assert_eq!(c.len(), 5);
     }
 
     #[test]
-    fn get_timeout_returns_none_when_starved() {
+    fn rounds_drain_oldest_first_one_bucket_per_drive() {
+        // Two rounds land before anything is consumed (the refill
+        // pipeline ran ahead): round 1 drains completely, one bucket per
+        // drive, before round 2 is touched — otherwise round 1's tetris
+        // would be left partial.
         let c = BucketCache::new();
-        let got = c.get_timeout(Duration::from_millis(20));
-        assert!(got.is_none());
+        c.insert_all(round(3, 1));
+        c.insert_all(round(3, 2));
+        for gen in [1, 2] {
+            let mut drives: Vec<u32> = (0..3)
+                .map(|_| {
+                    let b = c.try_get().unwrap();
+                    assert_eq!(b.generation(), gen);
+                    b.drive().0
+                })
+                .collect();
+            drives.sort_unstable();
+            assert_eq!(drives, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn older_generation_is_placed_ahead_of_newer_rounds() {
+        // A requeued round-1 bucket, and a round that was built first but
+        // published second, both go ahead of round 3.
+        let c = BucketCache::new();
+        c.insert_all(round(2, 3));
+        c.insert(mk_bucket_gen(0, 7, 1));
+        c.insert_all(round(2, 2));
+        c.insert(mk_bucket_gen(1, 9, 3));
+        assert_eq!(drain_gens(&c), vec![1, 2, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn get_many_takes_a_same_generation_prefix() {
+        let stats = Arc::new(AllocStats::default());
+        let c = BucketCache::with_stats(Arc::clone(&stats));
+        c.insert_all(round(2, 1));
+        c.insert_all(round(3, 2));
+        let first = c.get_many(8);
+        assert_eq!(first.len(), 2, "batch stops at the round boundary");
+        assert!(first.iter().all(|b| b.generation() == 1));
+        assert_eq!(c.get_many(2).len(), 2, "capped by max");
+        assert_eq!(c.get_many(1).len(), 1);
+        assert!(c.get_many(8).is_empty());
+        assert!(c.get_many(0).is_empty());
+        let s = stats.snapshot();
+        assert_eq!(s.cache_get_fast, 5);
+        assert_eq!(s.cache_get_batched, 2, "2 + 2 + 1 buckets in 3 GETs");
+        assert_eq!(s.cache_get_steal, 0, "one queue: nothing to steal from");
+    }
+
+    #[test]
+    fn get_timeout_returns_none_when_starved_and_counts_the_block() {
+        let stats = Arc::new(AllocStats::default());
+        let c = BucketCache::with_stats(Arc::clone(&stats));
+        assert!(c.get_timeout(Duration::from_millis(5)).is_none());
+        assert_eq!(stats.snapshot().cache_blocked_gets, 1);
+        c.insert(mk_bucket(0));
+        assert!(c.get_timeout(Duration::from_millis(5)).is_some());
+        assert_eq!(
+            stats.snapshot().cache_blocked_gets,
+            1,
+            "a GET that finds a bucket never counts as blocked"
+        );
     }
 
     #[test]
@@ -1209,266 +354,35 @@ mod tests {
         let h = std::thread::spawn(move || c2.get_timeout(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(10));
         c.insert(mk_bucket(7));
-        let got = h.join().unwrap();
-        assert_eq!(got.unwrap().start_vbn(), Vbn(7));
+        assert_eq!(h.join().unwrap().unwrap().start_vbn(), Vbn(7));
     }
 
     #[test]
-    fn lock_free_blocked_get_wakes_on_insert() {
-        let (c, _) = sharded(4);
-        let c = Arc::new(c);
-        let c2 = Arc::clone(&c);
-        // Waiter homed on shard 3; bucket lands on shard 1 — the wake
-        // must cross shards even with no mutex on the insert path.
-        let h = std::thread::spawn(move || c2.get_timeout_from(3, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(10));
-        c.insert(mk_bucket_on(1, 7));
-        let got = h.join().unwrap();
-        assert_eq!(got.unwrap().start_vbn(), Vbn(7));
-    }
-
-    #[test]
-    fn concurrent_getters_each_receive_distinct_buckets() {
-        let c = Arc::new(BucketCache::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                c.get_timeout(Duration::from_secs(5))
-                    .map(|b| b.start_vbn().0)
-            }));
-        }
-        c.insert_all((0..4).map(|i| mk_bucket(i * 4)));
-        let mut got: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 4, 8, 12]);
-    }
-
-    #[test]
-    fn mutex_buckets_land_in_their_drives_shard() {
-        let (c, stats) = sharded_mutex(4);
-        // Drives 0..=3 → shards 0..=3; drives 4 and 5 wrap to shards 0 and 1.
-        for d in 0..6u32 {
-            c.insert(mk_bucket_on(d, u64::from(d) * 10));
-        }
-        assert_eq!(c.len(), 6);
-        // Shards 0 and 1 are tied for fullest (two buckets each), so the
-        // affinity GET from shard 1 keeps its home and sees drive 1's
-        // bucket first (FIFO).
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(1));
-        // Now shard 0 alone is fullest: the equal-progress rule steals
-        // drive 0's bucket rather than draining home down to empty.
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(0));
-        // ordering: test-only stats reads.
-        assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 1);
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 1);
-        // Back in balance (one bucket each): home pops its second
-        // resident, the drive-5 bucket that wrapped onto shard 1.
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(5));
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn lock_free_hint_steers_steals() {
-        let (c, stats) = sharded(4);
-        assert!(c.is_lock_free());
-        // Same population as the mutex test: shards 0 and 1 hold two
-        // buckets each (drives 0/4 and 1/5), shards 2 and 3 one each.
-        for d in 0..6u32 {
-            c.insert(mk_bucket_on(d, u64::from(d) * 10));
-        }
-        assert_eq!(c.len(), 6);
-        // Hint points at shard 0 (tied fullest, not strictly fuller than
-        // home 1): home keeps its pop and LIFO yields drive 5's bucket.
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(5));
-        // Shard 0 (two buckets) is now strictly fuller than home 1 (one):
-        // the O(1) hint steers a steal — top of shard 0 is drive 4.
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(4));
-        // ordering: test-only stats reads.
-        assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 1);
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 1);
-        // Balance restored (one bucket per shard): home pops drive 1.
-        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(1));
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn miss_at_home_shard_steals_round_robin() {
-        for (c, stats) in [sharded(4), sharded_mutex(4)] {
-            c.insert(mk_bucket_on(2, 20));
-            // Affinity shard 0 is empty → the GET must steal from shard 2.
-            let b = c.try_get_from(0).unwrap();
-            assert_eq!(b.drive(), DriveId(2));
-            // ordering: test-only stats reads.
-            assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 0);
-            // ordering: test-only stats read.
-            assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 1);
-            assert!(c.try_get_from(0).is_none());
-        }
-    }
-
-    #[test]
-    fn get_many_pops_a_batch_from_home_in_one_acquisition() {
-        for (c, stats) in [sharded(4), sharded_mutex(4)] {
-            // Home shard 1 holds drives 1 and 5; shard 2 holds drive 2.
-            for d in [1u32, 5, 2] {
-                c.insert(mk_bucket_on(d, u64::from(d) * 10));
-            }
-            let got = c.get_many_from(1, 8);
-            assert_eq!(got.len(), 2, "batch drains home, never steals");
-            assert!(got.iter().all(|b| b.drive().0 % 4 == 1));
-            // ordering: test-only stats reads.
-            assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 2);
-            // ordering: test-only stats read.
-            assert_eq!(stats.cache_get_batched.load(Ordering::Relaxed), 1);
-            // Home now dry: the batched GET degrades to a single steal.
-            let fallback = c.get_many_from(1, 8);
-            assert_eq!(fallback.len(), 1);
-            assert_eq!(fallback[0].drive(), DriveId(2));
-            // ordering: test-only stats read.
-            // ordering: test-only stats read.
-            assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 1);
-            assert!(c.get_many_from(1, 8).is_empty());
-            assert!(c.is_empty());
-        }
-    }
-
-    #[test]
-    fn get_many_of_one_is_a_plain_get() {
-        let (c, stats) = sharded(2);
-        c.insert(mk_bucket_on(0, 0));
-        let got = c.get_many_from(0, 1);
-        assert_eq!(got.len(), 1);
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_get_batched.load(Ordering::Relaxed), 0);
-        assert!(c.get_many_from(0, 0).is_empty());
-    }
-
-    #[test]
-    fn refill_rounds_pop_oldest_first_in_both_layouts() {
-        // Two collective rounds land before anything is consumed (the
-        // refill pipeline ran ahead). Consumption must drain round 1
-        // completely before touching round 2 — otherwise round 1's
-        // tetris is left permanently partial. The lock-free layout gets
-        // this by re-publishing leftovers on top (LIFO alone would pop
-        // round 2 first); the mutex layout by FIFO order.
-        for lock_free in [true, false] {
-            let stats = Arc::new(AllocStats::default());
-            let c = BucketCache::with_layout(2, lock_free, 0, stats);
-            c.insert_all((0..2).map(|d| mk_bucket_gen(d, u64::from(d) * 10, 1)));
-            c.insert_all((0..2).map(|d| mk_bucket_gen(d, 100 + u64::from(d) * 10, 2)));
-            let mut gens = Vec::new();
-            for s in [0usize, 1, 0, 1] {
-                gens.push(c.try_get_from(s).unwrap().generation());
-            }
-            assert_eq!(gens, vec![1, 1, 2, 2], "round 1 drains before round 2");
-        }
-    }
-
-    #[test]
-    fn get_many_never_crosses_a_refill_round() {
-        // Single shard, two rounds of two buckets each: a batch of 8 must
-        // stop at the round boundary and deliver round 1 only.
-        for lock_free in [true, false] {
-            let stats = Arc::new(AllocStats::default());
-            let c = BucketCache::with_layout(1, lock_free, 0, Arc::clone(&stats));
-            c.insert_all((0..2).map(|d| mk_bucket_gen(d, u64::from(d) * 10, 1)));
-            c.insert_all((0..2).map(|d| mk_bucket_gen(d, 100 + u64::from(d) * 10, 2)));
-            let first = c.get_many_from(0, 8);
-            assert_eq!(first.len(), 2, "batch stops at the round boundary");
-            assert!(first.iter().all(|b| b.generation() == 1));
-            let second = c.get_many_from(0, 8);
-            assert_eq!(second.len(), 2);
-            assert!(second.iter().all(|b| b.generation() == 2));
-            assert!(c.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_insert_all_is_collectively_visible() {
-        // The §IV-D invariant across shards: a getter never sees only
-        // part of a refill batch. With the batch spread over all shards
-        // and GETs racing the insert, every GET that returns Some must
-        // come after the *whole* batch is visible — so the first 8
-        // concurrent GETs drain exactly the 8 buckets. Exercised in both
-        // layouts (gate vs multi-lock).
-        for lock_free in [true, false] {
-            for _ in 0..50 {
-                let stats = Arc::new(AllocStats::default());
-                let c = Arc::new(BucketCache::with_layout(8, lock_free, 0, stats));
-                let mut handles = Vec::new();
-                for t in 0..8usize {
+    fn insert_all_is_collectively_visible_to_blocked_getters() {
+        // §IV-D: a getter never sees only part of a refill round, so the
+        // 8 GETs racing one 8-bucket insert drain exactly those 8 — and
+        // none of them sleeps with the cache non-empty.
+        for _ in 0..50 {
+            let c = Arc::new(BucketCache::new());
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
                     let c = Arc::clone(&c);
-                    handles.push(std::thread::spawn(move || {
-                        c.get_timeout_from(t, Duration::from_secs(5)).is_some()
-                    }));
-                }
-                c.insert_all((0..8).map(|d| mk_bucket_on(d, u64::from(d) * 100)));
-                assert!(handles.into_iter().all(|h| h.join().unwrap()));
-                assert!(c.is_empty());
+                    std::thread::spawn(move || {
+                        let t0 = Instant::now();
+                        let b = c.get_timeout(Duration::from_secs(30));
+                        (b.map(|b| b.start_vbn().0), t0.elapsed())
+                    })
+                })
+                .collect();
+            c.insert_all(round(8, 1));
+            let mut got = Vec::new();
+            for h in handles {
+                let (b, waited) = h.join().unwrap();
+                assert!(waited < Duration::from_secs(5), "slept {waited:?}");
+                got.push(b.expect("a getter starved with buckets available"));
             }
-        }
-    }
-
-    #[test]
-    fn no_waiter_sleeps_while_cache_nonempty() {
-        // Regression for the insert_all wakeup storm: waiters homed on
-        // shards that receive *no* buckets must still wake and steal.
-        // Both waiters home on shard 3; the batch lands on shards 0..2.
-        let (c, _) = sharded(4);
-        let c = Arc::new(c);
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                let t0 = Instant::now();
-                let got = c.get_timeout_from(3, Duration::from_secs(30));
-                (got.is_some(), t0.elapsed())
-            }));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        c.insert_all((0..3u32).map(|d| mk_bucket_on(d, u64::from(d) * 100)));
-        for h in handles {
-            let (got, waited) = h.join().unwrap();
-            assert!(got, "waiter must be woken cross-shard");
-            assert!(
-                waited < Duration::from_secs(5),
-                "waiter slept {waited:?} with a non-empty cache"
-            );
-        }
-        assert_eq!(c.len(), 1, "two of three buckets consumed");
-    }
-
-    #[test]
-    fn blocked_gets_are_counted() {
-        let (c, stats) = sharded(2);
-        assert!(c.get_timeout_from(0, Duration::from_millis(5)).is_none());
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_blocked_gets.load(Ordering::Relaxed), 1);
-        c.insert(mk_bucket_on(0, 0));
-        assert!(c.try_get_from(0).is_some());
-        // Fast-path GETs never count as blocked.
-        // ordering: test-only stats read.
-        assert_eq!(stats.cache_blocked_gets.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn len_is_consistent_across_shards() {
-        for (c, _) in [sharded(3), sharded_mutex(3)] {
-            c.insert_all((0..9u32).map(|d| mk_bucket_on(d, u64::from(d) * 16)));
-            assert_eq!(c.len(), 9);
-            let mut n = 0;
-            while c.try_get_from(n).is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 9);
+            got.sort_unstable();
+            assert_eq!(got, (0..8).map(|d| 1000 + d * 10).collect::<Vec<u64>>());
             assert!(c.is_empty());
         }
     }

@@ -56,26 +56,6 @@ pub struct AllocConfig {
     /// full, the cleaner thread sends a message to the infrastructure to
     /// commit those frees to the metafiles").
     pub stage_capacity: usize,
-    /// Bucket-cache shard count. `0` (the default) sizes the cache at one
-    /// shard per data drive, so each refilled bucket of a round gets its
-    /// own queue; `1` forces the pre-sharding single-lock layout (the
-    /// `exp_cache_contention` baseline).
-    pub cache_shards: usize,
-    /// Lock-free (Treiber-stack) shard hot path? `true` (the default)
-    /// makes GET a single CAS pop with the shard mutex demoted to the
-    /// blocking slow path; `false` keeps the mutex+condvar FIFO shards
-    /// as a measurable baseline (`mutex_cache()`).
-    pub cache_lockfree: bool,
-    /// Node capacity of the bucket cache's shared Treiber arena. `0`
-    /// (the default) uses the built-in cap (`arena::DEFAULT_ARENA_CAP`,
-    /// 256 Ki nodes). The cap *bounds cache memory*: when it is
-    /// reached, inserts fall back to the shard's mutex overflow queue
-    /// (typed `ArenaFull` backpressure) instead of growing — or, as
-    /// before this knob existed, aborting. Fully-freed chunks are
-    /// reclaimed through epoch-based grace periods, so a shrinking
-    /// population returns memory instead of holding its high-water
-    /// mark.
-    pub cache_arena_cap: usize,
 }
 
 impl Default for AllocConfig {
@@ -87,9 +67,6 @@ impl Default for AllocConfig {
             infra_mode: InfraMode::Parallel,
             reinsert: ReinsertPolicy::Collective,
             stage_capacity: 256,
-            cache_shards: 0,
-            cache_lockfree: true,
-            cache_arena_cap: 0,
         }
     }
 }
@@ -107,21 +84,6 @@ impl AllocConfig {
     /// The serialized-infrastructure baseline of Figs 4/6/7.
     pub fn serial_infra(mut self) -> Self {
         self.infra_mode = InfraMode::Serial;
-        self
-    }
-
-    /// Force the single-lock (unsharded) bucket cache — the contention
-    /// baseline swept by `exp_cache_contention`.
-    pub fn single_lock_cache(mut self) -> Self {
-        self.cache_shards = 1;
-        self.cache_lockfree = false;
-        self
-    }
-
-    /// Keep the mutex+condvar sharded bucket cache (the PR-2 layout) —
-    /// the lock-free hot path's comparison baseline.
-    pub fn mutex_cache(mut self) -> Self {
-        self.cache_lockfree = false;
         self
     }
 }

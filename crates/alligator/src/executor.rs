@@ -11,7 +11,6 @@
 //!   which performs its own affinity-aware scheduling under virtual time
 //!   and only needs the message *bodies*.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use waffinity::{Affinity, WaffinityPool};
 
@@ -64,65 +63,6 @@ impl Executor for PoolExecutor {
     }
 }
 
-/// Decorates any executor with submit/complete counters, so harnesses
-/// (e.g. `exp_cache_contention`) can report infrastructure-message volume
-/// alongside the cache contention counters without reaching into pool
-/// internals.
-#[derive(Debug)]
-pub struct InstrumentedExecutor<E> {
-    inner: E,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl<E: Executor> InstrumentedExecutor<E> {
-    /// Wrap `inner`.
-    pub fn new(inner: E) -> Self {
-        Self {
-            inner,
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-        }
-    }
-
-    /// Messages submitted so far.
-    pub fn submitted(&self) -> u64 {
-        // ordering: statistics counter; staleness is acceptable.
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Messages whose bodies have finished running.
-    pub fn completed(&self) -> u64 {
-        // ordering: statistics counter; staleness is acceptable.
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped executor.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: Executor + 'static> Executor for Arc<InstrumentedExecutor<E>> {
-    fn submit(&self, a: Affinity, f: Box<dyn FnOnce() + Send>) {
-        // ordering: statistics counter; staleness is acceptable.
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let me = Arc::clone(self);
-        self.inner.submit(
-            a,
-            Box::new(move || {
-                f();
-                // ordering: statistics counter; staleness is acceptable.
-                me.completed.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-    }
-
-    fn drain(&self) {
-        self.inner.drain();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,27 +84,6 @@ mod tests {
         // ordering: test readback.
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         e.drain();
-    }
-
-    #[test]
-    fn instrumented_executor_counts_messages() {
-        let e = Arc::new(InstrumentedExecutor::new(InlineExecutor));
-        let hits = Arc::new(AtomicU32::new(0));
-        for _ in 0..3 {
-            let h = Arc::clone(&hits);
-            e.submit(
-                Affinity::Serial,
-                Box::new(move || {
-                    // ordering: statistics counter; staleness is acceptable.
-                    h.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-        }
-        e.drain();
-        // ordering: test readback.
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert_eq!(e.submitted(), 3);
-        assert_eq!(e.completed(), 3);
     }
 
     #[test]

@@ -489,26 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn refill_round_spreads_buckets_over_per_drive_shards() {
-        // With one shard per data drive, a collective refill lands each
-        // drive's bucket in its own shard: five cleaners with distinct
-        // affinities all pop from their home shard, no steals.
-        let (infra, _) = setup(16);
-        let stats = Arc::new(AllocStats::default());
-        let cache = BucketCache::with_shards(5, Arc::clone(&stats));
-        assert_eq!(infra.refill_round(&cache), 5);
-        let mut drives: Vec<u32> = (0..5)
-            .map(|c| cache.try_get_from(c).unwrap().drive().0)
-            .collect();
-        drives.sort_unstable();
-        assert_eq!(drives, vec![0, 1, 2, 3, 4]);
-        // ordering: test readback.
-        assert_eq!(stats.cache_get_fast.load(Ordering::Relaxed), 5);
-        // ordering: test readback.
-        assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn buckets_start_at_top_of_emptiest_aa() {
         let (infra, cache) = setup(8);
         infra.refill_round(&cache);

@@ -42,11 +42,11 @@
 //! infrastructure (Figs 4, 6, 7), and collective vs immediate bucket
 //! reinsertion (the equal-progress ablation).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod allocator;
-pub mod arena;
 pub mod bucket;
 pub mod cache;
 pub mod config;
@@ -56,16 +56,13 @@ pub mod stage;
 pub mod stats;
 pub mod sync;
 pub mod tetris;
-pub mod treiber;
 
 pub use allocator::Allocator;
-pub use arena::{Arena, ArenaFull};
 pub use bucket::Bucket;
 pub use cache::BucketCache;
 pub use config::{AllocConfig, InfraMode, ReinsertPolicy};
-pub use executor::{Executor, InlineExecutor, InstrumentedExecutor, PoolExecutor};
+pub use executor::{Executor, InlineExecutor, PoolExecutor};
 pub use infra::Infrastructure;
 pub use stage::Stage;
 pub use stats::{AllocStats, StatsSnapshot};
 pub use tetris::Tetris;
-pub use treiber::TreiberStack;

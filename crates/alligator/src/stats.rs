@@ -95,22 +95,24 @@ alloc_counters! {
         /// many drives offline). The stamps of a failed I/O never reached
         /// stable storage.
         io_errors,
-        /// Cache pops satisfied by the getter's own (affinity) shard — the
-        /// uncontended fast path the sharded bucket cache is built around
-        /// (§IV-C's amortized synchronization, divided per drive).
+        /// Buckets the cache handed to a GET that did not park — the
+        /// non-blocking GETs §IV-D's "keeps this list non-empty" aims for.
         cache_get_fast,
-        /// Cache pops that missed the home shard and work-stole a bucket from
-        /// another shard.
+        /// Always 0: the cache is one queue, so there is no other shard to
+        /// steal from. The field stays because the end-to-end benchmark
+        /// (`e2e/`, which this tree may not edit) reads it to compute
+        /// `alligator.cache.steal_ratio`; drop both in a benchmark-only PR
+        /// (ROADMAP).
         cache_get_steal,
-        /// Nanoseconds spent waiting for a contended shard mutex (fast-path
-        /// `try_lock` successes cost nothing and are not timed).
+        /// Nanoseconds spent waiting for the cache lock when it was
+        /// contended (`try_lock` successes cost nothing and are not timed).
         cache_lock_waits_ns,
-        /// GETs that found every shard empty and parked on the shard condvar
-        /// (the §IV-D starvation case the refill pipeline is meant to avoid).
+        /// GETs that found the cache empty and parked on its condvar (the
+        /// §IV-D starvation case the refill pipeline is meant to avoid).
         cache_blocked_gets,
         /// Buckets delivered *beyond the first* by batched `get_many` pops —
         /// each one is a GET whose synchronization was amortized into the
-        /// batch's single CAS/lock acquisition (§IV-C applied to GET).
+        /// batch's single lock acquisition (§IV-C applied to GET).
         cache_get_batched,
         /// High-water mark of the commit queue: the deepest backlog of
         /// submitted-but-unexecuted PUT commits observed. Measures the
@@ -131,7 +133,7 @@ alloc_counters! {
         /// convoy is compared against in `exp_put_convoy`.
         get_wait_ns,
         /// GET batches the adaptive sizer widened beyond the configured
-        /// base because the home shard was running deep.
+        /// base because the cache was running deep.
         cache_batch_grows,
         /// GET batches the adaptive sizer shrank toward 1 because the
         /// cache was at or under the refill low watermark.
@@ -158,37 +160,6 @@ alloc_counters! {
         /// Times the scrubber resumed after pressure fell below the
         /// deactivation threshold.
         scrub_resumes,
-        /// CAS retries paid on the bucket cache's lock-free structures
-        /// (Treiber heads + arena free lists) — the contention meter
-        /// formerly kept per-stack, now arena-wide.
-        cache_cas_retries,
-        /// Arena nodes minted from a never-used slab offset (the
-        /// growth path; bounded by `cache_arena_cap`).
-        arena_fresh_mints,
-        /// Arena allocations satisfied by a recycled node (slot cache
-        /// or chunk free list) — the constant-memory steady state.
-        arena_reuse_hits,
-        /// Arena allocations satisfied by stealing another pin slot's
-        /// cached free node (cross-shard donation: a hot shard reusing
-        /// an idle shard's retirees instead of minting).
-        arena_donations,
-        /// Chunks proven fully free and retired into the epoch limbo
-        /// list (made unreachable; slab freed after the grace period).
-        arena_chunks_retired,
-        /// Retired chunks whose 2-epoch grace elapsed and whose slab
-        /// was returned to the OS (the reclamation that keeps
-        /// long-lived servers flat).
-        arena_chunks_freed,
-        /// Global reclamation-epoch advances (each requires every
-        /// pinned operation to have caught up — EBR quiescence).
-        arena_epoch_advances,
-        /// Inserts that hit `ArenaFull` and fell back to the mutex
-        /// overflow queue instead of aborting — the backpressure that
-        /// replaced the PR-3 exhaustion `assert!`s.
-        arena_full_fallbacks,
-        /// High-water mark of live (slab-holding) arena chunks — the
-        /// boundedness headline the churn soak gates on.
-        arena_chunks_live_peak,
         /// High-water mark of async write I/Os in flight (submitted to
         /// the `blockdev::aio` engine, completion not yet harvested) —
         /// the queue-depth headline of the pipelined CP.
@@ -203,9 +174,6 @@ alloc_counters! {
         /// executed, right now. Not part of the snapshot (it is a level, not
         /// a counter); feeds the `put_commit_queue_len` high-water mark.
         put_commit_outstanding,
-        /// Arena chunks currently holding a live slab, right now (a
-        /// level; its high-water mark is `arena_chunks_live_peak`).
-        arena_chunks_live,
         /// Async write I/Os in flight right now (a level; its
         /// high-water mark is `io_queue_depth_peak`).
         io_inflight,

@@ -585,8 +585,7 @@ struct Inner {
     rings: Vec<SubmitRing>,
     completions: CompletionRing<Completion>,
     /// Spill list for a full completion ring, so a worker never blocks
-    /// on a caller that is slow to poll (same pattern as the arena's
-    /// ArenaFull overflow queue).
+    /// on a caller that is slow to poll.
     overflow: parking_lot::Mutex<Vec<Completion>>, // lock-rank: aio.overflow 74
     submitted: std::sync::atomic::AtomicU64,
     completed: std::sync::atomic::AtomicU64,

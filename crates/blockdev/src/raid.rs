@@ -28,11 +28,22 @@
 //! * [`RaidGroup::rebuild_drive`] reconstructs every block onto fresh
 //!   media and returns the drive to service, after which a raw-media
 //!   parity scrub passes again.
+//!
+//! ## Concurrent writers
+//!
+//! A partial-stripe write is a read-modify-write of the stripe's parity
+//! block, and the group has several writers (its aio worker, the
+//! synchronous metafile `write_vbn` path, scrub repairs). One
+//! per-group mutex serializes them: it is held from the read of the
+//! untouched blocks to the parity write, and by every repair and
+//! rebuild, so parity is always computed from the data that is on media
+//! when it lands. It ranks before the drive locks it is held across.
 
 use crate::drive::{Drive, DriveKind};
 use crate::fault::{IoError, RetryPolicy};
 use crate::geometry::{Dbn, DriveId, RaidGroupGeometry};
 use crate::BlockStamp;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,6 +85,9 @@ pub struct RaidGroup {
     parity: Vec<Arc<Drive>>,
     counters: ParityModel,
     policy: RetryPolicy,
+    /// Serializes every parity read-modify-write of the group (see the
+    /// module docs).
+    stripe_write: Mutex<()>, // lock-rank: raid.stripe-write 69
 }
 
 impl RaidGroup {
@@ -99,6 +113,7 @@ impl RaidGroup {
             parity,
             counters: ParityModel::default(),
             policy: RetryPolicy::default(),
+            stripe_write: Mutex::new(()),
         }
     }
 
@@ -261,6 +276,7 @@ impl RaidGroup {
     /// a single-parity group) or on a structural error.
     pub fn write(&self, per_drive: &[BTreeMap<u64, BlockStamp>]) -> Result<(u64, u64), IoError> {
         assert_eq!(per_drive.len(), self.data.len(), "one map per data drive");
+        let _w = self.stripe_write.lock();
 
         // Gather the set of stripes touched and whether each is full.
         let mut stripes: BTreeMap<u64, u32> = BTreeMap::new();
@@ -493,6 +509,7 @@ impl RaidGroup {
     /// service. Returns the number of blocks rebuilt. After a rebuild,
     /// [`RaidGroup::verify_parity`] passes again.
     pub fn rebuild_drive(&self, drive_in_rg: u32) -> u64 {
+        let _w = self.stripe_write.lock();
         let blocks = self.geom.blocks_per_drive;
         let stamps: Vec<BlockStamp> = (0..blocks)
             .map(|dbn| self.reconstruct(drive_in_rg, Dbn(dbn)))
@@ -512,6 +529,7 @@ impl RaidGroup {
     /// maintenance write) and rewrite the home drive's media. Returns
     /// the reconstructed stamp now on media.
     pub fn repair_data_block(&self, drive_in_rg: u32, dbn: Dbn) -> BlockStamp {
+        let _w = self.stripe_write.lock();
         let stamp = self.reconstruct(drive_in_rg, dbn);
         self.data[drive_in_rg as usize].repair_write(dbn, &[stamp]);
         // ordering: statistics counter; staleness is acceptable.
@@ -522,6 +540,7 @@ impl RaidGroup {
     /// Recompute a single parity block from the data drives and rewrite
     /// it in place. Returns the recomputed parity stamp.
     pub fn repair_parity_block(&self, dbn: Dbn) -> BlockStamp {
+        let _w = self.stripe_write.lock();
         let stamp = self.data.iter().fold(0u128, |x, d| x ^ d.peek(dbn));
         self.parity[0].repair_write(dbn, &[stamp]);
         // ordering: statistics counter; staleness is acceptable.
@@ -532,6 +551,7 @@ impl RaidGroup {
     /// Recompute a parity drive's media from the data drives and return
     /// it to service. Returns the number of blocks rebuilt.
     pub fn rebuild_parity(&self, parity_index: usize) -> u64 {
+        let _w = self.stripe_write.lock();
         let blocks = self.geom.blocks_per_drive;
         let stamps: Vec<BlockStamp> = (0..blocks)
             .map(|dbn| self.data.iter().fold(0u128, |x, d| x ^ d.peek(Dbn(dbn))))
@@ -639,6 +659,40 @@ mod tests {
         let w2 = vec![BTreeMap::from([(0u64, 0x33_u128)]), BTreeMap::new()];
         g.write(&w2).unwrap();
         g.verify_parity(0, 1).unwrap();
+    }
+
+    #[test]
+    fn concurrent_partial_stripe_writes_keep_parity() {
+        // Two writers, each rewriting its own drive of the same 256
+        // stripes at the same moment (the aio worker and a synchronous
+        // metafile write do exactly this). Each write is partial, so each
+        // folds the *other* drive's block into parity: unless the
+        // read-modify-write is exclusive per group, both read the other's
+        // old block and the later parity write erases the earlier one's
+        // data from parity.
+        const STRIPES: u64 = 256;
+        let g = Arc::new(rg(2));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = (0..2u64)
+            .map(|d| {
+                let g = Arc::clone(&g);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    for round in 1..=50u64 {
+                        let mut maps = vec![BTreeMap::new(), BTreeMap::new()];
+                        maps[d as usize] = (0..STRIPES)
+                            .map(|dbn| (dbn, crate::stamp(d, dbn, round)))
+                            .collect();
+                        barrier.wait();
+                        g.write(&maps).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        g.verify_parity(0, STRIPES).unwrap();
     }
 
     #[test]

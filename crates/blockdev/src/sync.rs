@@ -1,10 +1,9 @@
-//! Synchronization shim: the single import point for every atomic,
-//! cell, and spin hint used by the lock-free completion ring
-//! (`aio.rs`).
+//! Synchronization shim: the single import point for the atomic and the
+//! cell used by the lock-free completion ring (`aio.rs`).
 //!
-//! * Default build: zero-cost re-exports of `std::sync::atomic`,
-//!   `parking_lot`, and a thin `UnsafeCell` wrapper — identical codegen
-//!   to using them directly.
+//! * Default build: zero-cost re-exports of `std::sync::atomic` and a
+//!   thin `UnsafeCell` wrapper — identical codegen to using them
+//!   directly.
 //! * `--features mc`: the same names resolve to the `mc` crate's
 //!   model-checker shims, turning every operation into a yield point of
 //!   a controlled scheduler (see `crates/mc`). The checker's test suite
@@ -15,19 +14,13 @@
 //! directly) for the model to see its memory accesses. This mirrors
 //! `alligator::sync`, which plays the same role for the bucket cache.
 
-#[cfg(feature = "mc")]
-pub use mc::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-
-#[cfg(not(feature = "mc"))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-
 /// Atomics: `std::sync::atomic` types or their model-aware doubles.
 pub mod atomic {
     #[cfg(feature = "mc")]
-    pub use mc::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
-    pub use std::sync::atomic::Ordering;
+    pub use mc::sync::atomic::AtomicU64;
     #[cfg(not(feature = "mc"))]
-    pub use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::AtomicU64;
+    pub use std::sync::atomic::Ordering;
 }
 
 /// Interior mutability with loom-style `with`/`with_mut` accessors, so
@@ -60,32 +53,5 @@ pub mod cell {
         pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
             f(self.0.get())
         }
-
-        /// Raw pointer escape hatch.
-        #[inline]
-        pub fn get(&self) -> *mut T {
-            self.0.get()
-        }
-    }
-}
-
-/// Spin/yield hints: real CPU hints normally; scheduler yields under mc.
-pub mod hint {
-    /// Drop-in for `std::hint::spin_loop`.
-    #[inline]
-    pub fn spin_loop() {
-        #[cfg(feature = "mc")]
-        mc::hint::spin_loop();
-        #[cfg(not(feature = "mc"))]
-        std::hint::spin_loop();
-    }
-
-    /// Drop-in for `std::thread::yield_now`.
-    #[inline]
-    pub fn yield_now() {
-        #[cfg(feature = "mc")]
-        mc::thread::yield_now();
-        #[cfg(not(feature = "mc"))]
-        std::thread::yield_now();
     }
 }

@@ -78,19 +78,4 @@ impl<T> UnsafeCell<T> {
         }
         f(self.real.get())
     }
-
-    /// Raw pointer escape hatch — untracked; prefer `with`/`with_mut`.
-    pub fn get(&self) -> *mut T {
-        self.real.get()
-    }
-
-    /// Exclusive access through `&mut self` (no tracking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.real.get_mut()
-    }
-
-    /// Consume the cell.
-    pub fn into_inner(self) -> T {
-        self.real.into_inner()
-    }
 }

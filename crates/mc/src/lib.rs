@@ -40,7 +40,6 @@ pub mod cell;
 mod checker;
 mod clock;
 mod exec;
-pub mod hint;
 pub mod sync_impl;
 pub mod thread;
 
@@ -51,9 +50,9 @@ pub use clock::MAX_THREADS;
 pub mod sync {
     pub use crate::sync_impl::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
-    /// Model-aware atomic integers and pointers.
+    /// Model-aware atomic integers.
     pub mod atomic {
-        pub use crate::sync_impl::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+        pub use crate::sync_impl::{AtomicU32, AtomicU64, AtomicUsize};
         pub use std::sync::atomic::Ordering;
     }
 }

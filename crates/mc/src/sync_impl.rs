@@ -206,17 +206,6 @@ macro_rules! atomic_int {
             ) -> Result<$prim, $prim> {
                 self.compare_exchange(cur, new, ok, fail)
             }
-
-            /// Exclusive access to the value (no yield: `&mut self`
-            /// proves no concurrent model thread can touch it).
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.real.get_mut()
-            }
-
-            /// Consume, returning the latest value.
-            pub fn into_inner(self) -> $prim {
-                self.real.into_inner()
-            }
         }
     };
 }
@@ -224,95 +213,6 @@ macro_rules! atomic_int {
 atomic_int!(AtomicU32, std::sync::atomic::AtomicU32, u32);
 atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-
-/// Model-aware atomic pointer (pointers are modelled as their address).
-#[derive(Debug)]
-pub struct AtomicPtr<T> {
-    real: std::sync::atomic::AtomicPtr<T>,
-    id: LazyId,
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}
-
-impl<T> AtomicPtr<T> {
-    /// Create with an initial pointer.
-    pub const fn new(p: *mut T) -> Self {
-        Self {
-            real: std::sync::atomic::AtomicPtr::new(p),
-            id: LazyId::new(),
-        }
-    }
-
-    fn model(&self) -> Option<(Arc<Execution>, usize, u32)> {
-        let (ex, tid) = model_ctx()?;
-        let id = self.id.get(&ex, || {
-            // ordering: non-model mirror; the model layer owns ordering.
-            ex.register_atomic(tid, self.real.load(Ordering::Relaxed) as u64)
-        });
-        Some((ex, tid, id))
-    }
-
-    /// Atomic pointer load.
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        match self.model() {
-            Some((ex, tid, id)) => ex.atomic_load(tid, id, mord(ord)) as usize as *mut T,
-            None => self.real.load(ord),
-        }
-    }
-
-    /// Atomic pointer store.
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        match self.model() {
-            Some((ex, tid, id)) => {
-                ex.atomic_store(tid, id, p as u64, mord(ord));
-                self.real.store(p, Ordering::Relaxed); // ordering: non-model mirror; the model layer owns ordering.
-            }
-            None => self.real.store(p, ord),
-        }
-    }
-
-    /// Atomic pointer swap; returns the previous pointer.
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        match self.model() {
-            Some((ex, tid, id)) => {
-                let old = ex.atomic_rmw(tid, id, |_| p as u64, mord(ord)) as usize as *mut T;
-                self.real.store(p, Ordering::Relaxed); // ordering: non-model mirror; the model layer owns ordering.
-                old
-            }
-            None => self.real.swap(p, ord),
-        }
-    }
-
-    /// Strong pointer compare-exchange.
-    pub fn compare_exchange(
-        &self,
-        cur: *mut T,
-        new: *mut T,
-        ok: Ordering,
-        fail: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        match self.model() {
-            Some((ex, tid, id)) => {
-                let r = ex.atomic_cas(tid, id, cur as u64, new as u64, mord(ok), mord(fail));
-                if r.is_ok() {
-                    self.real.store(new, Ordering::Relaxed); // ordering: non-model mirror; the model layer owns ordering.
-                }
-                r.map(|v| v as usize as *mut T)
-                    .map_err(|v| v as usize as *mut T)
-            }
-            None => self.real.compare_exchange(cur, new, ok, fail),
-        }
-    }
-
-    /// Exclusive access to the pointer.
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.real.get_mut()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Mutex / Condvar (parking_lot-flavoured API)

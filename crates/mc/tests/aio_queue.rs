@@ -19,7 +19,7 @@
 //! A final detection-power test proves the harness catches a broken
 //! hand-off (a flag-free queue whose unsynchronised cell access the
 //! vector-clock race detector must flag) — the license for the passing
-//! models. Structure mirrors `arena_reclaim.rs`: seeded-random
+//! models. Structure mirrors `cache_invariants.rs`: seeded-random
 //! schedules broad and cheap, bounded-exhaustive DFS systematic over a
 //! shorter model. Replay failures with `MC_REPLAY=<seed>`; see
 //! `crates/mc/README.md`.

@@ -1,18 +1,20 @@
-//! Model-checked invariants for `alligator::BucketCache` — the
-//! lock-free GET path, the seqlock publish gate, the undo paths, and
-//! the waiter protocol — explored under the controlled scheduler
-//! (`alligator` is built with `--features mc` here).
+//! Model-checked invariants for `alligator::BucketCache` — one mutex over
+//! one generation-ordered FIFO, one condvar, an atomic `len` — explored
+//! under the controlled scheduler (`alligator` is built with
+//! `--features mc` here). Every invariant runs twice: seeded-random
+//! schedules (broad, cheap) and the bounded-exhaustive DFS (systematic).
 //!
 //! Replay a failure with `MC_REPLAY=<seed> cargo test -p mc <test>`;
-//! see `crates/mc/README.md`. The detection-power tests at the bottom
-//! seed the bugs this cache's design guards against (gate-polling undo,
-//! ordering-weakened seqlock) and assert the checker finds them.
+//! see `crates/mc/README.md`. The detection-power test at the bottom
+//! seeds the one protocol bug this design can still be given (a park
+//! predicate read outside the lock) and asserts the checker finds it.
 
-use alligator::{AllocStats, Bucket, BucketCache, Tetris, TreiberStack};
-use mc::sync::atomic::{AtomicU64, Ordering};
-use mc::sync::Mutex;
+use alligator::{AllocStats, Bucket, BucketCache, Tetris};
+use mc::sync::atomic::{AtomicUsize, Ordering};
+use mc::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wafl_blockdev::{AaId, DriveId, DriveKind, GeometryBuilder, IoEngine, RaidGroupId, Vbn};
 
 /// One shared (model-invisible) I/O engine: bucket construction cost is
@@ -51,342 +53,264 @@ fn mk_bucket(engine: &Arc<IoEngine>, drive: u32, start: u64, generation: u64) ->
     )
 }
 
-fn lf_cache(nshards: usize) -> Arc<BucketCache> {
-    Arc::new(BucketCache::with_shards(
-        nshards,
-        Arc::new(AllocStats::default()),
-    ))
+/// Run `model` under seeded-random schedules, then under the bounded
+/// exhaustive DFS.
+fn check_both(name: &str, model: impl Fn() + Copy) {
+    mc::Checker::new(name).schedules(300).check(model);
+    let report = mc::Checker::new(name)
+        .exhaustive()
+        .schedules(20_000)
+        .check(model);
+    assert!(report.schedules_run >= 1);
 }
 
-/// Bucket conservation across concurrent GETs (home hits and steals):
-/// every inserted bucket is delivered to exactly one consumer, none are
-/// lost, none are duplicated — under every explored interleaving. Also
-/// witnesses liveness: with 3 buckets and 2 getters, neither getter may
-/// need its (virtual) timeout.
+fn drain(c: &BucketCache) -> Vec<(u64, u64)> {
+    std::iter::from_fn(|| c.try_get())
+        .map(|b| (b.generation(), b.start_vbn().0))
+        .collect()
+}
+
+fn assert_ascending(gens: impl IntoIterator<Item = u64>, what: &str) {
+    let gens: Vec<u64> = gens.into_iter().collect();
+    assert!(gens.windows(2).all(|w| w[0] <= w[1]), "{what}: {gens:?}");
+}
+
+/// Bucket conservation across concurrent GETs: every inserted bucket is
+/// delivered to exactly one consumer, none are lost, none are duplicated
+/// — under every explored interleaving. Also witnesses liveness: with 3
+/// buckets and 2 getters, neither getter may need its (virtual) timeout.
 #[test]
 fn concurrent_gets_conserve_buckets() {
     let eng = engine();
-    mc::Checker::new("cache-conservation")
-        .schedules(300)
-        .check(|| {
-            let c = lf_cache(2);
-            c.insert_all([
-                mk_bucket(&eng, 0, 0, 1),
-                mk_bucket(&eng, 1, 100, 1),
-                mk_bucket(&eng, 2, 200, 1),
-            ]);
-            let c1 = Arc::clone(&c);
-            let t1 = mc::thread::spawn(move || {
-                c1.get_timeout_from(0, Duration::from_secs(5))
-                    .map(|b| b.start_vbn().0)
-            });
-            let c2 = Arc::clone(&c);
-            let t2 = mc::thread::spawn(move || {
-                c2.get_timeout_from(1, Duration::from_secs(5))
-                    .map(|b| b.start_vbn().0)
-            });
-            let mut got = Vec::new();
-            got.extend(t1.join().unwrap());
-            got.extend(t2.join().unwrap());
-            assert_eq!(got.len(), 2, "a getter starved with buckets available");
-            assert_eq!(mc::timeouts_fired(), 0, "a getter needed its timeout");
-            while let Some(b) = c.try_get() {
-                got.push(b.start_vbn().0);
-            }
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 100, 200], "bucket lost or duplicated");
-        });
+    check_both("cache-conservation", || {
+        let c = Arc::new(BucketCache::new());
+        c.insert_all([
+            mk_bucket(&eng, 0, 0, 1),
+            mk_bucket(&eng, 1, 100, 1),
+            mk_bucket(&eng, 2, 200, 1),
+        ]);
+        let getters: Vec<_> = (0..2)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                mc::thread::spawn(move || {
+                    c.get_timeout(Duration::from_secs(5))
+                        .map(|b| b.start_vbn().0)
+                })
+            })
+            .collect();
+        let mut got: Vec<u64> = getters
+            .into_iter()
+            .filter_map(|t| t.join().unwrap())
+            .collect();
+        assert_eq!(got.len(), 2, "a getter starved with buckets available");
+        assert_eq!(mc::timeouts_fired(), 0, "a getter needed its timeout");
+        assert_eq!(c.len(), 1, "len disagrees with the queue");
+        got.extend(drain(&c).into_iter().map(|(_, v)| v));
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 100, 200], "bucket lost or duplicated");
+    });
 }
 
 /// §IV-D collective visibility: a getter that observes any bucket of a
-/// refill batch observes the whole batch. With a 2-bucket batch and a
+/// refill round observes the whole round. With a 2-bucket round and a
 /// single consumer, the first successful GET implies the second cannot
 /// miss.
 #[test]
 fn insert_all_is_collectively_visible() {
     let eng = engine();
-    mc::Checker::new("cache-collective")
-        .schedules(300)
-        .check(|| {
-            let c = lf_cache(2);
-            let c1 = Arc::clone(&c);
-            let eng1 = Arc::clone(&eng);
-            let pub1 = mc::thread::spawn(move || {
-                c1.insert_all([mk_bucket(&eng1, 0, 0, 1), mk_bucket(&eng1, 1, 100, 1)]);
-            });
-            let c2 = Arc::clone(&c);
-            let get = mc::thread::spawn(move || {
-                if c2.try_get_from(0).is_some() {
-                    // Half the batch was visible — the other half must be too.
-                    assert!(
-                        c2.try_get_from(1).is_some(),
-                        "observed a partially published batch"
-                    );
-                }
-            });
-            pub1.join().unwrap();
-            get.join().unwrap();
+    check_both("cache-collective", || {
+        let c = Arc::new(BucketCache::new());
+        let c1 = Arc::clone(&c);
+        let eng1 = Arc::clone(&eng);
+        let publisher = mc::thread::spawn(move || {
+            c1.insert_all([mk_bucket(&eng1, 0, 0, 1), mk_bucket(&eng1, 1, 100, 1)]);
         });
-}
-
-/// Oldest-round-first across the undo path (the satellite-1 regression):
-/// a getter whose CAS pop races one or two collective publishes must
-/// never let a round-1 bucket get buried under round 2/3 — whichever
-/// interleaving the undo takes, the oldest live round stays on top.
-/// Reverting `unpop_lf`/`insert_lf` to gate-polling (instead of holding
-/// `publish`) makes this fail — see
-/// `checker_finds_burial_with_gate_polling_undo` below for the seeded
-/// version of that bug.
-#[test]
-fn oldest_round_pops_first_despite_undo_races() {
-    let eng = engine();
-    mc::Checker::new("cache-oldest-first")
-        .schedules(400)
-        .check(|| {
-            let c = lf_cache(1);
-            c.insert_all([mk_bucket(&eng, 0, 0, 1)]);
-            let c1 = Arc::clone(&c);
-            let getter = mc::thread::spawn(move || c1.try_get_from(0).map(|b| b.generation()));
-            let c2 = Arc::clone(&c);
-            let eng2 = Arc::clone(&eng);
-            let publisher = mc::thread::spawn(move || {
-                c2.insert_all([mk_bucket(&eng2, 0, 100, 2)]);
-                c2.insert_all([mk_bucket(&eng2, 0, 200, 3)]);
-            });
-            let got = getter.join().unwrap();
-            publisher.join().unwrap();
-            assert_eq!(
-                got,
-                Some(1),
-                "getter must receive the oldest round (round 1 was never consumed)"
-            );
-            let mut gens = Vec::new();
-            while let Some(b) = c.try_get() {
-                gens.push(b.generation());
+        let c2 = Arc::clone(&c);
+        let getter = mc::thread::spawn(move || {
+            if c2.try_get().is_some() {
+                assert!(
+                    c2.try_get().is_some(),
+                    "observed a partially published round"
+                );
             }
-            let mut sorted = gens.clone();
-            sorted.sort_unstable();
-            assert_eq!(gens, sorted, "an older round was buried: {gens:?}");
         });
+        publisher.join().unwrap();
+        getter.join().unwrap();
+    });
 }
 
-/// No lost wakeup: a getter parked on shard 1 must be woken by an
-/// insert into shard 0 (cross-shard `wake_parked`), and must never need
-/// the virtual timeout to make progress. A schedule where the park and
-/// the insert interleave so the notify is missed shows up as
-/// `timeouts_fired() == 1` — a scheduler-proven liveness failure, not a
-/// wall-clock race.
+/// Oldest-round-first: whatever the interleaving of a getter, a cleaner
+/// requeueing an untouched round-1 bucket and a publisher landing rounds
+/// 2 and 3, pops come out in generation order — an older bucket is never
+/// left behind a newer round.
 #[test]
-fn cross_shard_insert_never_loses_a_wakeup() {
+fn oldest_round_pops_first_despite_requeue_races() {
     let eng = engine();
-    mc::Checker::new("cache-lost-wakeup")
-        .schedules(400)
-        .check(|| {
-            let c = lf_cache(2);
-            let c1 = Arc::clone(&c);
-            let waiter = mc::thread::spawn(move || c1.get_timeout_from(1, Duration::from_secs(5)));
-            c.insert(mk_bucket(&eng, 0, 0, 1));
-            let got = waiter.join().unwrap();
-            assert!(got.is_some(), "waiter timed out with a bucket available");
-            assert_eq!(
-                mc::timeouts_fired(),
-                0,
-                "wakeup was lost: the waiter only progressed via its timeout"
-            );
+    check_both("cache-oldest-first", || {
+        let c = Arc::new(BucketCache::new());
+        c.insert_all([mk_bucket(&eng, 0, 0, 1)]);
+        let held = mk_bucket(&eng, 1, 10, 1);
+        let c1 = Arc::clone(&c);
+        let getter = mc::thread::spawn(move || c1.try_get().map(|b| b.generation()));
+        let c2 = Arc::clone(&c);
+        let requeuer = mc::thread::spawn(move || c2.insert(held));
+        let c3 = Arc::clone(&c);
+        let eng3 = Arc::clone(&eng);
+        let publisher = mc::thread::spawn(move || {
+            c3.insert_all([mk_bucket(&eng3, 0, 100, 2)]);
+            c3.insert_all([mk_bucket(&eng3, 0, 200, 3)]);
         });
+        let got = getter.join().unwrap();
+        requeuer.join().unwrap();
+        publisher.join().unwrap();
+        assert_eq!(got, Some(1), "round 1 was available and is the oldest");
+        let rest = drain(&c);
+        assert_eq!(rest.len(), 3, "bucket lost or duplicated: {rest:?}");
+        assert_ascending(
+            rest.iter().map(|&(g, _)| g),
+            "an older round sits behind a newer one",
+        );
+    });
+}
+
+/// No lost wakeup: a getter that finds the cache empty must be woken by
+/// the insert, and must never need the virtual timeout to make progress.
+/// A schedule where the park and the insert interleave so the notify is
+/// missed shows up as `timeouts_fired() == 1` — a scheduler-proven
+/// liveness failure, not a wall-clock race.
+#[test]
+fn insert_never_loses_a_wakeup() {
+    let eng = engine();
+    check_both("cache-lost-wakeup", || {
+        let c = Arc::new(BucketCache::new());
+        let c1 = Arc::clone(&c);
+        let waiter = mc::thread::spawn(move || c1.get_timeout(Duration::from_secs(5)));
+        c.insert(mk_bucket(&eng, 0, 0, 1));
+        let got = waiter.join().unwrap();
+        assert!(got.is_some(), "waiter timed out with a bucket available");
+        assert_eq!(
+            mc::timeouts_fired(),
+            0,
+            "wakeup was lost: the waiter only progressed via its timeout"
+        );
+    });
 }
 
 /// Batched GET vs a racing collective publish: the batch never mixes
-/// refill rounds, never loses buckets across the undo/retry, and leaves
-/// the cache drainable in round order.
+/// refill rounds, never loses buckets, and leaves the cache drainable in
+/// round order.
 #[test]
 fn get_many_respects_round_boundary_under_publish() {
     let eng = engine();
-    mc::Checker::new("cache-batch-boundary")
-        .schedules(400)
-        .check(|| {
-            let c = lf_cache(1);
-            c.insert_all([mk_bucket(&eng, 0, 0, 1), mk_bucket(&eng, 0, 10, 1)]);
-            let c1 = Arc::clone(&c);
-            let batcher = mc::thread::spawn(move || {
-                c1.get_many_from(0, 8)
-                    .into_iter()
-                    .map(|b| (b.generation(), b.start_vbn().0))
-                    .collect::<Vec<_>>()
-            });
-            let c2 = Arc::clone(&c);
-            let eng2 = Arc::clone(&eng);
-            let publisher = mc::thread::spawn(move || {
-                c2.insert_all([mk_bucket(&eng2, 0, 100, 2), mk_bucket(&eng2, 0, 110, 2)]);
-            });
-            let batch = batcher.join().unwrap();
-            publisher.join().unwrap();
-            assert!(
-                !batch.is_empty(),
-                "batched GET starved with buckets present"
-            );
-            assert!(
-                batch.iter().all(|&(g, _)| g == 1),
-                "batch mixed rounds or skipped round 1: {batch:?}"
-            );
-            let mut all: Vec<(u64, u64)> = batch;
-            let mut drain_gens = Vec::new();
-            while let Some(b) = c.try_get() {
-                drain_gens.push(b.generation());
-                all.push((b.generation(), b.start_vbn().0));
-            }
-            let mut sorted = drain_gens.clone();
-            sorted.sort_unstable();
-            assert_eq!(
-                drain_gens, sorted,
-                "drain out of round order: {drain_gens:?}"
-            );
-            all.sort_unstable();
-            assert_eq!(
-                all.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-                vec![0, 10, 100, 110],
-                "bucket lost or duplicated across the batch undo"
-            );
+    check_both("cache-batch-boundary", || {
+        let c = Arc::new(BucketCache::new());
+        c.insert_all([mk_bucket(&eng, 0, 0, 1), mk_bucket(&eng, 1, 10, 1)]);
+        let c1 = Arc::clone(&c);
+        let batcher = mc::thread::spawn(move || {
+            c1.get_many(8)
+                .into_iter()
+                .map(|b| (b.generation(), b.start_vbn().0))
+                .collect::<Vec<_>>()
         });
+        let c2 = Arc::clone(&c);
+        let eng2 = Arc::clone(&eng);
+        let publisher = mc::thread::spawn(move || {
+            c2.insert_all([mk_bucket(&eng2, 0, 100, 2), mk_bucket(&eng2, 1, 110, 2)]);
+        });
+        let mut all = batcher.join().unwrap();
+        publisher.join().unwrap();
+        assert_eq!(
+            all,
+            vec![(1, 0), (1, 10)],
+            "the batch is exactly round 1, whole and unmixed"
+        );
+        let rest = drain(&c);
+        assert_ascending(rest.iter().map(|&(g, _)| g), "drain out of round order");
+        all.extend(rest);
+        assert_eq!(
+            all.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
+            vec![0, 10, 100, 110],
+            "bucket lost or duplicated"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Detection power: seed the bugs this design rules out; the checker
-// must find each one.
+// Detection power: seed the bug this design can still be given; the
+// checker must find it.
 // ---------------------------------------------------------------------------
 
-/// The bucket cache's publish protocol with the undo bug the real cache
-/// fixed: the undo path *polls* the gate for evenness and then pushes,
-/// instead of holding the `publish` mutex across the push. A publisher
-/// can start its drain+republish between the poll and the push, so the
-/// undone (older) item lands *under* the new batch.
-struct GatePollingCache {
-    stack: TreiberStack<u64>,
-    gate: AtomicU64,
-    publish: Mutex<()>,
+/// The cache with its one remaining way to go wrong: the inserter bumps
+/// `len` and notifies *after* releasing the lock, and the getter decides
+/// to park from `len` *before* taking it. The insert can then land whole
+/// between the getter's `len == 0` and its wait, and the getter sleeps
+/// through a non-empty cache.
+struct LenOutsideLock {
+    q: Mutex<VecDeque<u64>>,
+    available: Condvar,
+    len: AtomicUsize,
 }
 
-impl GatePollingCache {
-    fn new() -> Self {
-        Self {
-            stack: TreiberStack::new(),
-            gate: AtomicU64::new(0),
-            publish: Mutex::new(()),
-        }
+impl LenOutsideLock {
+    fn insert_buggy(&self, v: u64) {
+        self.q.lock().push_back(v);
+        // BUG: len and the notify are published outside the lock.
+        // ordering: SeqCst — the bug is the missing lock, not the ordering.
+        self.len.fetch_add(1, Ordering::SeqCst);
+        self.available.notify_one();
     }
 
-    fn gate_wait_even(&self) -> u64 {
+    fn get_buggy(&self, timeout: Duration) -> Option<u64> {
+        let deadline = Instant::now() + timeout;
         loop {
-            // ordering: Acquire — pairs with the publisher's AcqRel gate
-            // increments, as in the real cache;
-            // pairs-with: mc.cache-gate.
-            let g = self.gate.load(Ordering::Acquire);
-            if g & 1 == 0 {
-                return g;
+            // BUG: the park predicate is read outside the lock.
+            // ordering: SeqCst — as above.
+            if self.len.load(Ordering::SeqCst) > 0 {
+                if let Some(v) = self.q.lock().pop_front() {
+                    // ordering: SeqCst — as above.
+                    self.len.fetch_sub(1, Ordering::SeqCst);
+                    return Some(v);
+                }
+            } else {
+                let mut q = self.q.lock();
+                if self.available.wait_until(&mut q, deadline).timed_out() {
+                    return q.pop_front();
+                }
             }
-            mc::thread::yield_now();
         }
-    }
-
-    /// Collective publish: drain leftovers, republish them on top of the
-    /// new item (identical to `insert_all_lf`).
-    fn publish(&self, gen: u64) {
-        let _p = self.publish.lock();
-        // ordering: AcqRel — open the window (see `insert_all_lf`);
-        // pairs-with: mc.cache-gate.
-        self.gate.fetch_add(1, Ordering::AcqRel);
-        let older = self.stack.pop_many(usize::MAX);
-        self.stack
-            .push_many_keyed(older.into_iter().chain([gen]).map(|g| (g, g)));
-        // ordering: AcqRel — close the window; pairs-with: mc.cache-gate.
-        self.gate.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// BUG (the pre-fix undo): wait for an even gate, then push. The
-    /// gate can go odd again between the check and the push.
-    fn undo_buggy(&self, gen: u64) {
-        self.gate_wait_even();
-        self.stack.push_keyed(gen, gen);
     }
 }
 
-/// Seeded-bug test: the checker must find a schedule where the
-/// gate-polling undo lands a round-1 item inside a publisher's
-/// drain→republish window, burying it under round 2/3.
+/// Seeded-bug test: the checker must find the schedule where the whole
+/// insert runs between the getter's `len` read and its park.
 #[test]
-fn checker_finds_burial_with_gate_polling_undo() {
-    let result = mc::Checker::new("gate-polling-burial")
+fn checker_finds_wakeup_lost_to_len_outside_the_lock() {
+    let result = mc::Checker::new("len-outside-lock")
         .schedules(2000)
         .try_check(|| {
-            let c = Arc::new(GatePollingCache::new());
-            // Pre-state: a getter popped the round-1 item and detected a
-            // gate change, so it owes an undo push (also pre-warms the
-            // stack's node arena so the racing ops below are compact).
-            c.stack.push_keyed(1, 1);
-            assert_eq!(c.stack.pop(), Some(1));
-            let c1 = Arc::clone(&c);
-            let undoer = mc::thread::spawn(move || c1.undo_buggy(1));
-            let c2 = Arc::clone(&c);
-            let publisher = mc::thread::spawn(move || {
-                c2.publish(2);
-                c2.publish(3);
+            let c = Arc::new(LenOutsideLock {
+                q: Mutex::new(VecDeque::new()),
+                available: Condvar::new(),
+                len: AtomicUsize::new(0),
             });
-            undoer.join().unwrap();
-            publisher.join().unwrap();
-            let drained = c.stack.pop_many(usize::MAX);
-            let mut sorted = drained.clone();
-            sorted.sort_unstable();
+            let c1 = Arc::clone(&c);
+            let waiter = mc::thread::spawn(move || c1.get_buggy(Duration::from_secs(5)));
+            c.insert_buggy(7);
+            assert_eq!(waiter.join().unwrap(), Some(7));
             assert_eq!(
-                drained, sorted,
-                "older round buried under a newer batch: {drained:?}"
+                mc::timeouts_fired(),
+                0,
+                "wakeup was lost: the getter slept through the insert"
             );
         });
-    let failure = result.expect_err("the checker must detect the undo burial");
+    let failure = result.expect_err("the checker must detect the lost wakeup");
     assert!(
-        failure.message.contains("buried"),
+        failure.message.contains("slept through"),
         "unexpected failure message: {}",
         failure.message
     );
     assert!(
         failure.sseed.is_some(),
         "random-mode failure must be replayable"
-    );
-}
-
-/// Seeded-bug test: a seqlock whose gate is written/read `Relaxed`
-/// (instead of Release/Acquire as in the real cache) lets a reader see
-/// the gate closed while the published data is still stale. The
-/// allowed-stale model must find it even though the interleaving looks
-/// sequential.
-#[test]
-fn checker_finds_relaxed_seqlock_gate() {
-    let result = mc::Checker::new("relaxed-seqlock")
-        .schedules(500)
-        .try_check(|| {
-            let data = Arc::new(AtomicU64::new(0));
-            let gate = Arc::new(AtomicU64::new(0));
-            let d1 = Arc::clone(&data);
-            let g1 = Arc::clone(&gate);
-            let publisher = mc::thread::spawn(move || {
-                // ordering: deliberately Relaxed — the seeded bug.
-                g1.store(1, Ordering::Relaxed);
-                // ordering: deliberately Relaxed — the seeded bug.
-                d1.store(42, Ordering::Relaxed);
-                // ordering: deliberately Relaxed (should be Release).
-                g1.store(2, Ordering::Relaxed);
-            });
-            // ordering: deliberately Relaxed (should be Acquire).
-            if gate.load(Ordering::Relaxed) == 2 {
-                // ordering: deliberately Relaxed — may legally see 0.
-                let v = data.load(Ordering::Relaxed);
-                assert_eq!(v, 42, "seqlock gate closed but data is stale ({v})");
-            }
-            publisher.join().unwrap();
-        });
-    let failure = result.expect_err("the checker must catch the stale read");
-    assert!(
-        failure.message.contains("stale"),
-        "unexpected failure message: {}",
-        failure.message
     );
 }

@@ -1,5 +1,5 @@
 //! Black-box flight recorder: on a trigger (drive offlining, CP crash
-//! point, `ArenaFull` fallback, scrub finding, or a manual dump) it
+//! point, scrub finding, or a manual dump) it
 //! atomically writes a post-mortem bundle — the most recent events
 //! from every per-thread [`EventRing`](crate::ring::EventRing) with
 //! per-thread drop counts, a full metrics snapshot, and any registered
@@ -8,9 +8,8 @@
 //!
 //! # Deferred triggers
 //!
-//! Fire sites live deep in the stack (a drive's failure path, the
-//! cache's arena-exhaustion fallback) and may hold locks when they
-//! fire, so [`trigger`] is **lock-free**: it only bumps process-wide
+//! Fire sites live deep in the stack (a drive's failure path, a CP's
+//! crash branch) and may hold locks when they fire, so [`trigger`] is **lock-free**: it only bumps process-wide
 //! atomics on the trigger board. The actual dump happens later, when
 //! an armed [`Blackbox`] services the board — from the sampler thread
 //! ([`SamplerThread`](crate::sampler::SamplerThread)) or an explicit
@@ -43,21 +42,17 @@ pub enum Trigger {
     DriveOffline = 0,
     /// An injected CP crash point fired (`wafl::cp::CrashPoint`).
     CrashPoint = 1,
-    /// The bucket cache fell back to its queue because the arena was
-    /// exhausted (`ArenaFull`).
-    ArenaFull = 2,
     /// The online scrubber verified a block and found it damaged.
-    ScrubFinding = 3,
+    ScrubFinding = 2,
     /// An explicit [`Blackbox::dump`] call.
-    Manual = 4,
+    Manual = 3,
 }
 
 impl Trigger {
     /// All triggers, board order.
-    pub const ALL: [Trigger; 5] = [
+    pub const ALL: [Trigger; 4] = [
         Trigger::DriveOffline,
         Trigger::CrashPoint,
-        Trigger::ArenaFull,
         Trigger::ScrubFinding,
         Trigger::Manual,
     ];
@@ -67,7 +62,6 @@ impl Trigger {
         match self {
             Trigger::DriveOffline => "drive_offline",
             Trigger::CrashPoint => "crash_point",
-            Trigger::ArenaFull => "arena_full",
             Trigger::ScrubFinding => "scrub_finding",
             Trigger::Manual => "manual",
         }
@@ -76,15 +70,13 @@ impl Trigger {
 
 /// The process-wide trigger board: per-trigger fire counts and the most
 /// recent argument word. Plain atomics — safe from any context.
-static FIRES: [AtomicU64; 5] = [
-    AtomicU64::new(0),
+static FIRES: [AtomicU64; 4] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
 ];
-static LAST_ARG: [AtomicU64; 5] = [
-    AtomicU64::new(0),
+static LAST_ARG: [AtomicU64; 4] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -94,7 +86,7 @@ static LAST_ARG: [AtomicU64; 5] = [
 /// Fire a trigger. Lock-free and always compiled in: callers fire
 /// unconditionally; whether anything is recorded is decided by the
 /// armed [`Blackbox`] (if any) at service time. `arg` is a
-/// trigger-specific word (drive index, crash-point ordinal, shard, …).
+/// trigger-specific word (drive index, crash-point ordinal, …).
 #[inline]
 pub fn trigger(t: Trigger, arg: u64) {
     // ordering: statistics counter; the servicing dump rereads the
@@ -105,9 +97,9 @@ pub fn trigger(t: Trigger, arg: u64) {
 }
 
 /// Fire counts per trigger, board order ([`Trigger::ALL`]).
-pub fn fires() -> [u64; 5] {
+pub fn fires() -> [u64; 4] {
     // ordering: statistics read; staleness acceptable.
-    [0, 1, 2, 3, 4].map(|i| FIRES[i].load(Ordering::Relaxed))
+    [0, 1, 2, 3].map(|i| FIRES[i].load(Ordering::Relaxed))
 }
 
 /// Total fires across all triggers.
@@ -146,7 +138,7 @@ impl BlackboxConfig {
 struct Inner {
     sections: Vec<(String, SectionFn)>,
     /// Board fires already handled, per trigger.
-    serviced: [u64; 5],
+    serviced: [u64; 4],
     dumps: u64,
 }
 
@@ -421,7 +413,7 @@ mod tests {
             BlackboxConfig::new(&dir),
         );
         assert!(bb.service().unwrap().is_none(), "no fire, no bundle");
-        trigger(Trigger::ArenaFull, 3);
+        trigger(Trigger::CrashPoint, 3);
         let path = bb.service().unwrap().expect("pending fire dumps");
         assert!(path.exists());
         // Re-service without a new fire: nothing pending.

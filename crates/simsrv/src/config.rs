@@ -82,22 +82,13 @@ pub struct CostModel {
     /// Cleaner CPU per buffer cleaned (VBN assignment, tetris enqueue,
     /// block-map update — the USE path).
     pub cleaner_per_buffer: u64,
-    /// Cleaner CPU per bucket cycle (GET + PUT synchronization), at one
+    /// Cleaner CPU per GET (bucket-cache lock + PUT hand-off), at one
     /// active cleaner.
     pub cleaner_bucket_sync: u64,
     /// Additional fraction of `cleaner_bucket_sync` per extra active
-    /// cleaner (lock contention on the bucket cache / used queue; §V-B's
-    /// "more threads come with additional lock contention").
+    /// cleaner (contention on the one bucket-cache lock; §V-B's "more
+    /// threads come with additional lock contention").
     pub cleaner_contention_factor: f64,
-    /// Cleaner CPU per bucket cycle on the lock-free (Treiber-stack) GET
-    /// path: one CAS pop plus the fullest-shard hint load, no mutex
-    /// acquire/release or condvar bookkeeping on the common path.
-    pub cleaner_cas_sync: u64,
-    /// Additional fraction of `cleaner_cas_sync` per extra sharer — CAS
-    /// retries under contention cost far less than blocked mutex
-    /// acquisitions because the loser retries immediately instead of
-    /// parking (the reason the lock-free layout flattens the §V-B curve).
-    pub cas_contention_factor: f64,
     /// Cleaner CPU per cleaning message (dispatch overhead; what §V-C's
     /// batching amortizes).
     pub cleaner_msg_overhead: u64,
@@ -132,10 +123,8 @@ impl Default for CostModel {
             read_media_latency: 250_000,
 
             cleaner_per_buffer: 2_500,
-            cleaner_bucket_sync: 4_000,
-            cleaner_contention_factor: 0.06,
-            cleaner_cas_sync: 1_500,
-            cas_contention_factor: 0.02,
+            cleaner_bucket_sync: 1_500,
+            cleaner_contention_factor: 0.02,
             cleaner_msg_overhead: 9_000,
             cleaner_inode_overhead: 1_500,
 
@@ -221,22 +210,10 @@ pub struct SimConfig {
     pub chunk: u64,
     /// Data drives contributing one bucket per refill round (§IV-D).
     pub drives: u32,
-    /// Bucket-cache shards. `0` = one shard per drive (the sharded
-    /// layout's natural topology); `1` = the single-lock cache every GET
-    /// funnels through. Pre-[`Era::WhiteAlligator`] eras always behave as
-    /// single-lock regardless of this setting.
-    pub cache_shards: u32,
-    /// Lock-free (Treiber-stack) GET hot path. `true` charges
-    /// [`CostModel::cleaner_cas_sync`] per bucket cycle; `false` keeps
-    /// the mutex-shard cost ([`CostModel::cleaner_bucket_sync`]).
-    /// Pre-[`Era::WhiteAlligator`] eras always behave as mutex.
-    pub cache_lockfree: bool,
-    /// Max buckets one GET may pop from the cleaner's home shard in a
-    /// single synchronization (`get_many(k)`). Equal progress still
-    /// bounds the batch: draining stops as soon as another shard would
-    /// be strictly fuller, so per-drive sharding yields batches near 1
-    /// while the single-lock layout amortizes up to `k`. Pre-White-
-    /// Alligator eras force 1.
+    /// Max buckets one GET may take from the bucket cache in a single
+    /// lock acquisition (`get_many(k)`). The platform default is 1: the
+    /// cost model is calibrated with one synchronization per bucket.
+    /// Pre-White-Alligator eras force 1.
     pub cache_get_batch: u64,
     /// Free-stage capacity in VBNs (§IV-A).
     pub stage_capacity: u64,
@@ -291,9 +268,7 @@ impl SimConfig {
             infra_ranges: 8,
             chunk: 64,
             drives: 12,
-            cache_shards: 0,
-            cache_lockfree: true,
-            cache_get_batch: 4,
+            cache_get_batch: 1,
             stage_capacity: 256,
             dirty_limit: 1_024,
             cp_trigger_blocks: 256,

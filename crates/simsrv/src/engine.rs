@@ -62,14 +62,12 @@ pub struct SimResult {
     pub injected_faults: u64,
     /// Retry round-trips paid by faulted ops.
     pub fault_retries: u64,
-    /// Bucket GETs satisfied by the cleaner's home cache shard.
+    /// Buckets handed out by GETs that found the cache non-empty.
     pub cache_get_fast: u64,
-    /// Bucket GETs that work-stole from another shard.
-    pub cache_get_steal: u64,
-    /// Modeled time cleaners spent on contended shard locks (the extra
-    /// bucket-sync cost beyond the uncontended baseline).
+    /// Modeled time cleaners spent waiting on the contended cache lock
+    /// (the extra bucket-sync cost beyond the uncontended baseline).
     pub cache_lock_waits_ns: u64,
-    /// Bucket GETs that found every shard empty (the §IV-D starvation
+    /// Bucket GETs that found the cache empty (the §IV-D starvation
     /// case; same events as `bucket_stalls`, named for the cache layer).
     pub cache_blocked_gets: u64,
     /// Extra buckets (beyond the first) obtained by batched `get_many`
@@ -81,16 +79,6 @@ pub struct SimResult {
     pub put_commit_queue_len: u64,
     /// Total infrastructure time spent committing used buckets.
     pub commit_batch_ns: u64,
-    /// Bucket-cache inserts that minted a fresh arena node (the recycled
-    /// pool was empty, so the modeled arena footprint grew by one node).
-    pub arena_fresh_mints: u64,
-    /// Bucket-cache inserts served from the recycled node pool — the
-    /// steady-state path once the arena reaches its working-set plateau.
-    pub arena_reuse_hits: u64,
-    /// Fully-freed 64-node chunks retired back out of the modeled arena
-    /// (epoch-based reclamation returning memory after a population
-    /// shrink, instead of holding the high-water mark forever).
-    pub arena_chunks_retired: u64,
     /// Modeled async writes (used-bucket commits submitted to the
     /// infrastructure) still awaiting completion when the run ended —
     /// the DES analog of `blockdev::aio`'s `io_inflight` gauge.
@@ -133,15 +121,11 @@ impl SimResult {
             ("injected_faults", self.injected_faults),
             ("fault_retries", self.fault_retries),
             ("cache_get_fast", self.cache_get_fast),
-            ("cache_get_steal", self.cache_get_steal),
             ("cache_lock_waits_ns", self.cache_lock_waits_ns),
             ("cache_blocked_gets", self.cache_blocked_gets),
             ("cache_get_batched", self.cache_get_batched),
             ("put_commit_queue_len", self.put_commit_queue_len),
             ("commit_batch_ns", self.commit_batch_ns),
-            ("arena_fresh_mints", self.arena_fresh_mints),
-            ("arena_reuse_hits", self.arena_reuse_hits),
-            ("arena_chunks_retired", self.arena_chunks_retired),
             ("io_inflight", self.io_inflight),
             ("io_queue_depth_peak", self.io_queue_depth_peak),
             ("io_submit_to_complete_ns", self.io_submit_to_complete_ns),
@@ -263,16 +247,6 @@ struct Engine<'c> {
 
     // Buckets / infra.
     bucket_cache: u64,
-    /// Per-shard split of `bucket_cache`. Refills land round-robin (one
-    /// bucket per drive spreads one per shard when shards track drives);
-    /// GETs pop the cleaner's home shard first and steal on a miss —
-    /// mirroring the real `BucketCache` topology under virtual time.
-    shard_buckets: Vec<u64>,
-    /// Round-robin cursor for refill inserts across shards.
-    shard_rr: usize,
-    /// Resolved cache layout: lock-free CAS hot path (White Alligator
-    /// default) or mutex shards (baseline / pre-sharding eras).
-    cache_lockfree: bool,
     /// Resolved `get_many` batch bound (1 before White Alligator).
     get_batch: u64,
     /// Per-cleaner flag: the next quantum is the first since a bucket
@@ -314,7 +288,6 @@ struct Engine<'c> {
     free_mf_blocks: u64,
     tuner_changes: u64,
     cache_get_fast: u64,
-    cache_get_steal: u64,
     cache_lock_waits_ns: u64,
     cache_get_batched: u64,
     put_commit_queue_len: u64,
@@ -326,17 +299,6 @@ struct Engine<'c> {
     /// matching against completions is exact even when infra
     /// affinities service commits out of submission order).
     io_submit_times: VecDeque<u64>,
-
-    // Arena model: every cached bucket occupies one Treiber-arena node.
-    // Inserts draw from the recycled pool before minting fresh nodes;
-    // pops return nodes to the pool; refill rounds retire whole chunks
-    // once the pool holds more than a chunk of slack (mirroring the real
-    // arena's keep-one-live-chunk retire floor).
-    arena_free_nodes: u64,
-    arena_minted: u64,
-    arena_fresh_mints: u64,
-    arena_reuse_hits: u64,
-    arena_chunks_retired: u64,
 
     // Fault injection. The ordinal is a dedicated counter hashed with the
     // seed, so the fault stream is deterministic and independent of the
@@ -374,30 +336,14 @@ impl<'c> Engine<'c> {
             (true, _) | (_, CleanerSetting::Fixed(_)) => None,
             (false, CleanerSetting::Dynamic(c)) => Some(DynamicTuner::new(c, initial_cleaners)),
         };
-        // Pre-sharding eras always funnel GETs through one lock; under
-        // White Alligator the shard count follows the config (0 = one
-        // shard per drive, the natural topology).
-        let nshards = if single_cleaner_era {
-            1
-        } else {
-            match cfg.cache_shards {
-                0 => cfg.drives.max(1) as usize,
-                n => n as usize,
-            }
-        };
-        // Pre-White-Alligator eras predate both the Treiber-stack hot
-        // path and batched GETs: mutex sync, one bucket per pop.
-        let cache_lockfree = !single_cleaner_era && cfg.cache_lockfree;
+        // Pre-White-Alligator eras predate batched GETs: one bucket per
+        // pop.
         let get_batch = if single_cleaner_era {
             1
         } else {
             cfg.cache_get_batch.max(1)
         };
         let initial_cache = (2 * cfg.drives as u64).min(cfg.total_buckets);
-        let mut shard_buckets = vec![0u64; nshards];
-        for i in 0..initial_cache {
-            shard_buckets[i as usize % nshards] += 1;
-        }
         Self {
             cfg,
             now: 0,
@@ -416,9 +362,6 @@ impl<'c> Engine<'c> {
             pending_inodes: 0.0,
             admission_q: VecDeque::new(),
             bucket_cache: initial_cache,
-            shard_buckets,
-            shard_rr: 0,
-            cache_lockfree,
             get_batch,
             sync_pending: vec![false; max_cleaners],
             commit_outstanding: 0,
@@ -446,7 +389,6 @@ impl<'c> Engine<'c> {
             free_mf_blocks: 0,
             tuner_changes: 0,
             cache_get_fast: 0,
-            cache_get_steal: 0,
             cache_lock_waits_ns: 0,
             cache_get_batched: 0,
             put_commit_queue_len: 0,
@@ -454,12 +396,6 @@ impl<'c> Engine<'c> {
             io_queue_depth_peak: 0,
             io_submit_to_complete_ns: 0,
             io_submit_times: VecDeque::new(),
-            // The warm-start cache population is already node-backed.
-            arena_free_nodes: 0,
-            arena_minted: initial_cache,
-            arena_fresh_mints: 0,
-            arena_reuse_hits: 0,
-            arena_chunks_retired: 0,
             fault_ordinal: 0,
             injected_faults: 0,
             fault_retries: 0,
@@ -617,11 +553,7 @@ impl<'c> Engine<'c> {
                 self.charge_infra(kind);
                 match kind {
                     InfraKind::Refill { take } => {
-                        self.cache_insert(take);
-                        // Arena maintenance rides the refill round, as in
-                        // the real cache (insert_all runs `maintain()`
-                        // after the publish gate closes).
-                        self.arena_maintain();
+                        self.bucket_cache += take;
                         self.refill_outstanding -= 1;
                         self.refills += 1;
                         self.wake_waiting_cleaners();
@@ -779,7 +711,7 @@ impl<'c> Engine<'c> {
                     self.maybe_refill();
                     continue;
                 }
-                let got = self.cache_pop(i);
+                let got = self.cache_pop();
                 self.bucket_rem[i] = got * self.cfg.chunk;
                 self.sync_pending[i] = true;
             }
@@ -866,109 +798,18 @@ impl<'c> Engine<'c> {
         );
     }
 
-    /// Insert `n` refilled buckets round-robin across shards — one bucket
-    /// per drive lands one per shard when shards track drives (§IV-D's
-    /// collective refill keeps the shards balanced).
-    fn cache_insert(&mut self, n: u64) {
-        self.bucket_cache += n;
-        for _ in 0..n {
-            self.shard_rr = (self.shard_rr + 1) % self.shard_buckets.len();
-            self.shard_buckets[self.shard_rr] += 1;
-            // Each inserted bucket occupies one arena node: recycle from
-            // the free pool when possible, mint (grow the arena) only
-            // when the pool is dry — the real arena's alloc order.
-            if self.arena_free_nodes > 0 {
-                self.arena_free_nodes -= 1;
-                if self.measuring() {
-                    self.arena_reuse_hits += 1;
-                }
-            } else {
-                self.arena_minted += 1;
-                if self.measuring() {
-                    self.arena_fresh_mints += 1;
-                }
-            }
-        }
-    }
-
-    /// Chunk granularity of the modeled arena (nodes per slab), matching
-    /// the real allocator's release-build chunk size.
-    const ARENA_CHUNK: u64 = 64;
-
-    /// Retire whole chunks out of the modeled arena once the recycled
-    /// pool holds more than a chunk of slack. The real arena only frees
-    /// a slab when every node in it is back on the free list and keeps
-    /// at least one live chunk, so retirement leaves one chunk's worth
-    /// of pooled nodes behind rather than draining to zero.
-    fn arena_maintain(&mut self) {
-        while self.arena_free_nodes >= 2 * Self::ARENA_CHUNK {
-            self.arena_free_nodes -= Self::ARENA_CHUNK;
-            self.arena_minted = self.arena_minted.saturating_sub(Self::ARENA_CHUNK);
-            if self.measuring() {
-                self.arena_chunks_retired += 1;
-            }
-        }
-    }
-
-    /// Pop bucket(s) for cleaner `i` under the same equal-progress rule
-    /// as the real `BucketCache`: take the home shard `i % nshards` only
-    /// when no other shard is fuller (fast path), else steal one from
-    /// the fullest shard, nearest-after-home on ties. On the home fast
-    /// path a batched `get_many` may keep draining — up to `get_batch`
-    /// buckets in one synchronization — but stops as soon as another
-    /// shard would be strictly fuller, so per-drive sharding (one bucket
-    /// per shard per refill round) yields batches near 1 while the
-    /// single-lock layout amortizes up to the full bound. Returns the
-    /// buckets granted; the caller guarantees `bucket_cache > 0`.
-    fn cache_pop(&mut self, i: usize) -> u64 {
+    /// GET for one cleaner: up to `get_batch` buckets in one acquisition
+    /// of the cache lock, as `BucketCache::get_many`. Returns the buckets
+    /// granted; the caller guarantees `bucket_cache > 0`.
+    fn cache_pop(&mut self) -> u64 {
         debug_assert!(self.bucket_cache > 0);
-        let n = self.shard_buckets.len();
-        let home = i % n;
-        let mut target = home;
-        let mut best = self.shard_buckets[home];
-        for d in 1..n {
-            let s = (home + d) % n;
-            if self.shard_buckets[s] > best {
-                best = self.shard_buckets[s];
-                target = s;
-            }
-        }
-        debug_assert!(best > 0, "bucket_cache > 0 but every shard empty");
-        if target != home {
-            self.shard_buckets[target] -= 1;
-            self.bucket_cache -= 1;
-            // The popped bucket's arena node returns to the free pool.
-            self.arena_free_nodes += 1;
-            if self.measuring() {
-                self.cache_get_steal += 1;
-            }
-            return 1;
-        }
-        let mut got = 0u64;
-        while got < self.get_batch && self.shard_buckets[home] > 0 {
-            if got > 0
-                && (0..n).any(|s| s != home && self.shard_buckets[s] > self.shard_buckets[home])
-            {
-                break;
-            }
-            self.shard_buckets[home] -= 1;
-            self.bucket_cache -= 1;
-            got += 1;
-        }
-        // Batched pops free their nodes in one go (pop_chain semantics).
-        self.arena_free_nodes += got;
+        let got = self.get_batch.min(self.bucket_cache);
+        self.bucket_cache -= got;
         if self.measuring() {
             self.cache_get_fast += got;
             self.cache_get_batched += got - 1;
         }
         got
-    }
-
-    /// Cleaners that can contend on one shard lock: with the cache split
-    /// over `nshards` queues and affinity spreading cleaners across them,
-    /// at most ⌈active/nshards⌉ cleaners share a shard.
-    fn shard_sharers(&self) -> u64 {
-        (self.active_limit as u64).div_ceil(self.shard_buckets.len() as u64)
     }
 
     fn overwrite_fraction(&self) -> f64 {
@@ -1096,33 +937,14 @@ impl<'c> Engine<'c> {
         self.usage.infra_ns += self.measured_portion(cost);
     }
 
-    /// Uncontended GET + PUT synchronization per bucket cycle: one CAS
-    /// pop on the lock-free layout, a mutex acquire/release pair on the
-    /// mutex-shard baseline.
-    fn base_sync_cost(&self) -> u64 {
-        if self.cache_lockfree {
-            self.cfg.costs.cleaner_cas_sync
-        } else {
-            self.cfg.costs.cleaner_bucket_sync
-        }
-    }
-
-    /// GET + PUT synchronization per bucket cycle. Contention scales with
-    /// the cleaners *per shard*, not the total: sharding divides the
-    /// sharers, so 4 cleaners over 12 shards pay the uncontended cost
-    /// while the single-lock layout pays for all 4 (§V-B's "more threads
-    /// come with additional lock contention"). The lock-free layout both
-    /// starts cheaper (CAS pop vs mutex) and degrades more slowly (a CAS
-    /// loser retries immediately instead of parking on the lock).
+    /// Cleaner CPU per GET. Every active cleaner shares the one cache
+    /// lock, so contention scales with their number (§V-B's "more threads
+    /// come with additional lock contention").
     fn bucket_sync_cost(&self) -> u64 {
         let c = &self.cfg.costs;
-        let factor = if self.cache_lockfree {
-            c.cas_contention_factor
-        } else {
-            c.cleaner_contention_factor
-        };
-        let contention = 1.0 + factor * self.shard_sharers().saturating_sub(1) as f64;
-        (self.base_sync_cost() as f64 * contention) as u64
+        let sharers = self.active_limit as u64;
+        let contention = 1.0 + c.cleaner_contention_factor * sharers.saturating_sub(1) as f64;
+        (c.cleaner_bucket_sync as f64 * contention) as u64
     }
 
     fn charge_cleaner(&mut self, bufs: u64, inodes: u64, msgs: u64, synced: bool) {
@@ -1137,10 +959,11 @@ impl<'c> Engine<'c> {
         self.cleaner_busy_tick += cost;
         self.usage.cleaner_ns += self.measured_portion(cost);
         if self.measuring() {
-            // The contention surcharge *is* the modeled shard-lock wait,
-            // paid only on quanta that actually synchronized.
+            // The contention surcharge *is* the modeled lock wait, paid
+            // only on quanta that actually synchronized.
             if synced {
-                self.cache_lock_waits_ns += self.bucket_sync_cost() - self.base_sync_cost();
+                self.cache_lock_waits_ns +=
+                    self.bucket_sync_cost() - self.cfg.costs.cleaner_bucket_sync;
             }
         }
     }
@@ -1241,15 +1064,11 @@ impl<'c> Engine<'c> {
             injected_faults: self.injected_faults,
             fault_retries: self.fault_retries,
             cache_get_fast: self.cache_get_fast,
-            cache_get_steal: self.cache_get_steal,
             cache_lock_waits_ns: self.cache_lock_waits_ns,
             cache_blocked_gets: self.bucket_stalls,
             cache_get_batched: self.cache_get_batched,
             put_commit_queue_len: self.put_commit_queue_len,
             commit_batch_ns: self.commit_batch_ns,
-            arena_fresh_mints: self.arena_fresh_mints,
-            arena_reuse_hits: self.arena_reuse_hits,
-            arena_chunks_retired: self.arena_chunks_retired,
             io_inflight: self.io_submit_times.len() as u64,
             io_queue_depth_peak: self.io_queue_depth_peak,
             io_submit_to_complete_ns: self.io_submit_to_complete_ns,
@@ -1465,74 +1284,42 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_eliminates_modeled_lock_waits() {
-        // 8 cleaners over 12 per-drive shards: ⌈8/12⌉ = 1 sharer per
-        // lock → uncontended sync, affinity GETs dominate. Forcing one
-        // shard makes all 8 share a lock → contention surcharge.
-        let mut sharded = base(WorkloadKind::sequential_write());
-        sharded.cleaners = CleanerSetting::Fixed(8);
-        let mut single = sharded.clone();
-        single.cache_shards = 1;
-        let rs = Simulator::new(sharded).run();
-        let r1 = Simulator::new(single).run();
-        assert!(rs.cache_get_fast > 0, "home-shard pops happen");
-        assert_eq!(rs.cache_lock_waits_ns, 0, "one sharer per shard");
-        assert!(r1.cache_lock_waits_ns > 0, "single lock contends");
-        assert_eq!(
-            r1.cache_get_steal, 0,
-            "one shard has no steal path; every pop is 'home'"
-        );
-        assert!(rs.throughput_ops >= r1.throughput_ops);
-        assert_eq!(rs.cache_blocked_gets, rs.bucket_stalls);
+    fn cache_lock_contention_scales_with_active_cleaners() {
+        // Every active cleaner shares the one cache lock: one cleaner
+        // pays the uncontended cost, eight pay a surcharge.
+        let mut one = base(WorkloadKind::sequential_write());
+        one.cleaners = CleanerSetting::Fixed(1);
+        let mut eight = one.clone();
+        eight.cleaners = CleanerSetting::Fixed(8);
+        let r1 = Simulator::new(one).run();
+        let r8 = Simulator::new(eight).run();
+        assert!(r1.cache_get_fast > 0 && r8.cache_get_fast > 0);
+        assert_eq!(r1.cache_lock_waits_ns, 0, "a lone cleaner never waits");
+        assert!(r8.cache_lock_waits_ns > 0, "eight sharers contend");
+        assert_eq!(r8.cache_blocked_gets, r8.bucket_stalls);
     }
 
     #[test]
-    fn pre_white_alligator_eras_force_single_shard() {
+    fn pre_white_alligator_eras_force_unbatched_gets() {
         let mut cfg = base(WorkloadKind::sequential_write());
         cfg.era = Era::ClassicalCleanerThread;
-        cfg.cache_shards = 0; // would be 12 under White Alligator
-        cfg.cache_lockfree = true; // ignored: the era predates the CAS path
         cfg.cache_get_batch = 8; // ignored: the era predates get_many
         let r = Simulator::new(cfg).run();
-        assert_eq!(r.cache_get_steal, 0, "single shard cannot steal");
         assert!(r.cache_get_fast > 0);
         assert_eq!(r.cache_get_batched, 0, "get_many is forced to 1");
     }
 
     #[test]
-    fn lockfree_cache_spends_less_cleaner_time_than_mutex_shards() {
-        // Identical workload, identical schedule shape; the only change
-        // is the per-bucket GET synchronization (CAS pop vs mutex). The
-        // lock-free layout must spend strictly less cleaner time and
-        // must not lose throughput.
-        let mut lf = base(WorkloadKind::sequential_write());
-        lf.cleaners = CleanerSetting::Fixed(8);
-        lf.cache_lockfree = true;
-        let mut mx = lf.clone();
-        mx.cache_lockfree = false;
-        let rl = Simulator::new(lf).run();
-        let rm = Simulator::new(mx).run();
-        assert!(
-            rl.usage.cleaner_ns < rm.usage.cleaner_ns,
-            "CAS sync is cheaper: {} vs {}",
-            rl.usage.cleaner_ns,
-            rm.usage.cleaner_ns
-        );
-        assert!(rl.throughput_ops >= rm.throughput_ops * 0.999);
-    }
-
-    #[test]
-    fn batched_get_many_amortizes_synchronization_on_a_deep_shard() {
-        // A single shard holds every bucket, so a batched GET can drain
-        // several per synchronization; get_many(1) never batches.
+    fn batched_get_many_amortizes_synchronization() {
+        // A batched GET takes several buckets per lock acquisition;
+        // get_many(1) never batches.
         let mut b8 = base(WorkloadKind::sequential_write());
-        b8.cache_shards = 1;
         b8.cache_get_batch = 8;
         let mut b1 = b8.clone();
         b1.cache_get_batch = 1;
         let r8 = Simulator::new(b8).run();
         let r1 = Simulator::new(b1).run();
-        assert!(r8.cache_get_batched > 0, "deep shard yields batches");
+        assert!(r8.cache_get_batched > 0, "a deep cache yields batches");
         assert_eq!(r1.cache_get_batched, 0, "get_many(1) cannot batch");
         // The claim is about synchronization, not end-to-end throughput:
         // fewer synced quanta must show up as strictly less cleaner time,
@@ -1544,24 +1331,6 @@ mod tests {
             r1.usage.cleaner_ns
         );
         assert!(r8.throughput_ops >= r1.throughput_ops * 0.98);
-    }
-
-    #[test]
-    fn equal_progress_bounds_batches_under_per_drive_sharding() {
-        // With one bucket per shard per refill round, draining the home
-        // shard past its peers would break §IV-D equal progress — the
-        // batch guard must keep batched extras a small fraction of pops.
-        let mut cfg = base(WorkloadKind::sequential_write());
-        cfg.cache_get_batch = 8;
-        let r = Simulator::new(cfg).run();
-        let pops = r.cache_get_fast + r.cache_get_steal;
-        assert!(pops > 0);
-        assert!(
-            r.cache_get_batched * 4 <= pops,
-            "batched extras {} vs pops {pops}: per-drive shards should \
-             rarely be deeper than their peers",
-            r.cache_get_batched
-        );
     }
 
     #[test]
@@ -1652,7 +1421,6 @@ mod tests {
         cfg.duration_ns = cfg.warmup_ns;
         let r = Simulator::new(cfg).run();
         assert_eq!(r.cache_get_fast, 0, "warmup GETs leaked");
-        assert_eq!(r.cache_get_steal, 0, "warmup steals leaked");
         assert_eq!(r.cache_get_batched, 0, "warmup batches leaked");
         assert_eq!(r.bucket_stalls, 0, "warmup stalls leaked");
         assert_eq!(r.cache_lock_waits_ns, 0);
@@ -1660,29 +1428,6 @@ mod tests {
         assert_eq!(r.put_commit_queue_len, 0);
         assert_eq!(r.io_queue_depth_peak, 0, "warmup io depth leaked");
         assert_eq!(r.io_submit_to_complete_ns, 0, "warmup io latency leaked");
-    }
-
-    #[test]
-    fn arena_model_reaches_reuse_steady_state() {
-        // With the cache population cycling (pop → refill → reinsert),
-        // the modeled arena must recycle nodes rather than mint on every
-        // insert: reuse dominates once the working set is built, and any
-        // fresh minting stays within one chunk of the cache's standing
-        // population (the real allocator's boundedness claim).
-        let r = Simulator::new(base(WorkloadKind::sequential_write())).run();
-        assert!(r.refills > 0, "workload must cycle the cache");
-        assert!(
-            r.arena_reuse_hits > r.arena_fresh_mints,
-            "steady state should recycle ({} reuse vs {} mints)",
-            r.arena_reuse_hits,
-            r.arena_fresh_mints
-        );
-        assert!(
-            r.arena_fresh_mints <= Engine::ARENA_CHUNK,
-            "measured-window minting must stay within one chunk of the \
-             warm-start population, got {}",
-            r.arena_fresh_mints
-        );
     }
 
     #[test]

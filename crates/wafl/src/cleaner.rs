@@ -53,11 +53,11 @@ pub struct CleanerConfig {
     pub region_size: usize,
     /// VVBNs reserved per chunk by a cleaner (volume-side bucket analog).
     pub vvbn_chunk: usize,
-    /// Buckets acquired per GET batch: a cleaner pops up to this many
-    /// buckets from its home shard in one cache synchronization event
-    /// ([`Allocator::get_bucket_many`]) and feeds later jobs from the
+    /// Buckets acquired per GET batch: a cleaner takes up to this many
+    /// buckets of the oldest refill round in one acquisition of the cache
+    /// lock ([`Allocator::get_bucket_many`]) and feeds later jobs from the
     /// prefetched tail — §IV-C's amortization applied to GET itself.
-    /// `1` disables batching (every bucket pays its own CAS/lock).
+    /// `1` disables batching (every bucket pays its own lock).
     pub get_batch: usize,
 }
 
@@ -169,7 +169,7 @@ pub fn partition_work(
 /// requeue untouched prefetched ones.
 #[derive(Debug)]
 pub struct CleanerCtx {
-    /// This cleaner's index (bucket-cache shard affinity).
+    /// This cleaner's index, as passed to `Allocator::get_bucket_many`.
     pub cleaner: usize,
     /// Buckets per GET batch ([`CleanerConfig::get_batch`]).
     pub get_batch: usize,
@@ -213,24 +213,22 @@ impl CleanerCtx {
     ///   batch shrinks to 1 — stripping the last buckets into one
     ///   cleaner's prefetch queue would starve its peers and race ahead
     ///   of the refill pipeline;
-    /// * when this cleaner's home shard runs deep (≥ 2× the base) the
-    ///   batch grows to 2× — the refill pipeline is ahead, so amortizing
-    ///   more GETs into the single pop costs nothing (§IV-C applied to
-    ///   GET);
+    /// * when the cache runs deep (≥ 2× the base) the batch grows to 2× —
+    ///   the refill pipeline is ahead, so amortizing more GETs into the
+    ///   single lock acquisition costs nothing (§IV-C applied to GET);
     /// * otherwise the base applies.
     pub fn adaptive_batch(&self, alloc: &Allocator) -> usize {
         let base = self.get_batch;
         if base <= 1 {
             return base.max(1);
         }
-        let cache = alloc.cache();
         let stats = alloc.infra().stats();
-        if cache.len() <= alloc.config().low_watermark {
+        let depth = alloc.cache().len();
+        if depth <= alloc.config().low_watermark {
             // ordering: statistics counter; staleness is acceptable.
             stats.cache_batch_shrinks.fetch_add(1, Ordering::Relaxed);
             return 1;
         }
-        let depth = cache.shard_fill(self.cleaner);
         if depth >= base * 2 {
             // ordering: statistics counter; staleness is acceptable.
             stats.cache_batch_grows.fetch_add(1, Ordering::Relaxed);
@@ -255,11 +253,6 @@ impl CleanerCtx {
 /// the buffer into the allocator's tetris (via USE), and stage frees of
 /// overwritten blocks. `ctx` carries the cleaner's bucket (and batched-GET
 /// prefetch queue) across jobs within one message.
-///
-/// `ctx.cleaner` is the calling cleaner's index: GETs go to bucket-cache
-/// shard `cleaner % nshards` first, so concurrent cleaners take disjoint
-/// shard hot paths on the common case and only steal across shards when
-/// their home shard runs dry.
 ///
 /// Returns `None` if the aggregate ran out of space mid-job (callers
 /// treat this as a fatal CP error; `ctx` can still be `finish`ed to
@@ -475,11 +468,6 @@ impl CleanerPool {
         // are not part of the snapshot, so surface each one here; their
         // high-water marks arrive through `named()` above).
         let raw = self.shared.alloc.raw_stats();
-        reg.gauge("cache_arena_chunks_live").set(
-            raw.arena_chunks_live
-                // ordering: statistics gauge; staleness is acceptable.
-                .load(Ordering::Relaxed),
-        );
         reg.gauge("put_commit_outstanding").set(
             raw.put_commit_outstanding
                 // ordering: statistics gauge; staleness is acceptable.
@@ -753,8 +741,8 @@ mod tests {
 
     #[test]
     fn batched_get_prefetches_and_requeues_leftovers() {
-        // Single-shard cache so one refill round (3 buckets, one per
-        // drive) lands in one stack and a get_batch=4 GET can amortize.
+        // One refill round is 3 buckets (one per drive), so a
+        // get_batch=4 GET takes the whole round in one acquisition.
         let geo = Arc::new(
             GeometryBuilder::new()
                 .aa_stripes(64)
@@ -764,8 +752,7 @@ mod tests {
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        let mut cfg = AllocConfig::with_chunk(64);
-        cfg.cache_shards = 1;
+        let cfg = AllocConfig::with_chunk(64);
         let alloc = Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0);
         let v = vol();
         let mut ctx = CleanerCtx::new(0, 4);
@@ -803,10 +790,10 @@ mod tests {
         alloc.stats().check_conservation(0).unwrap();
     }
 
-    /// Single-shard allocator for the adaptive-batch transition tests:
-    /// every refill round (3 buckets, one per drive) lands in the one
-    /// shard, so home-shard depth is exact and deterministic.
-    fn mk_alloc_single_shard() -> Arc<Allocator> {
+    /// Allocator for the adaptive-batch transition tests: every inline
+    /// refill round adds 3 buckets (one per drive), so the cache depth is
+    /// exact and deterministic.
+    fn mk_alloc_three_drives() -> Arc<Allocator> {
         let geo = Arc::new(
             GeometryBuilder::new()
                 .aa_stripes(64)
@@ -816,24 +803,23 @@ mod tests {
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        let mut cfg = AllocConfig::with_chunk(64);
-        cfg.cache_shards = 1;
+        let cfg = AllocConfig::with_chunk(64);
         Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0)
     }
 
     #[test]
-    fn adaptive_batch_grows_when_home_shard_runs_deep() {
-        let alloc = mk_alloc_single_shard();
+    fn adaptive_batch_grows_when_cache_runs_deep() {
+        let alloc = mk_alloc_three_drives();
         let ctx = CleanerCtx::new(0, 2);
-        // Two inline refill rounds: 6 buckets in the home shard, past
-        // 2× the base batch of 2.
+        // Two inline refill rounds: 6 buckets in the cache, past 2× the
+        // base batch of 2.
         alloc.request_refill();
         alloc.request_refill();
-        assert!(alloc.cache().shard_fill(0) >= 4, "setup: deep home shard");
+        assert!(alloc.cache().len() >= 4, "setup: deep cache");
         assert_eq!(
             ctx.adaptive_batch(&alloc),
             4,
-            "deep home shard doubles the batch"
+            "deep cache doubles the batch"
         );
         assert!(alloc.stats().cache_batch_grows >= 1);
         alloc.flush_cache();
@@ -843,7 +829,7 @@ mod tests {
 
     #[test]
     fn adaptive_batch_shrinks_near_low_watermark() {
-        let alloc = mk_alloc_single_shard();
+        let alloc = mk_alloc_three_drives();
         let ctx = CleanerCtx::new(0, 4);
         // One round: 3 buckets — above the watermark (2), below the
         // grow threshold (8) — the base applies.

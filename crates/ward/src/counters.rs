@@ -236,7 +236,7 @@ pub fn check_counters(srcs: &CounterSources<'_>, findings: &mut Vec<Finding>) ->
     //     AllocStats counter must use the identical name, so the two
     //     reports stay joinable. ---
     for f in &sim_fields {
-        if f.starts_with("cache_") || f.starts_with("arena_") || f.starts_with("io_") {
+        if f.starts_with("cache_") || f.starts_with("io_") {
             let known = counters.iter().chain(gauges.iter()).any(|c| c == f);
             if !known {
                 findings.push(Finding::new(

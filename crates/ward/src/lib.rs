@@ -16,9 +16,8 @@
 //!    and `FaultSnapshot` field must reach the reporting surfaces, and
 //!    every `SimResult` integer must be listed in `named_counters`.
 //! 4. **Ported gates** ([`gates`], [`unsafety`]): ordering
-//!    justifications, the unsafe audit (full-comment capture), the
-//!    arena exhaustion/epoch/layering rules, cache ascending-shard
-//!    order, and `IoTicket` minting.
+//!    justifications, the unsafe audit (full-comment capture), and
+//!    `IoTicket` minting.
 //!
 //! Findings carry stable content-derived IDs; `baseline.txt` suppresses
 //! known accepted findings; `results/ward.json` is the machine-readable
@@ -179,40 +178,7 @@ pub fn scan_workspace(root: &Path) -> Scan {
     edges.dedup();
     stats.lock_edges = edges.len();
 
-    // Module-specific gates.
     let by_rel = |want: &str| sources.iter().find(|(r, _)| r == want).map(|(_, s)| s);
-    if let Some(src) = by_rel("crates/alligator/src/cache.rs") {
-        locks::check_cache_ascending("crates/alligator/src/cache.rs", src, &mut findings);
-    } else {
-        findings.push(Finding::new(
-            "cache-order",
-            "crates/alligator/src/cache.rs",
-            0,
-            "cache.rs missing — lock-order check skipped",
-            "missing",
-        ));
-    }
-    for rel in [
-        "crates/alligator/src/arena.rs",
-        "crates/alligator/src/treiber.rs",
-    ] {
-        match by_rel(rel) {
-            Some(src) => {
-                gates::check_no_exhaustion_aborts(rel, src, &mut findings);
-                if rel.ends_with("arena.rs") {
-                    gates::check_epoch_seqcst(rel, src, &mut findings);
-                    gates::check_arena_layering(rel, src, &mut findings);
-                }
-            }
-            None => findings.push(Finding::new(
-                "arena-abort",
-                rel,
-                0,
-                format!("{rel} missing — arena gates skipped"),
-                "missing",
-            )),
-        }
-    }
 
     // Counter plumbing across the four surfaces.
     let need = [

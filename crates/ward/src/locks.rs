@@ -4,16 +4,14 @@
 //! inversion, unranked declaration, or duplicate rank name.
 //!
 //! The rule: while a guard of rank *r* is live, only locks of rank
-//! strictly greater than *r* may be acquired. Re-acquiring the *same*
-//! named lock (the cache's per-shard mutexes) is allowed at equal rank —
-//! the ascending-index discipline for that case is enforced separately
-//! by the ported cache gate (`check_cache_ascending`).
+//! strictly greater than *r* may be acquired. Acquiring another instance
+//! of the *same* named lock (one RAID group's per-drive `drive.content`
+//! mutexes) is allowed at equal rank.
 //!
 //! The analysis is intra-procedural and lexical: a guard bound with
 //! `let g = …lock()` lives to the end of its block (or an explicit
 //! `drop(g)`); an unbound `…lock()` temporary dies at its statement's
-//! `;`. Cross-function holds are covered by the layering gates (e.g.
-//! the arena-below-cache rule), not the graph.
+//! `;`. Cross-function holds are outside the graph.
 
 use crate::report::Finding;
 use crate::scrub::{
@@ -23,7 +21,7 @@ use crate::scrub::{
 /// One ranked lock declaration.
 #[derive(Debug, Clone)]
 pub struct LockDecl {
-    /// Global rank name (`cache.publish`).
+    /// Global rank name (`cache.queue`).
     pub name: String,
     /// Rank number; smaller acquires first.
     pub rank: u32,
@@ -342,7 +340,7 @@ fn walk_body(
                         let ln = src.line_of(start);
                         for g in &guards {
                             if g.lock == decl.name {
-                                continue; // same lock: ascending gate's job
+                                continue; // another instance of the same named lock
                             }
                             edges.push(LockEdge {
                                 held: g.lock.clone(),
@@ -447,86 +445,6 @@ fn binding_of(code: &str, site: usize) -> (Option<String>, bool) {
         return (Some(name.to_string()), false);
     }
     (None, true)
-}
-
-/// Ported cache gate: any function in `cache.rs` that accumulates
-/// multiple shard-lock guards must acquire them in ascending shard
-/// order (an `.enumerate()`/ascending-range iteration with no `.rev()`).
-pub fn check_cache_ascending(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) {
-    let code = &src.code;
-    let mut seen_multi = false;
-    for (name, body) in fn_bodies(code) {
-        if !body.contains("lock_shard") || !body.contains("guards.push") {
-            continue;
-        }
-        seen_multi = true;
-        if body.contains(".rev()") {
-            findings.push(Finding::new(
-                "cache-order",
-                rel,
-                0,
-                format!(
-                    "fn {name}: multi-shard locking iterates with .rev() — shard \
-                     locks must be acquired in ascending order"
-                ),
-                format!("rev:{name}"),
-            ));
-        }
-        if !body.contains(".enumerate()") && !has_ascending_range(&body) {
-            findings.push(Finding::new(
-                "cache-order",
-                rel,
-                0,
-                format!(
-                    "fn {name}: cannot prove ascending shard-lock order (expected \
-                     an .enumerate() or `for s in 0..` iteration)"
-                ),
-                format!("order:{name}"),
-            ));
-        }
-    }
-    if !seen_multi && code.contains("guards") {
-        findings.push(Finding::new(
-            "cache-order",
-            rel,
-            0,
-            "lock-order check found no multi-lock function to verify",
-            "missing-multilock",
-        ));
-    }
-}
-
-fn has_ascending_range(body: &str) -> bool {
-    // `for s in 0..` with arbitrary whitespace.
-    let mut rest = body;
-    while let Some(p) = rest.find("for ") {
-        let tail = &rest[p + 4..];
-        if let Some(inpos) = tail.find(" in ") {
-            let expr = tail[inpos + 4..].trim_start();
-            if expr.starts_with("0..") {
-                return true;
-            }
-        }
-        rest = &rest[p + 4..];
-    }
-    false
-}
-
-/// `(name, body)` of every `fn` in scrubbed code, by brace matching.
-pub fn fn_bodies(code: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for fpos in find_word(code, "fn") {
-        let Some((_, name)) = ident_after(code, fpos + 2) else {
-            continue;
-        };
-        let Some(brace) = code[fpos..].find('{').map(|i| fpos + i) else {
-            continue;
-        };
-        if let Some(end) = matching(code, brace) {
-            out.push((name, code[brace..=end].to_string()));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -644,16 +562,5 @@ mod tests {
         let (f, e) = run(text);
         assert!(f.is_empty(), "{f:?}");
         assert!(e.is_empty());
-    }
-
-    #[test]
-    fn ascending_gate_ports() {
-        let bad = "impl C { fn insert_all_mutex(&self) { \
-                   for (s, b) in shards.iter().enumerate().rev() { \
-                   let g = self.lock_shard(s); guards.push(g); } } }";
-        let src = Scrubbed::new(bad);
-        let mut f = Vec::new();
-        check_cache_ascending("cache.rs", &src, &mut f);
-        assert!(f.iter().any(|x| x.message.contains(".rev()")), "{f:?}");
     }
 }

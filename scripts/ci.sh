@@ -25,21 +25,12 @@ echo "=== e2e: the benchmark's own tests ==="
 # drives every workload at 1/16 geometry through the correctness gate.
 cargo test --release --offline --manifest-path e2e/Cargo.toml
 
-echo "=== lock-free cache stress under debug assertions ==="
-# The Treiber-stack hot path's internal invariants (tag monotonicity,
-# arena bounds, fill accounting) are debug_assert!s; arm them while the
-# stress suite hammers CAS pops, steals, batched GETs, and concurrent
-# collective inserts.
+echo "=== bucket-cache stress under debug assertions ==="
+# Arm the debug_assert!s of the allocator, buckets and tetris while the
+# stress suite hammers GETs, batched GETs, requeues and concurrent
+# collective inserts, and the property test checks the queue order.
 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p alligator --test cache_stress
-
-echo "=== arena boundedness soak under debug assertions ==="
-# The bounded arena's accounting checks (chunk free counts, tag
-# monotonicity, null-slab pin discipline) are armed while the soak
-# fills a tiny-capped arena past ArenaFull and churns a population
-# through grow/shrink looking for plateau and reclamation.
-RUSTFLAGS="-C debug-assertions=on" \
-  cargo test --release -q -p alligator --test arena_soak
 
 echo "=== ward: concurrency analyzer (lock order, pairing, counters, audit) ==="
 # Detection power first (every check must catch its seeded fixture),
@@ -72,18 +63,11 @@ cargo clippy -p mc -p alligator --features alligator/mc --all-targets \
 echo "=== cargo fmt --check ==="
 cargo fmt --check
 
-echo "=== exp_cache_contention smoke (tiny config) + schema validation ==="
-# Quick sweep into a scratch dir so CI numbers never clobber the
-# committed trajectory record, then validate both the fresh record and
-# the committed one against the wafl.cache_contention.v2 schema.
+# Bench smokes write into a scratch dir so CI numbers never clobber the
+# committed records; each validates the fresh record and the committed
+# one against its schema.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --bin exp_cache_contention
-cargo run --release -q -p wafl-bench --bin exp_cache_contention -- \
-  --validate "$SMOKE_DIR/BENCH_cache_contention.json"
-cargo run --release -q -p wafl-bench --bin exp_cache_contention -- \
-  --validate BENCH_cache_contention.json
 
 echo "=== exp_put_convoy smoke (traced build) + schema validation ==="
 # Runs the real cleaner pool under tracing: exercises the obs rings,
@@ -104,17 +88,6 @@ cargo run --release -q -p wafl-bench --bin exp_scrub -- \
   --validate "$SMOKE_DIR/BENCH_scrub.json"
 cargo run --release -q -p wafl-bench --bin exp_scrub -- \
   --validate BENCH_scrub.json
-
-echo "=== exp_arena_churn smoke + schema validation ==="
-# Bounded-arena memory gates: live-chunk plateau under churn, reuse
-# over minting, and post-shrink reclamation — on both the fresh smoke
-# record and the committed one.
-WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --bin exp_arena_churn
-cargo run --release -q -p wafl-bench --bin exp_arena_churn -- \
-  --validate "$SMOKE_DIR/BENCH_arena_churn.json"
-cargo run --release -q -p wafl-bench --bin exp_arena_churn -- \
-  --validate BENCH_arena_churn.json
 
 echo "=== file-backend tests on a real tmpdir (O_DIRECT probe) ==="
 # The aio file backend prefers O_DIRECT and quietly falls back to
@@ -160,31 +133,11 @@ cargo run --release -q -p wafl-bench --features trace --bin exp_telemetry -- \
 cargo run --release -q -p wafl-bench --features trace --bin exp_telemetry -- \
   --validate BENCH_telemetry.json
 
-echo "=== miri: undefined-behavior check on the lock-free cores ==="
-# The static analyzer proves annotation discipline; Miri checks the
-# actual unsafe dereferences in the Treiber stack and arena under the
-# interpreter's aliasing and validity rules. Nightly-only: skip with a
-# notice where no nightly+miri toolchain is installed (the container
-# bakes stable only) — the stanza arms itself on hosts that have it.
-if command -v rustup >/dev/null 2>&1 \
-   && rustup toolchain list 2>/dev/null | grep -q nightly \
-   && rustup component list --toolchain nightly 2>/dev/null \
-      | grep -q 'miri.*(installed)'; then
-  # Interpreter is ~1000x slower than native: keep to the unit suites
-  # of the two unsafe-heavy modules, with schedule counts at defaults.
-  MIRIFLAGS="-Zmiri-ignore-leaks" \
-    cargo +nightly miri test -q -p alligator --lib treiber
-  MIRIFLAGS="-Zmiri-ignore-leaks" \
-    cargo +nightly miri test -q -p alligator --lib arena
-else
-  echo "NOTICE: nightly+miri not installed; skipping the Miri pass \
-(ward --check and the mc schedule exploration still gate this tree)"
-fi
-
 echo "=== tsan: data-race check on the cache stress suite ==="
 # ThreadSanitizer needs -Z sanitizer=thread plus a rebuilt std
-# (-Zbuild-std), both nightly-only; same skip-with-notice contract as
-# the Miri stanza above.
+# (-Zbuild-std), both nightly-only: skip with a notice where no
+# nightly+rust-src toolchain is installed (the container bakes stable
+# only) — the stanza arms itself on hosts that have it.
 HOST_TRIPLE="$(rustc -vV | sed -n 's/^host: //p')"
 if command -v rustup >/dev/null 2>&1 \
    && rustup toolchain list 2>/dev/null | grep -q nightly \
