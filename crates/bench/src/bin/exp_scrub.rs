@@ -187,7 +187,7 @@ fn file_refs(fs: &Filesystem) -> Vec<(u64, u128)> {
     let mut refs = Vec::new();
     for vi in &img.volumes {
         for blocks in vi.files.values() {
-            for (_fbn, ptr) in blocks {
+            for (_fbn, ptr) in blocks.iter() {
                 refs.push((ptr.pvbn.0, ptr.stamp));
             }
         }

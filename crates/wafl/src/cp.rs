@@ -43,7 +43,7 @@
 use crate::buffer::CleanedBlock;
 use crate::cleaner::{partition_work, CleanResult, CleanerPool};
 use crate::config::FsConfig;
-use crate::inode::{BlockPtr, FileId};
+use crate::inode::{BlockMap, FileId};
 use crate::nvlog::NvLog;
 use crate::snapshot::Snapshot;
 use crate::volume::{Volume, VolumeId};
@@ -132,46 +132,18 @@ pub struct VolumeImage {
     pub aggr: u32,
     /// VVBN space size.
     pub vvbn_total: u64,
-    /// Every file with its committed block map, ascending by fbn. A file
-    /// without holes therefore keeps fbn `i` at index `i`, which is what
-    /// lets the commit update it without a search.
-    pub files: BTreeMap<FileId, Vec<(u64, BlockPtr)>>,
+    /// Every file with its committed block map.
+    pub files: BTreeMap<FileId, BlockMap>,
     /// Retained snapshots (part of the on-disk state: a snapshot is a
     /// kept CP image). Shared with the volume's [`crate::SnapshotSet`]:
     /// a snapshot never changes once taken.
     pub snapshots: Vec<Arc<Snapshot>>,
 }
 
-/// Install one cleaner result into a committed file map (ascending by
-/// fbn). Overwrites are an index hit on a file without holes and a binary
-/// search otherwise; first-time blocks are merged in afterwards.
-fn install_cleaned(map: &mut Vec<(u64, BlockPtr)>, cleaned: &[CleanedBlock]) {
-    let committed = map.len();
-    let mut ascending = true;
+/// Install one cleaner result into a committed file map.
+fn install_cleaned(map: &mut BlockMap, cleaned: &[CleanedBlock]) {
     for c in cleaned {
-        let ptr = BlockPtr {
-            vvbn: c.vvbn,
-            pvbn: c.pvbn,
-            stamp: c.stamp,
-        };
-        let dense = usize::try_from(c.fbn)
-            .ok()
-            .filter(|&i| i < committed && map[i].0 == c.fbn);
-        let slot = dense.or_else(|| map[..committed].binary_search_by_key(&c.fbn, |e| e.0).ok());
-        match slot {
-            Some(i) => map[i].1 = ptr,
-            None => {
-                ascending &= map.last().is_none_or(|e| e.0 < c.fbn);
-                map.push((c.fbn, ptr));
-            }
-        }
-    }
-    // A cleaner's list ascends by fbn, so a file that only grew at its end
-    // is still in order. Anything else (a filled hole, region-split lists
-    // landing out of order) is two sorted runs, which the stable sort
-    // merges in one pass.
-    if !ascending {
-        map.sort_by_key(|e| e.0);
+        map.insert(c.fbn, c.into());
     }
 }
 
@@ -247,8 +219,7 @@ impl SuperblockStore {
                 match v.inode(f) {
                     Some(inode) => {
                         let inode = inode.lock();
-                        let map = inode.block_map().iter().map(|(k, p)| (*k, *p));
-                        vi.files.insert(f, map.collect());
+                        vi.files.insert(f, inode.block_map().clone());
                     }
                     None => {
                         vi.files.remove(&f);
@@ -747,41 +718,31 @@ mod tests {
         }
     }
 
-    /// The map an inode holds after the same lists were applied to it.
-    fn via_inode(lists: &[&[CleanedBlock]]) -> Vec<(u64, BlockPtr)> {
+    /// Installing the lists in the image's map leaves what an inode holds
+    /// after the same lists were applied to it.
+    fn check(lists: &[Vec<CleanedBlock>]) {
+        let mut map = BlockMap::default();
         let mut inode = Inode::new(FileId(1));
         for l in lists {
+            install_cleaned(&mut map, l);
             inode.apply_cleaned(l);
         }
-        inode.block_map().iter().map(|(k, p)| (*k, *p)).collect()
-    }
-
-    fn check(lists: &[Vec<CleanedBlock>]) {
-        let lists: Vec<&[CleanedBlock]> = lists.iter().map(Vec::as_slice).collect();
-        let mut map = Vec::new();
-        for l in &lists {
-            install_cleaned(&mut map, l);
-        }
-        assert_eq!(map, via_inode(&lists));
+        assert_eq!(&map, inode.block_map());
     }
 
     #[test]
     fn install_cleaned_matches_the_inode_map() {
         let run = |fbns: std::ops::Range<u64>, g| fbns.map(|f| cleaned(f, g)).collect::<Vec<_>>();
-        // Dense file: append, then overwrite by index.
+        // Dense file: append, then overwrite.
         check(&[run(0..8, 1), run(2..5, 2), run(8..12, 3)]);
-        // Region-split lists of one new file landing out of order.
-        check(&[run(8..16, 1), run(0..8, 1), run(4..12, 2)]);
-        // Holes: the head is not dense, so overwrites fall back to search.
+        // Region-split lists of one new file landing out of order, across
+        // a page boundary.
+        check(&[run(60..70, 1), run(0..60, 1), run(4..66, 2)]);
+        // Holes, and a page far from the others.
         check(&[
             vec![cleaned(3, 1), cleaned(9, 1), cleaned(1 << 40, 1)],
             vec![cleaned(9, 2), cleaned(1 << 40, 2)],
             vec![cleaned(0, 3), cleaned(5, 3), cleaned((1 << 40) + 1, 3)],
-        ]);
-        // An fbn below the length whose slot holds another block.
-        check(&[
-            vec![cleaned(1, 1), cleaned(2, 1), cleaned(7, 1)],
-            vec![cleaned(0, 2), cleaned(2, 2)],
         ]);
     }
 

@@ -24,7 +24,7 @@
 use crate::cleaner::CleanerPool;
 use crate::config::FsConfig;
 use crate::cp::{self, CpReport, CrashPoint, DiskImage, MetafileLocs, SuperblockStore};
-use crate::inode::FileId;
+use crate::inode::{BlockPtr, FileId};
 use crate::nvlog::{NvLog, Op};
 use crate::volume::{Volume, VolumeId};
 use alligator::{Allocator, Executor, InlineExecutor, PoolExecutor};
@@ -474,7 +474,7 @@ impl Filesystem {
             for f in v.file_ids() {
                 let inode = v.inode(f).expect("listed file exists");
                 let inode = inode.lock();
-                for (fbn, ptr) in inode.block_map() {
+                for (fbn, ptr) in inode.block_map().iter() {
                     let got = self.io.read_vbn(ptr.pvbn).map_err(|e| {
                         format!("read failed vol {:?} file {:?} fbn {fbn}: {e}", v.id(), f)
                     })?;
@@ -596,54 +596,34 @@ impl Filesystem {
             // ordering: recovery/replay is single-threaded.
             fs.cp_counter.store(img.cp_id, Ordering::Relaxed);
             // Blocks may be referenced by both the active maps and one or
-            // more snapshots; adopt each physical/virtual block once.
-            let mut adopted_pvbn = std::collections::HashSet::new();
+            // more snapshots; adopt each physical/virtual block once. This
+            // instance's bitmaps started empty, so a set bit means "already
+            // adopted".
+            let aggmap = fs.alloc.infra().aggmap();
             for vi in &img.volumes {
                 fs.create_volume(vi.id);
                 // create_volume logged nothing; recovery-internal.
                 let v = fs.volume(vi.id).expect("just created");
-                let mut adopted_vvbn = std::collections::HashSet::new();
+                let adopt = |ptr: &BlockPtr| {
+                    if !aggmap.is_used(ptr.pvbn) {
+                        aggmap
+                            .adopt_used(ptr.pvbn)
+                            .expect("image references a VBN outside the aggregate");
+                    }
+                    if !v.vvbn().map().is_used(ptr.vvbn) {
+                        v.vvbn().adopt(ptr.vvbn);
+                    }
+                };
                 for (file, blocks) in &vi.files {
                     v.create_file(*file);
                     let inode = v.inode(*file).expect("just created");
-                    let cleaned: Vec<crate::buffer::CleanedBlock> = blocks
-                        .iter()
-                        .map(|(fbn, ptr)| crate::buffer::CleanedBlock {
-                            fbn: *fbn,
-                            vvbn: ptr.vvbn,
-                            pvbn: ptr.pvbn,
-                            stamp: ptr.stamp,
-                        })
-                        .collect();
-                    inode.lock().apply_cleaned(&cleaned);
-                    for c in &cleaned {
-                        if adopted_pvbn.insert(c.pvbn) {
-                            fs.alloc
-                                .infra()
-                                .aggmap()
-                                .adopt_used(c.pvbn)
-                                .expect("image references a free VBN twice");
-                        }
-                        if adopted_vvbn.insert(c.vvbn) {
-                            v.vvbn().adopt(c.vvbn);
-                        }
-                    }
+                    inode.lock().restore_block_map(blocks.clone());
+                    blocks.iter().for_each(|(_fbn, ptr)| adopt(ptr));
                 }
                 // Snapshots: restore and adopt blocks the active maps no
                 // longer reference.
                 for snap in &vi.snapshots {
-                    for (_f, _fbn, ptr) in snap.iter_blocks() {
-                        if adopted_pvbn.insert(ptr.pvbn) {
-                            fs.alloc
-                                .infra()
-                                .aggmap()
-                                .adopt_used(ptr.pvbn)
-                                .expect("snapshot references a freed VBN");
-                        }
-                        if adopted_vvbn.insert(ptr.vvbn) {
-                            v.vvbn().adopt(ptr.vvbn);
-                        }
-                    }
+                    snap.iter_blocks().for_each(|(_f, _fbn, ptr)| adopt(&ptr));
                     v.snapshots().add(Arc::clone(snap));
                 }
                 // The files above came out of the image: creating them
@@ -651,9 +631,7 @@ impl Filesystem {
                 v.take_restructured();
             }
             for ((_src, _block), vbn) in &img.metafile_locs {
-                fs.alloc
-                    .infra()
-                    .aggmap()
+                aggmap
                     .adopt_used(*vbn)
                     .expect("metafile VBN double-referenced");
             }

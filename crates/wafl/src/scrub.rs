@@ -436,7 +436,7 @@ fn build_image_refs(fs: &Filesystem) -> BTreeMap<u64, Option<BlockStamp>> {
     if let Some(img) = fs.committed_image() {
         for vi in &img.volumes {
             for blocks in vi.files.values() {
-                for (_fbn, ptr) in blocks {
+                for (_fbn, ptr) in blocks.iter() {
                     refs.insert(ptr.pvbn.0, Some(ptr.stamp));
                 }
             }
@@ -465,8 +465,8 @@ fn build_confirm_refs(fs: &Filesystem) -> BTreeMap<u64, Option<BlockStamp>> {
     let mut refs = build_image_refs(fs);
     for v in fs.volumes() {
         for f in v.file_ids() {
-            if let Some(ino) = v.inode(f) {
-                for ptr in ino.lock().block_map().values() {
+            if let Some(inode) = v.inode(f) {
+                for (_fbn, ptr) in inode.lock().block_map().iter() {
                     refs.insert(ptr.pvbn.0, Some(ptr.stamp));
                 }
             }

@@ -14,21 +14,20 @@
 //! reclaims exactly the blocks no other image references (the province of
 //! the paper's free-space-reclamation citation [10]).
 
-use crate::inode::{BlockPtr, FileId};
-use serde::{Deserialize, Serialize};
+use crate::inode::{BlockMap, BlockPtr, FileId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wafl_blockdev::Vbn;
 
 /// A retained point-in-time image of one volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// User-visible name (unique per volume).
     pub name: String,
     /// The CP whose image this snapshot retains.
     pub cp_id: u64,
     /// Per-file committed block maps at snapshot time.
-    pub files: BTreeMap<FileId, BTreeMap<u64, BlockPtr>>,
+    pub files: BTreeMap<FileId, BlockMap>,
 }
 
 impl Snapshot {
@@ -38,14 +37,14 @@ impl Snapshot {
     pub fn references(&self, file: FileId, fbn: u64, pvbn: Vbn) -> bool {
         self.files
             .get(&file)
-            .and_then(|m| m.get(&fbn))
+            .and_then(|m| m.get(fbn))
             .map(|p| p.pvbn == pvbn)
             .unwrap_or(false)
     }
 
     /// Look up a block's snapshot-time location.
     pub fn lookup(&self, file: FileId, fbn: u64) -> Option<BlockPtr> {
-        self.files.get(&file).and_then(|m| m.get(&fbn)).copied()
+        self.files.get(&file).and_then(|m| m.get(fbn)).copied()
     }
 
     /// Total blocks referenced by the snapshot.
@@ -57,7 +56,7 @@ impl Snapshot {
     pub fn iter_blocks(&self) -> impl Iterator<Item = (FileId, u64, BlockPtr)> + '_ {
         self.files
             .iter()
-            .flat_map(|(f, m)| m.iter().map(move |(fbn, p)| (*f, *fbn, *p)))
+            .flat_map(|(f, m)| m.iter().map(move |(fbn, p)| (*f, fbn, *p)))
     }
 }
 
@@ -127,7 +126,7 @@ mod tests {
 
     fn snap(name: &str, file: u64, fbn: u64, pvbn: u64) -> Arc<Snapshot> {
         let mut files = BTreeMap::new();
-        let mut m = BTreeMap::new();
+        let mut m = BlockMap::default();
         m.insert(
             fbn,
             BlockPtr {

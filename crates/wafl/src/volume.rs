@@ -20,16 +20,27 @@ use wafl_blockdev::BlockStamp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VolumeId(pub u32);
 
+/// A file's inode behind its own lock. Taken under `cp.image` (the delta
+/// commit copies restructured files) and `volume.inodes`; `volume.dirty`
+/// is taken under it.
+pub type InodeRef = Arc<Mutex<Inode>>; // lock-rank: volume.inode 16 via inode
+
 /// A FlexVol volume: inodes + VVBN space + dirty-inode list.
 pub struct Volume {
     id: VolumeId,
     /// Aggregate index in the Waffinity topology housing this volume.
     aggr: u32,
-    inodes: RwLock<BTreeMap<FileId, Arc<Mutex<Inode>>>>, // lock-rank: volume.inodes 15
+    inodes: RwLock<BTreeMap<FileId, InodeRef>>, // lock-rank: volume.inodes 15
     vvbn: VvbnSpace,
     /// "a list of dirty inodes to process in the next consistency point"
     /// (§II-C). A set: an inode appears once however many blocks dirty.
-    dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 16
+    ///
+    /// Invariant: a file is on the list iff its inode's front map is
+    /// non-empty, and both change under that inode's lock — a write adds
+    /// the file on the clean→dirty transition, a truncate removes it on
+    /// the way back. (The CP freeze empties the list first and the fronts
+    /// after, so a file may also sit here clean; the freeze skips it.)
+    dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 17
     /// Retained point-in-time images (see [`crate::snapshot`]).
     snapshots: SnapshotSet,
     /// Files created, truncated or deleted since the last committed CP:
@@ -38,7 +49,7 @@ pub struct Volume {
     /// A file is added *after* its change is in place: a commit that takes
     /// the set just before the mark lands copies nothing stale, and the
     /// next commit picks the file up.
-    restructured: Mutex<BTreeSet<FileId>>, // lock-rank: volume.restructured 17
+    restructured: Mutex<BTreeSet<FileId>>, // lock-rank: volume.restructured 18
 }
 
 impl Volume {
@@ -97,7 +108,7 @@ impl Volume {
     }
 
     /// Handle to an inode.
-    pub fn inode(&self, file: FileId) -> Option<Arc<Mutex<Inode>>> {
+    pub fn inode(&self, file: FileId) -> Option<InodeRef> {
         self.inodes.read().get(&file).cloned()
     }
 
@@ -109,13 +120,17 @@ impl Volume {
         let inode = self
             .inode(file)
             .unwrap_or_else(|| panic!("write to missing file {file:?}"));
-        inode.lock().write(fbn, stamp);
-        self.dirty.lock().insert(file);
+        let mut inode = inode.lock();
+        let was_clean = !inode.is_dirty();
+        inode.write(fbn, stamp);
+        if was_clean {
+            self.dirty.lock().insert(file);
+        }
     }
 
     /// Client read of current logical contents (dirty data wins).
     pub fn read(&self, file: FileId, fbn: u64) -> Option<BlockStamp> {
-        self.inode(file).and_then(|i| i.lock().read(fbn))
+        self.inode(file).and_then(|inode| inode.lock().read(fbn))
     }
 
     /// Truncate a file, freeing its VVBNs beyond the new size in the
@@ -129,7 +144,16 @@ impl Volume {
         new_size_fbns: u64,
     ) -> Option<Vec<wafl_blockdev::Vbn>> {
         let inode = self.inode(file)?;
-        let freed = inode.lock().truncate(new_size_fbns);
+        let freed = {
+            let mut inode = inode.lock();
+            let was_dirty = inode.is_dirty();
+            let freed = inode.truncate(new_size_fbns);
+            // The inode may have gone clean (all dirty buffers beyond size).
+            if was_dirty && !inode.is_dirty() {
+                self.dirty.lock().remove(&file);
+            }
+            freed
+        };
         if !freed.is_empty() {
             self.restructured.lock().insert(file);
         }
@@ -141,12 +165,6 @@ impl Volume {
             self.vvbn.free(vvbn);
             pvbns.push(pvbn);
         }
-        // The inode may have gone clean (all dirty buffers beyond size).
-        if let Some(i) = self.inode(file) {
-            if !i.lock().is_dirty() {
-                self.dirty.lock().remove(&file);
-            }
-        }
         Some(pvbns)
     }
 
@@ -155,7 +173,6 @@ impl Volume {
     pub fn delete_file(&self, file: FileId) -> Option<Vec<wafl_blockdev::Vbn>> {
         let pvbns = self.truncate_file(file, 0)?;
         self.inodes.write().remove(&file);
-        self.dirty.lock().remove(&file);
         self.restructured.lock().insert(file);
         Some(pvbns)
     }
@@ -179,9 +196,9 @@ impl Volume {
     /// suppressed here: the old block transfers to the snapshot instead
     /// of returning to the free pool.
     pub fn freeze_for_cp(&self) -> Vec<(FileId, Vec<DirtyBuffer>)> {
-        let ids: Vec<FileId> = std::mem::take(&mut *self.dirty.lock())
-            .into_iter()
-            .collect();
+        // The list's lock is let go before any inode's is taken: writers
+        // nest the two the other way round.
+        let ids = { std::mem::take(&mut *self.dirty.lock()) };
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             if let Some(inode) = self.inode(id) {
@@ -219,12 +236,12 @@ impl Volume {
     /// ensures a CP ran just before, so the image is current). Returns
     /// `false` if the name exists.
     pub fn take_snapshot(&self, name: &str, cp_id: u64) -> bool {
-        let mut files = std::collections::BTreeMap::new();
+        let mut files = BTreeMap::new();
         for f in self.file_ids() {
             let inode = self.inode(f).expect("listed file exists");
-            let map = inode.lock().block_map().clone();
-            if !map.is_empty() {
-                files.insert(f, map);
+            let inode = inode.lock();
+            if !inode.block_map().is_empty() {
+                files.insert(f, inode.block_map().clone());
             }
         }
         self.snapshots.add(Arc::new(Snapshot {
@@ -244,7 +261,7 @@ impl Volume {
             // Still live in the active file system?
             let active = self
                 .inode(file)
-                .and_then(|i| i.lock().lookup(fbn))
+                .and_then(|inode| inode.lock().lookup(fbn))
                 .map(|p| p.pvbn == ptr.pvbn)
                 .unwrap_or(false);
             if active {
@@ -341,6 +358,96 @@ mod tests {
         assert_eq!(v.dirty_count(), 8);
         for f in 0..8u64 {
             assert_eq!(v.read(FileId(f), 42), Some(wafl_blockdev::stamp(f, 42, 1)));
+        }
+    }
+
+    /// The dirty-list invariant under fire: four writers over eight files,
+    /// one thread truncating and deleting + re-creating them, one thread
+    /// freezing in a loop and applying nothing. Whenever no freeze is in
+    /// progress, an inode seen dirty under its lock is on the dirty list;
+    /// at the end, no dirty buffer is out of the next freeze's reach.
+    #[test]
+    fn dirty_list_holds_every_dirty_inode_under_concurrent_restructuring() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const FILES: u64 = 8;
+        const WRITES: u64 = 60_000;
+        let v = Volume::new(VolumeId(0), 0, 1 << 20);
+        // A write to a missing file panics by contract, so a writer holds
+        // its file's gate shared and the delete + re-create pair holds it
+        // exclusively. Truncates take no gate.
+        let gates: Vec<_> = (0..FILES).map(|_| RwLock::new(())).collect();
+        for f in 0..FILES {
+            v.create_file(FileId(f));
+        }
+        let rng = |seed: u64| {
+            let mut x = seed;
+            move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            }
+        };
+        let done = AtomicBool::new(false);
+        let check_listed = |when: &str| {
+            for f in (0..FILES).map(FileId) {
+                let Some(inode) = v.inode(f) else { continue };
+                let inode = inode.lock();
+                assert!(
+                    !inode.is_dirty() || v.dirty.lock().contains(&f),
+                    "{when}: {f:?} has {} dirty buffers and is not on the dirty list",
+                    inode.dirty_count()
+                );
+            }
+        };
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|w| {
+                    let (v, gates) = (&v, &gates);
+                    s.spawn(move || {
+                        let mut next = rng(0x9E37_79B9 + w);
+                        for i in 0..WRITES {
+                            let r = next();
+                            let f = r % FILES;
+                            let _exists = gates[f as usize].read();
+                            v.write(FileId(f), (r >> 8) % 96, u128::from(i) + 1);
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let mut next = rng(0xC0FFEE);
+                // ordering: a stop flag; the scope's join publishes the rest.
+                while !done.load(Ordering::Relaxed) {
+                    let r = next();
+                    let f = FileId(r % FILES);
+                    if r >> 8 & 3 == 0 {
+                        let _exclusive = gates[f.0 as usize].write();
+                        v.delete_file(f).expect("exists outside this block");
+                        assert!(v.create_file(f));
+                    } else {
+                        v.truncate_file(f, (r >> 16) % 96);
+                    }
+                }
+            });
+            s.spawn(|| {
+                // ordering: as above.
+                while !done.load(Ordering::Relaxed) {
+                    v.freeze_for_cp();
+                    check_listed("between freezes");
+                }
+            });
+            for w in writers {
+                w.join().expect("writer");
+            }
+            // ordering: as above.
+            done.store(true, Ordering::Relaxed);
+        });
+        check_listed("after joining");
+        v.freeze_for_cp();
+        for f in (0..FILES).map(FileId) {
+            let stranded = v.inode(f).expect("re-created").lock().dirty_count();
+            assert_eq!(stranded, 0, "{f:?}: dirty buffers the freeze did not reach");
         }
     }
 }

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wafl::cp::VolumeImage;
+use wafl::inode::BlockMap;
 use wafl::{CrashPoint, DiskImage, ExecMode, FileId, Filesystem, FsConfig, VolumeId};
 use wafl_blockdev::{stamp, BlockStamp, DriveKind, GeometryBuilder};
 
@@ -29,13 +30,13 @@ fn rebuild(fs: &Filesystem) -> DiskImage {
                     .file_ids()
                     .into_iter()
                     .map(|f| {
+                        // Block by block into a fresh map, not a clone: equal
+                        // contents must compare equal whatever built them.
                         let inode = v.inode(f).expect("listed file exists");
-                        let map = inode
-                            .lock()
-                            .block_map()
-                            .iter()
-                            .map(|(k, p)| (*k, *p))
-                            .collect();
+                        let mut map = BlockMap::default();
+                        for (fbn, ptr) in inode.lock().block_map().iter() {
+                            map.insert(fbn, *ptr);
+                        }
                         (f, map)
                     })
                     .collect(),
@@ -276,10 +277,14 @@ fn a_cp_copies_nothing_of_a_retained_snapshot() {
     assert!(Arc::ptr_eq(&recovered, &live));
 }
 
-/// Address of a committed file map's storage: stable exactly as long as
-/// the map is updated in place.
+/// Address of a committed file map's first page: stable exactly as long
+/// as the map is updated in place.
 fn map_addr(fs: &Filesystem, vol: usize, file: FileId) -> usize {
-    fs.committed_image().unwrap().volumes[vol].files[&file].as_ptr() as usize
+    let image = fs.committed_image().unwrap();
+    let first = image.volumes[vol].files[&file]
+        .get(0)
+        .expect("fbn 0 mapped");
+    std::ptr::from_ref(first) as usize
 }
 
 #[test]

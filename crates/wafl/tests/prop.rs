@@ -1,12 +1,101 @@
-//! Property tests: inode COW semantics against an oracle, NVLog replay
-//! ordering, and cleaner partitioning totality.
+//! Property tests: the paged block map and inode COW semantics against
+//! oracles, NVLog replay ordering, and cleaner partitioning totality.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wafl::cleaner::{partition_work, CleanerConfig};
+use wafl::inode::{BlockMap, BlockPtr};
 use wafl::{DirtyBuffer, FileId, Inode, NvLog, Op, Volume, VolumeId};
 use wafl_blockdev::Vbn;
+
+// ---------------------------------------------------------------------
+// BlockMap: pages of pointers vs a BTreeMap oracle
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum MapOp {
+    Insert(u64),
+    Remove(u64),
+    DrainFrom(u64),
+    /// Carry on with a clone; the original is dropped.
+    Clone,
+}
+
+/// A dense head, the first page boundary, and a sparse run far away.
+fn map_fbn() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        6 => 0u64..300,
+        2 => 63u64..66,
+        2 => (1u64 << 40) - 2..(1u64 << 40) + 130,
+    ]
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            8 => map_fbn().prop_map(MapOp::Insert),
+            4 => map_fbn().prop_map(MapOp::Remove),
+            1 => map_fbn().prop_map(MapOp::DrainFrom),
+            1 => Just(MapOp::Clone),
+        ],
+        1..200,
+    )
+}
+
+fn ptr_of(fbn: u64, seq: usize) -> BlockPtr {
+    BlockPtr {
+        vvbn: seq as u64,
+        pvbn: Vbn(fbn ^ 0xABCD),
+        stamp: wafl_blockdev::stamp(1, fbn, seq as u64),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn block_map_matches_a_btreemap(ops in map_ops(), probes in prop::collection::vec(map_fbn(), 8)) {
+        let mut map = BlockMap::default();
+        let mut oracle: BTreeMap<u64, BlockPtr> = BTreeMap::new();
+        for (seq, op) in ops.into_iter().enumerate() {
+            match op {
+                MapOp::Insert(fbn) => {
+                    map.insert(fbn, ptr_of(fbn, seq));
+                    oracle.insert(fbn, ptr_of(fbn, seq));
+                }
+                MapOp::Remove(fbn) => prop_assert_eq!(map.remove(fbn), oracle.remove(&fbn)),
+                MapOp::DrainFrom(fbn) => {
+                    let mut drained = Vec::new();
+                    map.drain_from(fbn, |f, p| drained.push((f, p)));
+                    let want: Vec<(u64, BlockPtr)> = oracle.split_off(&fbn).into_iter().collect();
+                    prop_assert_eq!(drained, want);
+                }
+                MapOp::Clone => map = map.clone(),
+            }
+            let got: Vec<(u64, BlockPtr)> = map.iter().map(|(f, p)| (f, *p)).collect();
+            let want: Vec<(u64, BlockPtr)> = oracle.iter().map(|(f, p)| (*f, *p)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(map.len(), oracle.len());
+            prop_assert_eq!(map.is_empty(), oracle.is_empty());
+            for fbn in &probes {
+                prop_assert_eq!(map.get(*fbn), oracle.get(fbn));
+            }
+        }
+        // Equality is over contents: the same blocks inserted once each, in
+        // descending order, make an equal map.
+        let mut rebuilt = BlockMap::default();
+        for (fbn, ptr) in oracle.iter().rev() {
+            rebuilt.insert(*fbn, *ptr);
+        }
+        prop_assert_eq!(&rebuilt, &map);
+        // ... and a map emptied block by block keeps no page behind.
+        for fbn in oracle.keys() {
+            map.remove(*fbn);
+        }
+        prop_assert_eq!(map, BlockMap::default());
+    }
+}
 
 // ---------------------------------------------------------------------
 // Inode: dirty-front/CP-snapshot model vs a plain-map oracle

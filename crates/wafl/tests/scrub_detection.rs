@@ -70,7 +70,7 @@ fn file_refs(fs: &Filesystem) -> BTreeMap<u64, BlockStamp> {
     let mut refs = BTreeMap::new();
     for vi in &img.volumes {
         for blocks in vi.files.values() {
-            for (_fbn, ptr) in blocks {
+            for (_fbn, ptr) in blocks.iter() {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
         }

@@ -82,7 +82,7 @@ fn image_refs(fs: &Filesystem, vol: VolumeId) -> BTreeMap<u64, BlockStamp> {
             continue;
         }
         for blocks in vi.files.values() {
-            for (_fbn, ptr) in blocks {
+            for (_fbn, ptr) in blocks.iter() {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
         }
@@ -96,7 +96,7 @@ fn all_refs(fs: &Filesystem) -> BTreeSet<u64> {
     let mut refs = BTreeSet::new();
     for vi in &img.volumes {
         for blocks in vi.files.values() {
-            for (_fbn, ptr) in blocks {
+            for (_fbn, ptr) in blocks.iter() {
                 refs.insert(ptr.pvbn.0);
             }
         }
@@ -113,7 +113,7 @@ fn all_file_refs(fs: &Filesystem) -> BTreeMap<u64, BlockStamp> {
     let mut refs = BTreeMap::new();
     for vi in &img.volumes {
         for blocks in vi.files.values() {
-            for (_fbn, ptr) in blocks {
+            for (_fbn, ptr) in blocks.iter() {
                 refs.insert(ptr.pvbn.0, ptr.stamp);
             }
         }

@@ -1,7 +1,9 @@
 //! Lock-order graph: every `Mutex`/`RwLock` declaration carries a
 //! `// lock-rank: <name> <n> [via <alias>,…]` annotation; ward extracts
 //! nested-acquisition edges per function and fails on any rank
-//! inversion, unranked declaration, or duplicate rank name.
+//! inversion, unranked declaration, or duplicate rank name. A lock that
+//! exists only as a map's value type is declared on a `type` alias for
+//! its handle, carrying the same annotation (`volume.inode`).
 //!
 //! The rule: while a guard of rank *r* is live, only locks of rank
 //! strictly greater than *r* may be acquired. Acquiring another instance
@@ -28,8 +30,11 @@ pub struct LockDecl {
     /// Field/static identifier at the declaration.
     pub field: String,
     /// Extra acquisition identifiers that resolve to this lock
-    /// (wrapper methods like `lock_shard`).
+    /// (wrapper methods like `lock_shard`, or the usual name of a handle).
     pub aliases: Vec<String>,
+    /// An `RwLock`: `.read()`/`.write()` acquire it. On a `Mutex` those
+    /// are calls on the guarded value.
+    pub rwlock: bool,
     /// Repo-relative declaring file.
     pub file: String,
     /// 1-based declaration line.
@@ -66,6 +71,29 @@ pub fn collect_decls(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) -> 
             let ln = src.line_of(pos);
             let code_line = line_code(src, ln);
             let t = code_line.trim_start();
+            // A ranked `type` alias declares the lock behind a handle.
+            if let Some(alias) = t
+                .strip_prefix("pub type ")
+                .or_else(|| t.strip_prefix("type "))
+            {
+                let ranked = attached_comment(&lines, ln - 1, "lock-rank:");
+                if let Some((name, rank, aliases)) = ranked.iter().rev().find_map(|s| parse_rank(s))
+                {
+                    let field: String = alias.chars().take_while(|c| is_ident(*c as u8)).collect();
+                    if !out.iter().any(|d: &LockDecl| d.line == ln) {
+                        out.push(LockDecl {
+                            name,
+                            rank,
+                            field,
+                            aliases,
+                            rwlock: outermost_is_rwlock(code_line),
+                            file: rel.to_string(),
+                            line: ln,
+                        });
+                    }
+                }
+                continue;
+            }
             // Skip type definitions, impls, and function signatures — a
             // rank belongs to a *lock instance* (field or static), not
             // to the `Mutex` type itself or a type that merely mentions
@@ -74,8 +102,6 @@ pub fn collect_decls(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) -> 
                 || t.starts_with("pub struct ")
                 || t.starts_with("impl")
                 || t.starts_with("unsafe impl")
-                || t.starts_with("type ")
-                || t.starts_with("pub type ")
                 || t.contains("fn ")
             {
                 continue;
@@ -164,9 +190,18 @@ fn push_decl(
         rank,
         field: field.clone(),
         aliases,
+        rwlock: outermost_is_rwlock(line_code(src, ln)),
         file: rel.to_string(),
         line: ln,
     });
+}
+
+/// The outermost lock type on a declaration line is the one its rank names.
+fn outermost_is_rwlock(decl: &str) -> bool {
+    match (decl.find("RwLock<"), decl.find("Mutex<")) {
+        (Some(rw), Some(mx)) => rw < mx,
+        (rw, _) => rw.is_some(),
+    }
 }
 
 /// Parse `lock-rank: <name> <n> [via a,b]` from a comment segment.
@@ -419,7 +454,7 @@ fn resolve_acquisition<'r>(
     let decl = reg.resolve(file, &recv)?;
     // `.read()`/`.write()` only count against RwLocks; a `.lock()` on a
     // resolved decl always counts.
-    Some(decl)
+    (decl.rwlock || !matches!(word, "read" | "write")).then_some(decl)
 }
 
 /// How the acquisition's guard is bound: `(Some(name), false)` for

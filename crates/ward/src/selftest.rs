@@ -62,6 +62,16 @@ fn case(
     }
 }
 
+/// Declarations and nested-acquisition edges of one fixture file.
+fn lock_graph_findings(src: &Scrubbed) -> Vec<Finding> {
+    let mut f = Vec::new();
+    let decls = locks::collect_decls("fixture.rs", src, &mut f);
+    let mut reg = LockRegistry::default();
+    reg.add(decls, &mut f);
+    locks::check_file_edges("fixture.rs", src, &reg, &mut f);
+    f
+}
+
 /// Run the whole detection-power suite against `fixtures` (the
 /// `crates/ward/fixtures` directory). Returns per-case results.
 pub fn run(fixtures: &Path) -> Vec<CaseResult> {
@@ -99,13 +109,23 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         "rank_inversion",
         "lock-rank",
         1,
-        load(fixtures, "rank_inversion.rs").map(|src| {
-            let mut f = Vec::new();
-            let decls = locks::collect_decls("fixture.rs", &src, &mut f);
-            let mut reg = LockRegistry::default();
-            reg.add(decls, &mut f);
-            locks::check_file_edges("fixture.rs", &src, &reg, &mut f);
-            f
+        load(fixtures, "rank_inversion.rs").map(|src| lock_graph_findings(&src)),
+    ));
+
+    // 3b. The same through a handle: the lock is ranked on a `type`
+    // alias and acquired by the handle's name. Exactly one finding —
+    // `bad`'s inversion; `good` nests in rank order and calls `.write()`
+    // on the guard, which is no acquisition of a `Mutex`.
+    out.push(case(
+        "handle_inversion",
+        "lock-rank",
+        1,
+        load(fixtures, "handle_inversion.rs").and_then(|src| {
+            let f = lock_graph_findings(&src);
+            if f.len() > 1 {
+                return Err(format!("only `bad` inverts, got {f:?}"));
+            }
+            Ok(f)
         }),
     ));
 

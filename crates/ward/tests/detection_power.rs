@@ -16,12 +16,12 @@ fn fixtures() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
 }
 
-/// Every `--self-test` case passes: each of the eight seeded violations
+/// Every `--self-test` case passes: each of the nine seeded violations
 /// is detected and the three clean corpora stay silent.
 #[test]
 fn selftest_suite_is_all_green() {
     let results = selftest::run(fixtures());
-    assert!(results.len() >= 11, "suite shrank: {} cases", results.len());
+    assert!(results.len() >= 12, "suite shrank: {} cases", results.len());
     let failures: Vec<String> = results
         .iter()
         .filter(|c| !c.ok)
