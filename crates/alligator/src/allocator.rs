@@ -19,7 +19,7 @@
 
 use crate::bucket::Bucket;
 use crate::cache::BucketCache;
-use crate::config::{AllocConfig, InfraMode};
+use crate::config::{AllocConfig, InfraMode, LOW_WATERMARK, STAGE_CAPACITY};
 use crate::executor::Executor;
 use crate::infra::Infrastructure;
 use crate::stage::Stage;
@@ -128,16 +128,9 @@ impl Allocator {
         self.stats.snapshot()
     }
 
-    /// The live statistics atomics — for reading *gauges* (levels such
-    /// as `io_inflight`), which a [`StatsSnapshot`] deliberately omits
-    /// because they are not monotone counters.
-    pub fn raw_stats(&self) -> &Arc<AllocStats> {
-        &self.stats
-    }
-
-    /// A fresh free-stage sized per configuration.
+    /// A fresh free-stage of [`STAGE_CAPACITY`] frees.
     pub fn new_stage(&self) -> Stage {
-        Stage::new(self.cfg.stage_capacity)
+        Stage::new(STAGE_CAPACITY)
     }
 
     /// The affinity an infrastructure message touching metafile block
@@ -222,7 +215,7 @@ impl Allocator {
                     .gets
                     // ordering: statistics counter; staleness is acceptable.
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if self.cache.len() < self.cfg.low_watermark {
+                if self.cache.len() < LOW_WATERMARK {
                     self.request_refill();
                 }
                 return Some(batch);
@@ -460,14 +453,12 @@ mod tests {
 
     #[test]
     fn free_stage_commits_when_full() {
-        let mut cfg = AllocConfig::with_chunk(8);
-        cfg.stage_capacity = 4;
-        let a = mk(cfg, Arc::new(InlineExecutor));
+        let a = mk(AllocConfig::with_chunk(8), Arc::new(InlineExecutor));
         let mut b = a.get_bucket().unwrap();
         let vbns: Vec<Vbn> = std::iter::from_fn(|| b.use_vbn(9)).collect();
         a.put_bucket(b);
         a.drain();
-        let mut stage = a.new_stage();
+        let mut stage = Stage::new(4);
         for v in &vbns[..4] {
             a.free_vbn(&mut stage, *v);
         }

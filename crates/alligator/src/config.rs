@@ -33,6 +33,17 @@ pub enum ReinsertPolicy {
     Immediate,
 }
 
+/// Refill the cache when it holds fewer than this many buckets. A
+/// constant: raising it 2 → 9 moved no end-to-end metric (EXPERIMENTS.md),
+/// so the lever is refill latency, not the trigger level.
+pub const LOW_WATERMARK: usize = 2;
+
+/// Free-stage capacity: frees staged per cleaner before a commit message
+/// is sent to the infrastructure (§IV-A: "When a stage is full, the
+/// cleaner thread sends a message to the infrastructure to commit those
+/// frees to the metafiles").
+pub const STAGE_CAPACITY: usize = 256;
+
 /// White Alligator tuning parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AllocConfig {
@@ -41,32 +52,18 @@ pub struct AllocConfig {
     /// (§IV-C). A chunk of 1 degenerates to per-VBN allocation, the
     /// baseline the paper contrasts against.
     pub chunk_blocks: usize,
-    /// Desired write-I/O depth per drive, in stripes — the tetris depth
-    /// (§IV-E). One refill round builds one tetris of `chunk_blocks`
-    /// stripes, so in this model the tetris depth equals the chunk size.
-    pub tetris_depth: u64,
-    /// Refill the cache when it holds fewer than this many buckets.
-    pub low_watermark: usize,
     /// Serialized or parallel infrastructure.
     pub infra_mode: InfraMode,
     /// Collective (equal-progress) or immediate bucket reinsertion.
     pub reinsert: ReinsertPolicy,
-    /// Free-stage capacity: frees staged per cleaner before a commit
-    /// message is sent to the infrastructure (§IV-A: "When a stage is
-    /// full, the cleaner thread sends a message to the infrastructure to
-    /// commit those frees to the metafiles").
-    pub stage_capacity: usize,
 }
 
 impl Default for AllocConfig {
     fn default() -> Self {
         Self {
             chunk_blocks: 64,
-            tetris_depth: 64,
-            low_watermark: 2,
             infra_mode: InfraMode::Parallel,
             reinsert: ReinsertPolicy::Collective,
-            stage_capacity: 256,
         }
     }
 }
@@ -76,7 +73,6 @@ impl AllocConfig {
     pub fn with_chunk(chunk_blocks: usize) -> Self {
         Self {
             chunk_blocks,
-            tetris_depth: chunk_blocks as u64,
             ..Self::default()
         }
     }
@@ -104,7 +100,6 @@ mod tests {
     fn builders_compose() {
         let c = AllocConfig::with_chunk(128).serial_infra();
         assert_eq!(c.chunk_blocks, 128);
-        assert_eq!(c.tetris_depth, 128);
         assert_eq!(c.infra_mode, InfraMode::Serial);
     }
 }

@@ -116,11 +116,11 @@ impl Infrastructure {
     }
 
     /// Harvest async write completions without blocking (a no-op when no
-    /// [`wafl_blockdev::AioEngine`] is attached). Accounts latency,
-    /// decrements the inflight gauge, and — crucially for the fault
-    /// machinery under depth > 1 — counts terminal I/O errors here, per
-    /// *completion*, exactly where the synchronous path counted them per
-    /// call. Returns the number of completions harvested.
+    /// [`wafl_blockdev::AioEngine`] is attached). Counts terminal I/O
+    /// errors here, per *completion*, exactly where the synchronous path
+    /// counted them per call — crucial for the fault machinery under
+    /// depth > 1. Depth and latency live in the engine itself. Returns
+    /// the number of completions harvested.
     pub fn harvest_io(&self) -> usize {
         let Some(aio) = self.io.aio() else { return 0 };
         self.account_completions(aio.poll_completions())
@@ -135,18 +135,12 @@ impl Infrastructure {
     }
 
     fn account_completions(&self, done: Vec<wafl_blockdev::Completion>) -> usize {
-        if done.is_empty() {
-            return 0;
-        }
-        let mut latency = 0u64;
         for c in &done {
-            latency += c.submit_to_complete_ns;
             if c.result.is_err() {
                 // ordering: statistics counter; staleness is acceptable.
                 self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.stats.io_completed(done.len() as u64, latency);
         done.len()
     }
 

@@ -60,7 +60,7 @@ pub mod tetris;
 pub use allocator::Allocator;
 pub use bucket::Bucket;
 pub use cache::BucketCache;
-pub use config::{AllocConfig, InfraMode, ReinsertPolicy};
+pub use config::{AllocConfig, InfraMode, ReinsertPolicy, LOW_WATERMARK};
 pub use executor::{Executor, InlineExecutor, PoolExecutor};
 pub use infra::Infrastructure;
 pub use stage::Stage;

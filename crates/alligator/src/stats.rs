@@ -3,9 +3,11 @@
 //! Counters are declared once, in [`alloc_counters!`]; the macro
 //! generates the atomic struct, the plain-value snapshot, the copy
 //! loop, and the [`StatsSnapshot::named`] exporter. Adding a counter is
-//! therefore a one-line change here — it flows to every consumer
-//! (reports, the obs metrics registry, text dumps) automatically
-//! instead of being hand-threaded through a five-struct relay.
+//! therefore a one-line change here. This is these numbers' one home:
+//! readers take [`AllocStats::snapshot`] (typed) or
+//! [`StatsSnapshot::named`] (name → value); nothing copies them
+//! elsewhere. Async-write depth and latency are not here — they live in
+//! `wafl_blockdev::AioEngine`.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,9 +50,8 @@ macro_rules! alloc_counters {
             /// Every counter name, in declaration order.
             pub const NAMES: &'static [&'static str] = &[ $( stringify!($cname), )* ];
 
-            /// `(name, value)` pairs for every counter — feed this to
-            /// `obs::Registry::import_counters` (or any exporter) so no
-            /// counter can be collected but never reported.
+            /// `(name, value)` pairs for every counter, in declaration
+            /// order — the single name → value view of the allocator.
             pub fn named(&self) -> Vec<(&'static str, u64)> {
                 vec![ $( (stringify!($cname), self.$cname), )* ]
             }
@@ -160,23 +161,12 @@ alloc_counters! {
         /// Times the scrubber resumed after pressure fell below the
         /// deactivation threshold.
         scrub_resumes,
-        /// High-water mark of async write I/Os in flight (submitted to
-        /// the `blockdev::aio` engine, completion not yet harvested) —
-        /// the queue-depth headline of the pipelined CP.
-        io_queue_depth_peak,
-        /// Nanoseconds from async submit to completion publish, summed
-        /// over harvested completions (divide by completed I/Os for the
-        /// mean; the full distribution is in the obs histogram).
-        io_submit_to_complete_ns,
     }
     gauges {
         /// PUT-side convoy gauge: commit messages submitted but not yet
         /// executed, right now. Not part of the snapshot (it is a level, not
         /// a counter); feeds the `put_commit_queue_len` high-water mark.
         put_commit_outstanding,
-        /// Async write I/Os in flight right now (a level; its
-        /// high-water mark is `io_queue_depth_peak`).
-        io_inflight,
     }
 }
 
@@ -197,28 +187,6 @@ impl AllocStats {
         // ordering: AcqRel — pairs with the gauge increment;
         // pairs-with: stats.commit-gauge.
         self.put_commit_outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Record one async write I/O submitted, maintaining the queue-depth
-    /// high-water mark (same shape as [`AllocStats::commit_enqueued`]).
-    pub fn io_submitted(&self) {
-        // ordering: AcqRel keeps the inflight gauge and its high-water mark
-        // mutually consistent; pairs-with: stats.io-gauge.
-        let depth = self.io_inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        // ordering: AcqRel — see the gauge increment above;
-        // pairs-with: stats.io-gauge.
-        self.io_queue_depth_peak.fetch_max(depth, Ordering::AcqRel);
-    }
-
-    /// Record `n` async write completions harvested, with their summed
-    /// submit→complete latency.
-    pub fn io_completed(&self, n: u64, latency_ns: u64) {
-        // ordering: AcqRel — pairs with the gauge increment;
-        // pairs-with: stats.io-gauge.
-        self.io_inflight.fetch_sub(n, Ordering::AcqRel);
-        // ordering: statistics counter; staleness is acceptable.
-        self.io_submit_to_complete_ns
-            .fetch_add(latency_ns, Ordering::Relaxed);
     }
 }
 

@@ -153,14 +153,11 @@ impl Tetris {
         if !io.segments.is_empty() {
             if let Some(aio) = self.io.aio() {
                 return match aio.submit(io) {
-                    Ok(_ticket) => {
-                        self.stats.io_submitted();
-                        Ok(IoResult {
-                            service_ns: 0,
-                            parity_reads: 0,
-                            blocks_written: blocks as u64,
-                        })
-                    }
+                    Ok(_ticket) => Ok(IoResult {
+                        service_ns: 0,
+                        parity_reads: 0,
+                        blocks_written: blocks as u64,
+                    }),
                     Err(e) => {
                         // ordering: statistics counter; staleness is acceptable.
                         self.stats.io_errors.fetch_add(1, Ordering::Relaxed);

@@ -22,8 +22,7 @@
 //!   (`submitted == completed`, nothing dropped) at every depth.
 //!
 //! Outputs `BENCH_io_engine.json` at the repo root (`WAFL_BENCH_ROOT`
-//! overrides the directory) — validated by the CI schema gate — plus
-//! `results/exp_io_engine.json` via the standard [`emit`] path.
+//! overrides the directory) — validated by the CI schema gate.
 //! `WAFL_BENCH_QUICK=1` shrinks the workload (structural gates stay
 //! enforced; the speedup bar drops to a 1.05× sanity floor because
 //! scratch filesystems make fsync — the amortized cost — nearly free).
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
-use wafl_bench::emit;
+use wafl_bench::{save_record, validate_arg};
 use wafl_blockdev::{
     AioEngine, DriveKind, FileBackend, GeometryBuilder, IoEngine, RaidGroupId, SyncPolicy, WriteIo,
     WriteSegment,
@@ -356,62 +355,22 @@ fn validate(doc: &IoEngineDoc) -> Result<(), String> {
     Ok(())
 }
 
-/// Directory receiving `BENCH_io_engine.json`: `WAFL_BENCH_ROOT` if
-/// set (the CI smoke run points it at a temp dir), else the repo root.
-fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("WAFL_BENCH_ROOT") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
-}
-
-fn run_validate(path: &str) -> ! {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("exp_io_engine: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc: IoEngineDoc = match serde_json::from_str(&raw) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("exp_io_engine: {path} does not parse as {SCHEMA}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_io_engine: {path} invalid: {msg}");
-        std::process::exit(1);
-    }
-    println!(
-        "{path}: valid {SCHEMA} ({:.2}× at depth ≥ 8 over {:.1} stripes/s; o_direct={})",
+/// One-line digest of a valid record for `--validate`.
+fn summary(doc: &IoEngineDoc) -> String {
+    format!(
+        "{:.2}× at depth ≥ 8 over {:.1} stripes/s; o_direct={}",
         doc.speedup_at_depth_ge_8, doc.baseline_stripes_per_sec, doc.o_direct
-    );
-    std::process::exit(0);
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        match args.get(2) {
-            Some(path) => run_validate(path),
-            None => {
-                eprintln!("usage: exp_io_engine [--validate <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
+    validate_arg("exp_io_engine", SCHEMA, validate, summary);
 
     let quick = std::env::var_os("WAFL_BENCH_QUICK").is_some();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as u64;
     let doc = run(quick, cpus);
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_io_engine: produced record fails validation: {msg}");
-        std::process::exit(1);
-    }
 
     let mut t = FigureTable::new(
         "exp_io_engine",
@@ -450,16 +409,8 @@ fn main() {
     );
     t.row_measured("O_DIRECT engaged (1=yes)", doc.o_direct as u64 as f64, "");
 
-    let root = bench_root();
-    let _ = std::fs::create_dir_all(&root);
-    let path = root.join("BENCH_io_engine.json");
-    let json = serde_json::to_string_pretty(&doc).expect("doc serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {}]", path.display());
-    }
-    emit(&t);
+    save_record("exp_io_engine", "BENCH_io_engine.json", &doc, validate);
+    println!("{}", t.render());
     println!(
         "queue-depth sweep: baseline {:.1} stripes/s → best {:.2}× at depth ≥ 8; \
          CP {} ms sync vs {} ms pipelined (o_direct={})",

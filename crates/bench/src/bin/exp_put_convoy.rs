@@ -20,7 +20,6 @@
 //! Outputs:
 //! - `BENCH_put_convoy.json` at the repo root (`WAFL_BENCH_ROOT`
 //!   overrides the directory) — validated by the CI schema gate;
-//! - `results/exp_put_convoy.json` via the standard [`emit`] path;
 //! - with `--features trace`: a Chrome-trace export of the 8-cleaner
 //!   run (`results/trace_put_convoy.json`, loadable in Perfetto) and a
 //!   recording-on vs recording-off overhead A/B at 8 cleaners (the
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wafl::cleaner::{partition_work, CleanerConfig, CleanerPool};
 use wafl::{DirtyBuffer, FileId, Volume, VolumeId};
-use wafl_bench::emit;
+use wafl_bench::{save_record, validate_arg};
 use wafl_simsrv::FigureTable;
 
 use alligator::{AllocConfig, Allocator, Executor, PoolExecutor, StatsSnapshot};
@@ -241,15 +240,6 @@ fn point(cleaners: usize, o: &RunOutcome) -> ConvoyPoint {
     }
 }
 
-/// Directory receiving `BENCH_put_convoy.json`: `WAFL_BENCH_ROOT` if
-/// set (the CI smoke run points it at a temp dir), else the repo root.
-fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("WAFL_BENCH_ROOT") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
-}
-
 /// Recording-on vs recording-off throughput at [`TRACE_POINT`] cleaners.
 /// Off runs first so the on-run's rings hold the freshest events for the
 /// trace export. No-op (`None`) without `--features trace`.
@@ -427,48 +417,21 @@ fn validate(doc: &ConvoyDoc) -> Result<(), String> {
     Ok(())
 }
 
-fn run_validate(path: &str) -> ! {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("exp_put_convoy: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc: ConvoyDoc = match serde_json::from_str(&raw) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("exp_put_convoy: {path} does not parse as {SCHEMA}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_put_convoy: {path} invalid: {msg}");
-        std::process::exit(1);
-    }
-    println!(
-        "{path}: valid {SCHEMA} ({} points, max convoy ratio {:.3}, trace: {})",
+/// One-line digest of a valid record for `--validate`.
+fn summary(doc: &ConvoyDoc) -> String {
+    format!(
+        "{} points, max convoy ratio {:.3}, trace: {}",
         doc.points.len(),
         doc.max_convoy_ratio,
         match &doc.trace_overhead {
             Some(t) => format!("{:+.2}% overhead", t.overhead_pct),
             None => "off".to_string(),
         }
-    );
-    std::process::exit(0);
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        match args.get(2) {
-            Some(path) => run_validate(path),
-            None => {
-                eprintln!("usage: exp_put_convoy [--validate <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
+    validate_arg("exp_put_convoy", SCHEMA, validate, summary);
 
     let quick = std::env::var_os("WAFL_BENCH_QUICK").is_some();
     let cpus = std::thread::available_parallelism()
@@ -525,21 +488,8 @@ fn main() {
         trace_overhead,
         trace_file,
     };
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_put_convoy: produced record fails validation: {msg}");
-        std::process::exit(1);
-    }
-
-    let root = bench_root();
-    let _ = std::fs::create_dir_all(&root);
-    let path = root.join("BENCH_put_convoy.json");
-    let json = serde_json::to_string_pretty(&doc).expect("doc serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {}]", path.display());
-    }
-    emit(&t);
+    save_record("exp_put_convoy", "BENCH_put_convoy.json", &doc, validate);
+    println!("{}", t.render());
     println!(
         "max convoy ratio over the sweep: {max_convoy_ratio:.3} \
          (commit-queue wait / GET wall time; > 1 would justify used-queue sharding)"

@@ -18,7 +18,7 @@
 //!   the pass exactly, without re-reporting repaired findings (gated).
 //!
 //! Outputs `BENCH_scrub.json` (schema `wafl.scrub.v1`) at the repo root
-//! (override with `WAFL_BENCH_ROOT`) and the standard `results/` table.
+//! (override with `WAFL_BENCH_ROOT`).
 //! `--smoke` shrinks the sweep; `--validate <path>` re-checks a written
 //! record's schema and gates (exit 1 on violation).
 
@@ -29,7 +29,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use wafl::scrub::{FindingState, ScrubCheckpointStore, ScrubConfig};
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
-use wafl_bench::emit;
+use wafl_bench::{save_record, validate_arg};
 use wafl_blockdev::{stamp, Dbn, DriveKind, GeometryBuilder, Vbn};
 use wafl_simsrv::FigureTable;
 
@@ -521,64 +521,23 @@ fn validate(doc: &ScrubDoc) -> Result<(), String> {
     Ok(())
 }
 
-fn run_validate(path: &str) -> ! {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("exp_scrub: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc: ScrubDoc = match serde_json::from_str(&raw) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("exp_scrub: {path} does not parse as {SCHEMA}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_scrub: {path} invalid: {msg}");
-        std::process::exit(1);
-    }
-    println!(
-        "{path}: valid {SCHEMA} ({} worker points, detection {}/{}, \
-         foreground retained {:.2})",
+/// One-line digest of a valid record for `--validate`.
+fn summary(doc: &ScrubDoc) -> String {
+    format!(
+        "{} worker points, detection {}/{}, foreground retained {:.2}",
         doc.workers.len(),
         doc.detection.detected,
         doc.detection.seeded,
         doc.interference.retained
-    );
-    std::process::exit(0);
-}
-
-/// Directory receiving `BENCH_scrub.json`: `WAFL_BENCH_ROOT` if set,
-/// else the repo root.
-fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("WAFL_BENCH_ROOT") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        match args.get(2) {
-            Some(path) => run_validate(path),
-            None => {
-                eprintln!("usage: exp_scrub [--smoke] [--validate <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
+    validate_arg("exp_scrub", SCHEMA, validate, summary);
     let quick =
-        args.iter().any(|a| a == "--smoke") || std::env::var_os("WAFL_BENCH_QUICK").is_some();
+        std::env::args().any(|a| a == "--smoke") || std::env::var_os("WAFL_BENCH_QUICK").is_some();
 
     let doc = measure(quick);
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_scrub: produced record fails validation: {msg}");
-        std::process::exit(1);
-    }
 
     let mut t = FigureTable::new(
         "exp_scrub",
@@ -625,16 +584,8 @@ fn main() {
         "units",
     );
 
-    let root = bench_root();
-    let _ = std::fs::create_dir_all(&root);
-    let path = root.join("BENCH_scrub.json");
-    let json = serde_json::to_string_pretty(&doc).expect("doc serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {}]", path.display());
-    }
-    emit(&t);
+    save_record("exp_scrub", "BENCH_scrub.json", &doc, validate);
+    println!("{}", t.render());
     println!(
         "detection {}/{}, clean-image findings {}, foreground retained {:.2}",
         doc.detection.detected, doc.detection.seeded, doc.clean.findings, doc.interference.retained

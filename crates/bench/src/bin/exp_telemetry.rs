@@ -19,8 +19,7 @@
 //!    or on one core, where wall clocks measure the scheduler.
 //!
 //! Outputs `BENCH_telemetry.json` at the repo root (`WAFL_BENCH_ROOT`
-//! overrides the directory) plus `results/exp_telemetry.json` via the
-//! standard [`emit`] path. `--validate <path>` re-parses a previously
+//! overrides the directory). `--validate <path>` re-parses a previously
 //! written record and checks schema + gates (exit 1 on violation).
 
 use serde::{Deserialize, Serialize};
@@ -29,7 +28,7 @@ use std::time::{Duration, Instant};
 use wafl::cleaner::{partition_work, CleanerConfig, CleanerPool};
 use wafl::cp::CP_PHASE_NAMES;
 use wafl::{DirtyBuffer, ExecMode, FileId, Filesystem, FsConfig, Volume, VolumeId};
-use wafl_bench::emit;
+use wafl_bench::{save_record, validate_arg};
 use wafl_simsrv::FigureTable;
 
 use alligator::{AllocConfig, Allocator, Executor, PoolExecutor};
@@ -651,36 +650,10 @@ fn validate(doc: &TelemetryDoc) -> Result<(), String> {
     Ok(())
 }
 
-/// Directory receiving `BENCH_telemetry.json`: `WAFL_BENCH_ROOT` if
-/// set (the CI smoke run points it at a temp dir), else the repo root.
-fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("WAFL_BENCH_ROOT") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
-}
-
-fn run_validate(path: &str) -> ! {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("exp_telemetry: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc: TelemetryDoc = match serde_json::from_str(&raw) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("exp_telemetry: {path} does not parse as {SCHEMA}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_telemetry: {path} invalid: {msg}");
-        std::process::exit(1);
-    }
-    println!(
-        "{path}: valid {SCHEMA} ({} depths, binding {}, sampler {:+.2}%{})",
+/// One-line digest of a valid record for `--validate`.
+fn summary(doc: &TelemetryDoc) -> String {
+    format!(
+        "{} depths, binding {}, sampler {:+.2}%{}",
         doc.cp_depths.len(),
         doc.cp_depths
             .iter()
@@ -693,31 +666,17 @@ fn run_validate(path: &str) -> ! {
         } else {
             " reported-only"
         }
-    );
-    std::process::exit(0);
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        match args.get(2) {
-            Some(path) => run_validate(path),
-            None => {
-                eprintln!("usage: exp_telemetry [--validate <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
+    validate_arg("exp_telemetry", SCHEMA, validate, summary);
 
     let quick = std::env::var_os("WAFL_BENCH_QUICK").is_some();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as u64;
     let doc = run(quick, cpus);
-    if let Err(msg) = validate(&doc) {
-        eprintln!("exp_telemetry: produced record fails validation: {msg}");
-        std::process::exit(1);
-    }
 
     let mut t = FigureTable::new(
         "exp_telemetry",
@@ -776,14 +735,6 @@ fn main() {
         );
     }
 
-    let root = bench_root();
-    let _ = std::fs::create_dir_all(&root);
-    let path = root.join("BENCH_telemetry.json");
-    let json = serde_json::to_string_pretty(&doc).expect("doc serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {}]", path.display());
-    }
-    emit(&t);
+    save_record("exp_telemetry", "BENCH_telemetry.json", &doc, validate);
+    println!("{}", t.render());
 }

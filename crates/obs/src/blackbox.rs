@@ -332,8 +332,7 @@ impl Blackbox {
     }
 }
 
-/// Full metrics snapshot as a JSON subtree (structured twin of
-/// [`Registry::text_snapshot`]).
+/// Full metrics snapshot as a JSON subtree.
 fn metrics_value(reg: &Registry) -> Value {
     let counters = Value::Map(
         reg.counter_values()

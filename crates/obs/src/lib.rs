@@ -1,7 +1,7 @@
 //! `obs` — always-on observability for the White Alligator
 //! reproduction (DESIGN.md §11).
 //!
-//! Three pieces:
+//! Five pieces:
 //!
 //! * **Event rings** ([`ring::EventRing`], [`trace`]): per-thread
 //!   lock-free fixed-capacity rings recording typed spans/instants for
@@ -10,11 +10,10 @@
 //!   unless built with `--features trace`; a runtime switch inside a
 //!   trace build gates recording for overhead A/B runs.
 //! * **Metrics registry** ([`metrics::Registry`]): named counters,
-//!   gauges, and log-bucketed histograms with a sorted plain-text
-//!   export, replacing the hand-threaded counter relay.
-//! * **Exporters** ([`chrome::chrome_trace_json`],
-//!   [`metrics::Registry::text_snapshot`]): Chrome trace-event JSON for
-//!   `chrome://tracing`/Perfetto, and text dumps for reports/logs.
+//!   gauges, and log-bucketed histograms, enumerated in name order by
+//!   the sampler and the flight recorder.
+//! * **Exporter** ([`chrome::chrome_trace_json`]): Chrome trace-event
+//!   JSON for `chrome://tracing`/Perfetto.
 //! * **Continuous telemetry** ([`sampler::Sampler`], DESIGN.md §16): a
 //!   background thread snapshots every registered metric into a
 //!   timestamped delta ring — rate queries, SLO burn-rate tracking, a

@@ -1,11 +1,12 @@
-//! Unified metrics registry: named counters, gauges, and log-bucketed
-//! histograms behind one get-or-create API, so adding a counter no
-//! longer means threading a field through a five-struct relay
-//! (`AllocStats` → `StatsSnapshot` → `SimResult` → report → JSON).
+//! Metrics registry: named counters, gauges, and log-bucketed
+//! histograms behind one get-or-create API. An instrument created here
+//! is born here — nothing imports values collected elsewhere. The
+//! allocator's counters live in `alligator::stats`, the I/O engines'
+//! in `blockdev` (DESIGN.md §11 lists each family's home).
 //!
 //! All instruments are cheap shared atomics; the registry itself is a
-//! mutex-protected name table touched only at get-or-create and export
-//! time, never on the hot path.
+//! mutex-protected name table touched only at get-or-create and
+//! enumeration time, never on the hot path.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use std::collections::BTreeMap;
@@ -29,13 +30,6 @@ impl Counter {
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-
-    /// Overwrite the value (used when importing an externally collected
-    /// snapshot, e.g. `StatsSnapshot::named`).
-    pub fn set(&self, n: u64) {
-        // ordering: statistics counter; atomicity only.
-        self.v.store(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -85,9 +79,11 @@ const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB; // 3776
 /// Log-bucketed histogram over `u64` samples: O(1) record, O(buckets)
 /// quantile, bounded relative error `<= 1/64`, exact `count`/`sum`/`max`.
 ///
-/// Replaces the sorted-`Vec` percentile path of the old
-/// `LatencyRecorder` (simsrv) — same ceil nearest-rank semantics, but
-/// constant memory and mergeable across threads.
+/// Quantiles are ceil nearest-rank — the p-th percentile is the
+/// `ceil(p·n)`-th smallest sample (1-based), so p99 of 100 samples is the
+/// 99th value and p100 is the max — the semantics a sorted `Vec` gives
+/// (the tests keep that implementation as the reference), in constant
+/// memory.
 #[derive(Debug)]
 pub struct LogHistogram {
     counts: Box<[AtomicU64]>,
@@ -179,8 +175,8 @@ impl LogHistogram {
     }
 
     /// Ceil nearest-rank quantile, `p` in (0, 1]: the value at rank
-    /// `ceil(p * count)` (clamped to [1, count]), as the old sorted-vec
-    /// recorder computed it — except the returned value is the sample's
+    /// `ceil(p * count)` (clamped to [1, count]), as a sorted `Vec`
+    /// computes it — except the returned value is the sample's
     /// bucket upper bound (clamped to the exact max), so it sits within
     /// `+1/64` of the true order statistic and never below it.
     pub fn percentile(&self, p: f64) -> u64 {
@@ -217,7 +213,7 @@ impl LogHistogram {
 }
 
 /// The instrument table. Cloneable handles (`Arc`) come out of the
-/// get-or-create accessors; exporting walks the table in name order.
+/// get-or-create accessors; enumeration walks the table in name order.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>, // lock-rank: obs.counters 85
@@ -232,7 +228,7 @@ impl Registry {
     }
 
     /// Process-wide registry (for call sites with no natural owner,
-    /// e.g. the cleaner pool's shutdown dump).
+    /// e.g. the CP phase profiler).
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)
@@ -254,14 +250,6 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
         let mut t = self.histograms.lock().unwrap();
         Arc::clone(t.entry(name.to_string()).or_default())
-    }
-
-    /// Import externally collected counters (e.g.
-    /// `StatsSnapshot::named()`), overwriting any same-named values.
-    pub fn import_counters<'a>(&self, pairs: impl IntoIterator<Item = (&'a str, u64)>) {
-        for (name, v) in pairs {
-            self.counter(name).set(v);
-        }
     }
 
     /// Name-sorted snapshot of every counter's current value. The
@@ -294,36 +282,6 @@ impl Registry {
             .iter()
             .map(|(n, h)| (n.clone(), Arc::clone(h)))
             .collect()
-    }
-
-    /// Plain-text snapshot: one line per instrument, sorted by name
-    /// within each section. Stable format consumed by `SimResult` dumps
-    /// and the cleaner pool (see DESIGN.md §11).
-    pub fn text_snapshot(&self) -> String {
-        let mut out = String::new();
-        for (name, c) in self.counters.lock().unwrap().iter() {
-            out.push_str(&format!("counter {name} {}\n", c.get()));
-        }
-        for (name, g) in self.gauges.lock().unwrap().iter() {
-            out.push_str(&format!(
-                "gauge {name} {} high {}\n",
-                g.get(),
-                g.high_water()
-            ));
-        }
-        for (name, h) in self.histograms.lock().unwrap().iter() {
-            out.push_str(&format!(
-                "hist {name} count {} mean {} p50 {} p95 {} p99 {} p999 {} max {}\n",
-                h.count(),
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.95),
-                h.percentile(0.99),
-                h.percentile(0.999),
-                h.max()
-            ));
-        }
-        out
     }
 }
 
@@ -373,7 +331,10 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v * 1000);
         }
-        // Exact order statistics: p50 -> 50_000, p95 -> 95_000.
+        // Exact order statistics: p50 -> 50_000, p95 -> 95_000. p99 of
+        // 100 samples is the 99th value: the rank is rounded up before
+        // quantizing (floor nearest-rank returned the 98th, a full
+        // sample below — outside the 1/64 bucket width).
         for (p, exact) in [(0.50, 50_000u64), (0.95, 95_000), (0.99, 99_000)] {
             let got = h.percentile(p);
             assert!(got >= exact, "p{p}: {got} < exact {exact}");
@@ -388,7 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn small_values_are_exact() {
+    fn small_sample_percentiles_are_exact_and_round_up() {
+        // Nearest-rank on n=10: p99 → ceil(9.9) = 10th value = max;
+        // p50 → ceil(5.0) = 5th value.
         let h = LogHistogram::new();
         for v in 1..=10u64 {
             h.record(v);
@@ -396,6 +359,106 @@ mod tests {
         assert_eq!(h.percentile(0.5), 5);
         assert_eq!(h.percentile(0.99), 10);
         assert_eq!(h.max(), 10);
+        // Single sample: every percentile is that sample.
+        let one = LogHistogram::new();
+        one.record(42);
+        assert_eq!(
+            (one.percentile(0.5), one.percentile(0.99), one.max()),
+            (42, 42, 42)
+        );
+    }
+
+    #[test]
+    fn empty_histogram_yields_zeros() {
+        let h = LogHistogram::new();
+        assert_eq!(
+            (
+                h.count(),
+                h.mean(),
+                h.percentile(0.5),
+                h.percentile(0.999),
+                h.max()
+            ),
+            (0, 0, 0, 0, 0)
+        );
+    }
+
+    /// Assert a percentile against the exact order statistic: at or
+    /// above it, within the histogram's `+1/64` relative error.
+    fn assert_pct(got: u64, exact: u64, label: &str) {
+        assert!(
+            got >= exact && got <= exact + exact / 64 + 1,
+            "{label}: got {got}, exact order statistic {exact}"
+        );
+    }
+
+    #[test]
+    fn insertion_order_is_irrelevant_and_later_samples_merge() {
+        let h = LogHistogram::new();
+        // Record descending — insertion order must not matter.
+        for i in (1..=50u64).rev() {
+            h.record(i * 1000);
+        }
+        let first = (h.percentile(0.5), h.percentile(0.99), h.max());
+        assert_eq!(
+            (h.percentile(0.5), h.percentile(0.99), h.max()),
+            first,
+            "a second query re-summarizes identically"
+        );
+        // Out-of-order samples appended after a query: the summary must
+        // match a histogram fed everything at once.
+        for i in (51..=100u64).rev() {
+            h.record(i * 1000);
+        }
+        assert_eq!(h.count(), 100);
+        assert_pct(h.percentile(0.50), 50_000, "p50");
+        assert_pct(h.percentile(0.99), 99_000, "p99");
+        assert_eq!(h.max(), 100_000);
+    }
+
+    /// A sorted-`Vec` recorder, kept as the reference for ceil
+    /// nearest-rank semantics.
+    struct SortedVecReference {
+        samples: Vec<u64>,
+    }
+
+    impl SortedVecReference {
+        fn pct(&mut self, p: f64) -> u64 {
+            self.samples.sort_unstable();
+            let n = self.samples.len();
+            let rank = (p * n as f64).ceil() as usize;
+            self.samples[rank.clamp(1, n) - 1]
+        }
+    }
+
+    #[test]
+    fn histogram_matches_sorted_vec_reference() {
+        // Deterministic pseudo-random latencies spanning several binades
+        // (sub-µs to tens of ms), the realistic range for simulated ops.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut samples = Vec::with_capacity(10_000);
+        for _ in 0..10_000 {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            samples.push(200 + state.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 50_000_000);
+        }
+        let mut reference = SortedVecReference {
+            samples: samples.clone(),
+        };
+        let h = LogHistogram::new();
+        for &s in &samples {
+            h.record(s);
+        }
+        for (p, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99"), (0.999, "p999")] {
+            assert_pct(h.percentile(p), reference.pct(p), label);
+        }
+        assert_eq!(h.count(), samples.len() as u64);
+        assert_eq!(h.max(), *samples.iter().max().unwrap());
+        let exact_mean =
+            (samples.iter().map(|&s| s as u128).sum::<u128>() / samples.len() as u128) as u64;
+        assert_eq!(h.mean(), exact_mean, "mean stays exact");
     }
 
     #[test]
@@ -409,17 +472,7 @@ mod tests {
         assert_eq!(reg.gauge("queue").get(), 2);
         assert_eq!(reg.gauge("queue").high_water(), 7);
         reg.histogram("lat").record(50);
-        reg.import_counters([("gets", 9u64)]);
-        let text = reg.text_snapshot();
-        assert!(text.contains("counter gets 9\n"), "{text}");
-        assert!(text.contains("counter puts 4\n"), "{text}");
-        assert!(text.contains("gauge queue 2 high 7\n"), "{text}");
-        assert!(
-            text.contains("hist lat count 1 mean 50 p50 50 p95 50 p99 50 p999 50 max 50\n"),
-            "{text}"
-        );
-        // Sections are name-sorted: gets before puts.
-        assert!(text.find("gets").unwrap() < text.find("puts").unwrap());
+        assert_eq!(reg.histogram("lat").count(), 1);
     }
 
     #[test]

@@ -42,18 +42,6 @@ use std::time::{Duration, Instant};
 /// Schema tag of [`Sampler::to_json`] documents.
 pub const TELEMETRY_SCHEMA: &str = "wafl.telemetry.v1";
 
-/// Counters the telemetry layer maintains about itself, registered on
-/// the sampled registry so they appear in every snapshot and in the
-/// delta ring like any other series. Ward's counter-plumbing check
-/// cross-references this list against the sampler/blackbox sources:
-/// a name declared here but never incremented is a finding.
-pub const TELEMETRY_COUNTERS: [&str; 4] = [
-    "telemetry_ticks",
-    "telemetry_evictions",
-    "telemetry_slo_breaches",
-    "telemetry_blackbox_dumps",
-];
-
 /// Which registry a telemetry component reads.
 #[derive(Debug, Clone)]
 pub enum RegistrySource {
@@ -619,6 +607,11 @@ mod tests {
         assert_eq!(
             sampler.total("telemetry_ticks"),
             reg.counter("telemetry_ticks").get()
+        );
+        // Every eviction is published on the sampled registry.
+        assert_eq!(
+            reg.counter("telemetry_evictions").get(),
+            sampler.evictions()
         );
     }
 

@@ -17,7 +17,7 @@
 //! the same exclusion rules as the real-thread stack.
 
 use crate::config::{CleanerSetting, Era, SimConfig};
-use crate::metrics::{CoreUsage, LatencyRecorder, LatencyStats};
+use crate::metrics::{CoreUsage, LatencyStats};
 use crate::workload::{distinct_mf_blocks, OpShape, Workload};
 use alligator::InfraMode;
 use rand::SeedableRng;
@@ -101,51 +101,6 @@ impl SimResult {
     /// Total cores used.
     pub fn total_cores(&self) -> f64 {
         self.usage.total_cores(self.measured_ns)
-    }
-
-    /// Every integer counter of the run by name. This is the single list
-    /// the text exporter and the audit test key off, so a counter added
-    /// to `SimResult` without a reporting path fails the build's tests
-    /// rather than silently vanishing (rates and nested summaries are
-    /// reported through `FigureTable` rows instead).
-    pub fn named_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("measured_ns", self.measured_ns),
-            ("ops_completed", self.ops_completed),
-            ("blocks_written", self.blocks_written),
-            ("bucket_stalls", self.bucket_stalls),
-            ("refills", self.refills),
-            ("cleaner_messages", self.cleaner_messages),
-            ("free_mf_blocks", self.free_mf_blocks),
-            ("tuner_changes", self.tuner_changes),
-            ("injected_faults", self.injected_faults),
-            ("fault_retries", self.fault_retries),
-            ("cache_get_fast", self.cache_get_fast),
-            ("cache_lock_waits_ns", self.cache_lock_waits_ns),
-            ("cache_blocked_gets", self.cache_blocked_gets),
-            ("cache_get_batched", self.cache_get_batched),
-            ("put_commit_queue_len", self.put_commit_queue_len),
-            ("commit_batch_ns", self.commit_batch_ns),
-            ("io_inflight", self.io_inflight),
-            ("io_queue_depth_peak", self.io_queue_depth_peak),
-            ("io_submit_to_complete_ns", self.io_submit_to_complete_ns),
-        ]
-    }
-
-    /// Plain-text metrics snapshot in the unified `obs` registry format:
-    /// every named counter plus the latency summary.
-    pub fn metrics_text(&self) -> String {
-        let reg = obs::Registry::new();
-        reg.import_counters(self.named_counters());
-        reg.import_counters([
-            ("latency_mean_ns", self.latency.mean_ns),
-            ("latency_p50_ns", self.latency.p50_ns),
-            ("latency_p95_ns", self.latency.p95_ns),
-            ("latency_p99_ns", self.latency.p99_ns),
-            ("latency_p999_ns", self.latency.p999_ns),
-            ("latency_max_ns", self.latency.max_ns),
-        ]);
-        reg.text_snapshot()
     }
 }
 
@@ -278,7 +233,7 @@ struct Engine<'c> {
     last_active_change: u64,
 
     // Measurement.
-    latency: LatencyRecorder,
+    latency: obs::LogHistogram,
     usage: CoreUsage,
     ops_completed: u64,
     blocks_written: u64,
@@ -379,7 +334,7 @@ impl<'c> Engine<'c> {
             last_tick: 0,
             active_integral: 0.0,
             last_active_change: 0,
-            latency: LatencyRecorder::new(),
+            latency: obs::LogHistogram::new(),
             usage: CoreUsage::default(),
             ops_completed: 0,
             blocks_written: 0,
@@ -1053,7 +1008,7 @@ impl<'c> Engine<'c> {
             blocks_written: self.blocks_written,
             throughput_ops,
             throughput_per_client: throughput_ops / self.cfg.clients.max(1) as f64,
-            latency: self.latency.stats(),
+            latency: LatencyStats::from(&self.latency),
             usage: self.usage,
             avg_active_cleaners: self.active_integral / self.now.max(1) as f64,
             bucket_stalls: self.bucket_stalls,
@@ -1357,60 +1312,6 @@ mod tests {
         // The queue-depth peak sees every in-flight commit the convoy
         // counter sees (same increment/decrement sites).
         assert!(r.io_queue_depth_peak >= r.put_commit_queue_len);
-    }
-
-    #[test]
-    fn named_counters_cover_every_integer_field() {
-        // Audit: every u64 field of SimResult must be reported through
-        // named_counters() (floats and nested summaries go through
-        // FigureTable rows). Walking the serialized field list means a
-        // newly added counter that is collected but never reported fails
-        // here instead of silently vanishing.
-        let r = Simulator::new(base(WorkloadKind::sequential_write())).run();
-        let named = r.named_counters();
-        let serde::Value::Map(fields) = serde::Serialize::to_value(&r) else {
-            panic!("SimResult serializes as a map");
-        };
-        const NON_COUNTERS: &[&str] = &[
-            "throughput_ops",
-            "throughput_per_client",
-            "latency",
-            "usage",
-            "avg_active_cleaners",
-        ];
-        for (name, value) in &fields {
-            if NON_COUNTERS.contains(&name.as_str()) {
-                continue;
-            }
-            let (_, reported) = named
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("field {name} collected but never reported"));
-            assert_eq!(
-                *value,
-                serde::Value::UInt(u128::from(*reported)),
-                "named_counters() reports a stale value for {name}"
-            );
-        }
-        assert_eq!(
-            named.len(),
-            fields.len() - NON_COUNTERS.len(),
-            "named_counters() lists a field SimResult no longer has"
-        );
-    }
-
-    #[test]
-    fn metrics_text_exports_counters_and_latency() {
-        let r = Simulator::new(base(WorkloadKind::sequential_write())).run();
-        let text = r.metrics_text();
-        for (name, v) in r.named_counters() {
-            assert!(
-                text.contains(&format!("counter {name} {v}")),
-                "metrics_text missing {name}:\n{text}"
-            );
-        }
-        assert!(text.contains(&format!("counter latency_p99_ns {}", r.latency.p99_ns)));
-        assert!(text.contains(&format!("counter latency_p999_ns {}", r.latency.p999_ns)));
     }
 
     #[test]

@@ -3,56 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Online latency statistics over a log-bucketed histogram
-/// ([`obs::LogHistogram`]): O(1) record, constant memory, exact
-/// count/mean/max, and ceil nearest-rank percentiles within `+1/64`
-/// relative error above the true order statistic (never below it).
-///
-/// Same API as the previous sorted-`Vec` recorder; the quantile
-/// semantics are the ones that implementation established — the p-th
-/// percentile is the `ceil(p·n)`-th smallest sample (1-based), so p99
-/// of 100 samples is the 99th value and p100 is the max (see the
-/// regression test against the old implementation below).
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    hist: obs::LogHistogram,
-}
-
-impl LatencyRecorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency (ns).
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        self.hist.record(ns);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// Summarize. (`&mut` kept for API compatibility with the sorting
-    /// recorder this replaced; the histogram needs no mutation.)
-    pub fn stats(&mut self) -> LatencyStats {
-        if self.hist.count() == 0 {
-            return LatencyStats::default();
-        }
-        LatencyStats {
-            count: self.hist.count(),
-            mean_ns: self.hist.mean(),
-            p50_ns: self.hist.percentile(0.50),
-            p95_ns: self.hist.percentile(0.95),
-            p99_ns: self.hist.percentile(0.99),
-            p999_ns: self.hist.percentile(0.999),
-            max_ns: self.hist.max(),
-        }
-    }
-}
-
 /// Summary of a latency distribution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyStats {
@@ -70,6 +20,21 @@ pub struct LatencyStats {
     pub p999_ns: u64,
     /// Maximum (ns).
     pub max_ns: u64,
+}
+
+impl From<&obs::LogHistogram> for LatencyStats {
+    /// Summarize a histogram of latencies (ns); an empty one yields zeros.
+    fn from(h: &obs::LogHistogram) -> Self {
+        LatencyStats {
+            count: h.count(),
+            mean_ns: h.mean(),
+            p50_ns: h.percentile(0.50),
+            p95_ns: h.percentile(0.95),
+            p99_ns: h.percentile(0.99),
+            p999_ns: h.percentile(0.999),
+            max_ns: h.max(),
+        }
+    }
 }
 
 /// One point on a throughput/latency curve (Figs 8–9).
@@ -144,138 +109,25 @@ impl CoreUsage {
 mod tests {
     use super::*;
 
-    /// Assert a histogram percentile against the exact order statistic:
-    /// at or above it, within the histogram's `+1/64` relative error.
-    fn assert_pct(got: u64, exact: u64, label: &str) {
-        assert!(
-            got >= exact && got <= exact + exact / 64 + 1,
-            "{label}: got {got}, exact order statistic {exact}"
-        );
-    }
-
     #[test]
-    fn latency_percentiles() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100u64 {
-            r.record(i * 1000);
-        }
-        let s = r.stats();
-        assert_eq!(s.count, 100);
-        assert_pct(s.p50_ns, 50_000, "p50");
-        assert_pct(s.p95_ns, 95_000, "p95");
-        assert_eq!(s.max_ns, 100_000);
-        assert_eq!(s.mean_ns, 50_500);
-    }
-
-    #[test]
-    fn p99_of_100_samples_is_the_99th_value() {
-        // Regression: floor nearest-rank returned the 98th; the histogram
-        // must round the rank up before quantizing, so p99 lands in the
-        // 99th value's bucket (never the 98th's, which is a full sample
-        // below — outside the 1/64 bucket width).
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100u64 {
-            r.record(i * 1000);
-        }
-        assert_pct(r.stats().p99_ns, 99_000, "p99");
-    }
-
-    #[test]
-    fn small_sample_percentiles_round_up() {
-        // Nearest-rank on n=10: p99 → ceil(9.9) = 10th value = max;
-        // p50 → ceil(5.0) = 5th value.
-        let mut r = LatencyRecorder::new();
+    fn latency_stats_summarize_a_histogram() {
+        let h = obs::LogHistogram::new();
+        assert_eq!(LatencyStats::from(&h), LatencyStats::default());
         for i in 1..=10u64 {
-            r.record(i);
+            h.record(i);
         }
-        let s = r.stats();
-        assert_eq!(s.p50_ns, 5);
-        assert_eq!(s.p99_ns, 10);
-        assert_eq!(s.p99_ns, s.max_ns);
-        // Single sample: every percentile is that sample.
-        let mut one = LatencyRecorder::new();
-        one.record(42);
-        let s = one.stats();
-        assert_eq!((s.p50_ns, s.p99_ns, s.max_ns), (42, 42, 42));
-    }
-
-    #[test]
-    fn repeated_stats_calls_are_stable_and_merge_new_samples() {
-        let mut r = LatencyRecorder::new();
-        // Record descending — insertion order must not matter.
-        for i in (1..=50u64).rev() {
-            r.record(i * 1000);
-        }
-        let first = r.stats();
-        assert_eq!(r.stats(), first, "second call re-summarizes identically");
-        // Append out-of-order samples after a stats() call; the summary
-        // must match a fresh recorder fed everything at once.
-        for i in (51..=100u64).rev() {
-            r.record(i * 1000);
-        }
-        let merged = r.stats();
-        assert_eq!(merged.count, 100);
-        assert_pct(merged.p50_ns, 50_000, "p50");
-        assert_pct(merged.p99_ns, 99_000, "p99");
-        assert_eq!(merged.max_ns, 100_000);
-    }
-
-    #[test]
-    fn empty_recorder_yields_zeros() {
-        let mut r = LatencyRecorder::new();
-        assert_eq!(r.stats(), LatencyStats::default());
-    }
-
-    /// The sorted-`Vec` recorder this histogram replaced, kept verbatim as
-    /// the reference for ceil nearest-rank semantics (ISSUE 5 satellite:
-    /// "regression test against the old implementation").
-    struct OldRecorder {
-        samples: Vec<u64>,
-    }
-
-    impl OldRecorder {
-        fn pct(&mut self, p: f64) -> u64 {
-            self.samples.sort_unstable();
-            let n = self.samples.len();
-            let rank = (p * n as f64).ceil() as usize;
-            self.samples[rank.clamp(1, n) - 1]
-        }
-    }
-
-    #[test]
-    fn histogram_matches_old_sorted_vec_reference() {
-        // Deterministic pseudo-random latencies spanning several binades
-        // (sub-µs to tens of ms), the realistic range for simulated ops.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut samples = Vec::with_capacity(10_000);
-        for _ in 0..10_000 {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            samples.push(200 + state.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 50_000_000);
-        }
-        let mut old = OldRecorder {
-            samples: samples.clone(),
-        };
-        let mut new = LatencyRecorder::new();
-        for &s in &samples {
-            new.record(s);
-        }
-        let stats = new.stats();
-        for (got, p, label) in [
-            (stats.p50_ns, 0.50, "p50"),
-            (stats.p95_ns, 0.95, "p95"),
-            (stats.p99_ns, 0.99, "p99"),
-            (stats.p999_ns, 0.999, "p999"),
-        ] {
-            assert_pct(got, old.pct(p), label);
-        }
-        assert_eq!(stats.count, samples.len() as u64);
-        assert_eq!(stats.max_ns, *samples.iter().max().unwrap());
-        let exact_mean =
-            (samples.iter().map(|&s| s as u128).sum::<u128>() / samples.len() as u128) as u64;
-        assert_eq!(stats.mean_ns, exact_mean, "mean stays exact");
+        assert_eq!(
+            LatencyStats::from(&h),
+            LatencyStats {
+                count: 10,
+                mean_ns: 5,
+                p50_ns: 5,
+                p95_ns: 10,
+                p99_ns: 10,
+                p999_ns: 10,
+                max_ns: 10,
+            }
+        );
     }
 
     #[test]

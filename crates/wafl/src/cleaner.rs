@@ -34,6 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// VVBNs a cleaner reserves per chunk (the volume-side bucket analog).
+const VVBN_CHUNK: usize = 64;
+
 /// Cleaner subsystem configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CleanerConfig {
@@ -51,8 +54,6 @@ pub struct CleanerConfig {
     pub region_split_threshold: usize,
     /// Buffers per region when splitting.
     pub region_size: usize,
-    /// VVBNs reserved per chunk by a cleaner (volume-side bucket analog).
-    pub vvbn_chunk: usize,
     /// Buckets acquired per GET batch: a cleaner takes up to this many
     /// buckets of the oldest refill round in one acquisition of the cache
     /// lock ([`Allocator::get_bucket_many`]) and feeds later jobs from the
@@ -70,7 +71,6 @@ impl Default for CleanerConfig {
             batch_max_buffers: 256,
             region_split_threshold: 512,
             region_size: 256,
-            vvbn_chunk: 64,
             get_batch: 4,
         }
     }
@@ -224,7 +224,7 @@ impl CleanerCtx {
         }
         let stats = alloc.infra().stats();
         let depth = alloc.cache().len();
-        if depth <= alloc.config().low_watermark {
+        if depth <= alligator::LOW_WATERMARK {
             // ordering: statistics counter; staleness is acceptable.
             stats.cache_batch_shrinks.fetch_add(1, Ordering::Relaxed);
             return 1;
@@ -262,7 +262,6 @@ pub fn clean_job(
     ctx: &mut CleanerCtx,
     stage: &mut alligator::Stage,
     job: &CleanJob,
-    vvbn_chunk: usize,
 ) -> Option<CleanResult> {
     let mut cleaned = Vec::with_capacity(job.buffers.len());
     let mut chunk: Option<crate::vvbn::VvbnChunkGuard<'_>> = None;
@@ -276,7 +275,7 @@ pub fn clean_job(
             }
             chunk = Some(crate::vvbn::VvbnChunkGuard::new(
                 job.vol.vvbn(),
-                vvbn_chunk,
+                VVBN_CHUNK,
             )?);
         };
         job.vol.vvbn().commit(vvbn);
@@ -439,48 +438,6 @@ impl CleanerPool {
         out
     }
 
-    /// Plain-text metrics snapshot for the pool: every allocator counter
-    /// (via `StatsSnapshot::named`, so nothing is silently unreported)
-    /// plus the pool's own busy/throughput counters and the RAID layer's
-    /// degraded-read/rebuild progress, rendered through the unified obs
-    /// registry.
-    pub fn metrics_text(&self) -> String {
-        let reg = obs::Registry::new();
-        reg.import_counters(self.shared.alloc.stats().named());
-        reg.counter("pool_busy_ns").set(self.busy_ns());
-        reg.counter("pool_items_done").set(self.items_done());
-        reg.counter("pool_threads").set(self.workers.len() as u64);
-        reg.counter("pool_active_limit")
-            .set(self.active_limit() as u64);
-        // Degraded-mode and repair progress from the RAID layer (the
-        // drive-level `io_drive_errors` is distinct from the allocator's
-        // `io_errors`, which counts terminally failed tetris writes).
-        let f = self.shared.alloc.infra().io().fault_snapshot();
-        reg.counter("io_reconstructed_reads")
-            .set(f.reconstructed_reads);
-        reg.counter("io_degraded_stripes").set(f.degraded_stripes);
-        reg.counter("io_degraded_writes").set(f.degraded_writes);
-        reg.counter("io_drive_retries").set(f.io_retries);
-        reg.counter("io_drive_errors").set(f.io_errors);
-        reg.counter("io_blocks_rebuilt").set(f.blocks_rebuilt);
-        reg.gauge("io_drives_offline").set(f.drives_offline);
-        // Instantaneous levels (gauges live on `AllocStats` only — they
-        // are not part of the snapshot, so surface each one here; their
-        // high-water marks arrive through `named()` above).
-        let raw = self.shared.alloc.raw_stats();
-        reg.gauge("put_commit_outstanding").set(
-            raw.put_commit_outstanding
-                // ordering: statistics gauge; staleness is acceptable.
-                .load(Ordering::Relaxed),
-        );
-        reg.gauge("io_inflight").set(
-            raw.io_inflight
-                // ordering: statistics gauge; staleness is acceptable.
-                .load(Ordering::Relaxed),
-        );
-        reg.text_snapshot()
-    }
-
     /// Stop the pool (drains queued items first).
     pub fn shutdown(mut self) {
         self.shutdown_impl();
@@ -548,13 +505,7 @@ fn worker(index: usize, shared: &PoolShared) {
                 let mut results = Vec::with_capacity(item.jobs.len());
                 let mut failed = false;
                 for job in &item.jobs {
-                    match clean_job(
-                        &shared.alloc,
-                        &mut ctx,
-                        &mut stage,
-                        job,
-                        shared.cfg.vvbn_chunk,
-                    ) {
+                    match clean_job(&shared.alloc, &mut ctx, &mut stage, job) {
                         Some(r) => results.push(r),
                         None => {
                             failed = true;
@@ -710,7 +661,7 @@ mod tests {
             file: FileId(1),
             buffers: dirty(8),
         };
-        let r = clean_job(&alloc, &mut ctx, &mut stage, &job, 16).unwrap();
+        let r = clean_job(&alloc, &mut ctx, &mut stage, &job).unwrap();
         assert_eq!(r.cleaned.len(), 8);
         for w in r.cleaned.windows(2) {
             assert_eq!(
@@ -730,7 +681,7 @@ mod tests {
             file: FileId(1),
             buffers: over,
         };
-        let r2 = clean_job(&alloc, &mut ctx, &mut stage, &job2, 16).unwrap();
+        let r2 = clean_job(&alloc, &mut ctx, &mut stage, &job2).unwrap();
         assert_eq!(r2.cleaned.len(), 8);
         assert_eq!(stage.len(), 8, "8 old PVBNs staged for freeing");
         ctx.finish(&alloc);
@@ -767,7 +718,7 @@ mod tests {
             file: FileId(1),
             buffers: dirty(8),
         };
-        clean_job(&alloc, &mut ctx, &mut stage, &job, 16).unwrap();
+        clean_job(&alloc, &mut ctx, &mut stage, &job).unwrap();
         let s = alloc.stats();
         assert!(
             s.cache_get_batched >= 2,
@@ -842,7 +793,7 @@ mod tests {
         // Draw the cache down to the low watermark: the batch collapses
         // to 1 so one cleaner cannot strip the last buckets.
         let held = alloc.get_bucket_from(0).unwrap();
-        assert!(alloc.cache().len() <= alloc.config().low_watermark);
+        assert!(alloc.cache().len() <= alligator::LOW_WATERMARK);
         assert_eq!(ctx.adaptive_batch(&alloc), 1, "shrink at the watermark");
         assert!(alloc.stats().cache_batch_shrinks >= 1);
         alloc.requeue_bucket(held);
@@ -900,48 +851,5 @@ mod tests {
         assert_eq!(total, 100);
         pool.set_active_limit(4);
         assert!(pool.items_done() > 0);
-    }
-
-    #[test]
-    fn pool_metrics_text_reports_every_allocator_counter() {
-        let alloc = mk_alloc();
-        let v = vol();
-        let cfg = CleanerConfig {
-            threads: 2,
-            ..Default::default()
-        };
-        let pool = CleanerPool::new(Arc::clone(&alloc), cfg);
-        v.create_file(FileId(900));
-        let items = partition_work(vec![(v, FileId(900), dirty(32))], &cfg);
-        pool.clean_all(items);
-        let text = pool.metrics_text();
-        // Every allocator counter must appear (the `named()` guarantee),
-        // alongside the pool's own counters.
-        for name in alligator::StatsSnapshot::NAMES {
-            assert!(
-                text.contains(&format!("counter {name} ")),
-                "missing {name}:\n{text}"
-            );
-        }
-        assert!(text.contains("counter pool_items_done 1\n"), "{text}");
-        assert!(text.contains("counter pool_threads 2\n"), "{text}");
-        // RAID-layer repair/degraded progress must be visible too
-        // (satellite of the scrub work: rebuilds were invisible before).
-        for name in [
-            "io_reconstructed_reads",
-            "io_degraded_stripes",
-            "io_degraded_writes",
-            "io_drive_retries",
-            "io_drive_errors",
-            "io_blocks_rebuilt",
-        ] {
-            assert!(
-                text.contains(&format!("counter {name} ")),
-                "missing {name}:\n{text}"
-            );
-        }
-        assert!(text.contains("gauge io_drives_offline "), "{text}");
-        pool.shutdown();
-        alloc.drain();
     }
 }

@@ -14,9 +14,6 @@ pub struct FsConfig {
     /// VVBNs per volume created through
     /// [`Filesystem::create_volume`](crate::fs::Filesystem::create_volume).
     pub vvbn_per_volume: u64,
-    /// Maximum metafile-flush fix-point iterations before the CP writes
-    /// remaining dirty metafile blocks in place (see `cp.rs` docs).
-    pub metafile_fixpoint_max: usize,
     /// Per-RAID-group submission-queue depth for the async I/O engine
     /// (`blockdev::aio`). `0` — the default — keeps every write
     /// synchronous and inline, exactly the pre-aio behavior; any
@@ -32,7 +29,6 @@ impl Default for FsConfig {
             alloc: AllocConfig::default(),
             cleaner: CleanerConfig::default(),
             vvbn_per_volume: 1 << 20,
-            metafile_fixpoint_max: 4,
             io_queue_depth: 0,
         }
     }
@@ -46,7 +42,6 @@ mod tests {
     fn default_config_is_consistent() {
         let c = FsConfig::default();
         assert!(c.vvbn_per_volume > 0);
-        assert!(c.metafile_fixpoint_max >= 1);
         assert!(c.cleaner.threads >= 1);
     }
 }

@@ -21,7 +21,7 @@
 //!    bounded fix-point ("any metafile updates made on behalf of a CP
 //!    must reach persistent storage as part of that same CP"). Allocating
 //!    a bitmap block's new location dirties the bitmap again, so a true
-//!    fix-point never closes; after `metafile_fixpoint_max` rounds the
+//!    fix-point never closes; after [`METAFILE_FIXPOINT_MAX`] rounds the
 //!    residual blocks are written in place at their previous locations
 //!    (first-time blocks take one final allocation whose bitmap dirt is
 //!    dropped, counted in [`CpReport::residual_dirty_dropped`]);
@@ -511,7 +511,7 @@ fn run_cp_inner(
     // Phase 4: metafile flush (bounded fix-point).
     let t0 = std::time::Instant::now();
     let sp4 = obs::trace_span!(obs::EventKind::CpPhase, 4);
-    flush_metafiles(cfg, volumes, alloc, mf_locs, cp_id, &mut report);
+    flush_metafiles(volumes, alloc, mf_locs, cp_id, &mut report);
     // The metafile flush allocated through buckets of its own; complete
     // those tetrises too.
     flush_bucket_cache(alloc);
@@ -581,9 +581,12 @@ fn crash_drop_io(alloc: &Arc<Allocator>) {
     }
 }
 
+/// Metafile-flush fix-point rounds before the CP writes the remaining
+/// dirty metafile blocks in place (module docs, phase 4).
+pub const METAFILE_FIXPOINT_MAX: usize = 4;
+
 /// Phase 4: write-allocate and write every dirty metafile block.
 fn flush_metafiles(
-    cfg: &FsConfig,
     volumes: &[Arc<Volume>],
     alloc: &Arc<Allocator>,
     mf_locs: &MetafileLocs,
@@ -615,13 +618,13 @@ fn flush_metafiles(
     let io = Arc::clone(alloc.infra().io());
     let mut bucket = None;
     let mut stage = alloc.new_stage();
-    for round in 0..cfg.metafile_fixpoint_max {
+    for round in 0..METAFILE_FIXPOINT_MAX {
         let dirty = take_dirty(volumes);
         if dirty.is_empty() {
             break;
         }
         report.fixpoint_rounds = round + 1;
-        let last_round = round + 1 == cfg.metafile_fixpoint_max;
+        let last_round = round + 1 == METAFILE_FIXPOINT_MAX;
         for (src, block) in dirty {
             let stamp_src = match src {
                 MetafileSrc::Aggregate => MF_STAMP_NS,

@@ -113,7 +113,7 @@ fn metafile_flush_converges_within_bound() {
     }
     let r = f.run_cp();
     assert!(
-        r.fixpoint_rounds <= f.config().metafile_fixpoint_max,
+        r.fixpoint_rounds <= wafl::cp::METAFILE_FIXPOINT_MAX,
         "fix-point respects the bound"
     );
     // The residual dirt dropped at the bound must stay tiny (a handful
@@ -208,5 +208,36 @@ fn binding_phase_ties_go_to_the_earlier_phase() {
         wafl::cp::CpReport::default().phase_coverage(),
         1.0,
         "an instant CP has no unattributed time"
+    );
+}
+
+#[test]
+fn phase_names_align_with_report_fields() {
+    // A distinct value per `*_ns` field: swapping two entries of
+    // `phase_ns()` or of `CP_PHASE_NAMES` changes a pair below.
+    let r = wafl::cp::CpReport {
+        freeze_ns: 1,
+        clean_ns: 2,
+        apply_ns: 3,
+        metafile_ns: 4,
+        barrier_ns: 5,
+        commit_ns: 6,
+        ..Default::default()
+    };
+    let pairs: Vec<(&str, u64)> = wafl::cp::CP_PHASE_NAMES
+        .iter()
+        .copied()
+        .zip(r.phase_ns())
+        .collect();
+    assert_eq!(
+        pairs,
+        [
+            ("freeze", r.freeze_ns),
+            ("clean", r.clean_ns),
+            ("apply", r.apply_ns),
+            ("metafile", r.metafile_ns),
+            ("barrier", r.barrier_ns),
+            ("commit", r.commit_ns),
+        ]
     );
 }

@@ -12,10 +12,7 @@
 //!    `Ordering::Release`/`AcqRel` publish names its acquire partner via
 //!    `pairs-with: <label>`; a deleted or weakened partner fails the
 //!    build instead of silently dropping a happens-before edge.
-//! 3. **Counter plumbing** ([`counters`]): every `AllocStats` counter
-//!    and `FaultSnapshot` field must reach the reporting surfaces, and
-//!    every `SimResult` integer must be listed in `named_counters`.
-//! 4. **Ported gates** ([`gates`], [`unsafety`]): ordering
+//! 3. **Ported gates** ([`gates`], [`unsafety`]): ordering
 //!    justifications, the unsafe audit (full-comment capture), and
 //!    `IoTicket` minting.
 //!
@@ -26,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod gates;
 pub mod locks;
 pub mod ordering;
@@ -37,7 +33,6 @@ pub mod unsafety;
 
 pub use unsafety::render_audit;
 
-use crate::counters::{CounterSources, TelemetrySources};
 use crate::locks::{LockEdge, LockRegistry};
 use crate::report::{Finding, ScanStats};
 use crate::scrub::Scrubbed;
@@ -177,67 +172,6 @@ pub fn scan_workspace(root: &Path) -> Scan {
     edges.sort();
     edges.dedup();
     stats.lock_edges = edges.len();
-
-    let by_rel = |want: &str| sources.iter().find(|(r, _)| r == want).map(|(_, s)| s);
-
-    // Counter plumbing across the four surfaces.
-    let need = [
-        "crates/alligator/src/stats.rs",
-        "crates/simsrv/src/engine.rs",
-        "crates/wafl/src/cleaner.rs",
-        "crates/blockdev/src/io.rs",
-    ];
-    match (
-        by_rel(need[0]),
-        by_rel(need[1]),
-        by_rel(need[2]),
-        by_rel(need[3]),
-    ) {
-        (Some(stats_src), Some(engine), Some(cleaner), Some(io)) => {
-            stats.counters = counters::check_counters(
-                &CounterSources {
-                    stats: stats_src,
-                    engine,
-                    cleaner,
-                    io,
-                },
-                &mut findings,
-            );
-        }
-        _ => findings.push(Finding::new(
-            "counters",
-            counters::STATS_PATH,
-            0,
-            "one of the counter-plumbing source files is missing",
-            "missing-sources",
-        )),
-    }
-
-    // Telemetry plumbing: the sampler's counter roster and the CP
-    // profiler's phase exports.
-    match (
-        by_rel("crates/obs/src/sampler.rs"),
-        by_rel("crates/obs/src/blackbox.rs"),
-        by_rel("crates/wafl/src/cp.rs"),
-    ) {
-        (Some(sampler), Some(blackbox), Some(cp)) => {
-            stats.counters += counters::check_telemetry(
-                &TelemetrySources {
-                    sampler,
-                    blackbox,
-                    cp,
-                },
-                &mut findings,
-            );
-        }
-        _ => findings.push(Finding::new(
-            "counters",
-            counters::SAMPLER_PATH,
-            0,
-            "one of the telemetry source files is missing",
-            "missing-sources",
-        )),
-    }
 
     Scan {
         findings,

@@ -164,7 +164,7 @@ fn main() -> ExitCode {
     }
     println!(
         "ward: {} — {} files, {} ordering sites, {} unsafe sites, {} ranked locks, \
-         {} lock edges, {} pair labels, {} counters traced; {} finding(s), {} suppressed",
+         {} lock edges, {} pair labels; {} finding(s), {} suppressed",
         if findings.is_empty() { "OK" } else { "FAIL" },
         scan.stats.files,
         scan.stats.ordering_sites,
@@ -172,7 +172,6 @@ fn main() -> ExitCode {
         scan.stats.lock_decls,
         scan.stats.lock_edges,
         scan.stats.pair_labels,
-        scan.stats.counters,
         findings.len(),
         suppressed.len(),
     );

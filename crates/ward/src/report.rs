@@ -71,8 +71,6 @@ pub struct ScanStats {
     pub lock_edges: usize,
     /// Distinct `pairs-with` labels.
     pub pair_labels: usize,
-    /// Counters traced through the plumbing check.
-    pub counters: usize,
 }
 
 /// Report schema identifier (bump on breaking shape changes).
@@ -116,7 +114,6 @@ pub fn render_report(
     let _ = writeln!(out, "  \"lock_decls\": {},", stats.lock_decls);
     let _ = writeln!(out, "  \"lock_edges\": {},", stats.lock_edges);
     let _ = writeln!(out, "  \"pair_labels\": {},", stats.pair_labels);
-    let _ = writeln!(out, "  \"counters\": {},", stats.counters);
     out.push_str("  \"counts\": {");
     let mut first = true;
     for (k, v) in &counts {
@@ -392,7 +389,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         "lock_decls",
         "lock_edges",
         "pair_labels",
-        "counters",
     ] {
         doc.get(key)
             .and_then(Json::as_num)

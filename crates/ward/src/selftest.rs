@@ -4,7 +4,6 @@
 //! cannot catch its target bug class is worse than no gate, because it
 //! launders confidence.
 
-use crate::counters::{CounterSources, TelemetrySources};
 use crate::locks::LockRegistry;
 use crate::report::Finding;
 use crate::scrub::Scrubbed;
@@ -141,53 +140,7 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         }),
     ));
 
-    // 5. Unplumbed counter (four-source corpus).
-    out.push(case(
-        "unplumbed_counter",
-        "counters",
-        1,
-        (|| {
-            let stats = load(fixtures, "counters/stats.rs")?;
-            let engine = load(fixtures, "counters/engine_bad.rs")?;
-            let cleaner = load(fixtures, "counters/cleaner.rs")?;
-            let io = load(fixtures, "counters/io.rs")?;
-            let mut f = Vec::new();
-            crate::counters::check_counters(
-                &CounterSources {
-                    stats: &stats,
-                    engine: &engine,
-                    cleaner: &cleaner,
-                    io: &io,
-                },
-                &mut f,
-            );
-            Ok(f)
-        })(),
-    ));
-
-    // 5b. Unmaintained telemetry counter + gutted CP profiler.
-    out.push(case(
-        "unplumbed_telemetry",
-        "counters",
-        3, // the flatlined counter, the lost phase field, a lost profile leg
-        (|| {
-            let sampler = load(fixtures, "telemetry/sampler.rs")?;
-            let blackbox = load(fixtures, "telemetry/blackbox_bad.rs")?;
-            let cp = load(fixtures, "telemetry/cp_bad.rs")?;
-            let mut f = Vec::new();
-            crate::counters::check_telemetry(
-                &TelemetrySources {
-                    sampler: &sampler,
-                    blackbox: &blackbox,
-                    cp: &cp,
-                },
-                &mut f,
-            );
-            Ok(f)
-        })(),
-    ));
-
-    // 6. Missing SAFETY comment.
+    // 5. Missing SAFETY comment.
     out.push(case(
         "missing_safety",
         "unsafe",
@@ -199,7 +152,7 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         }),
     ));
 
-    // 7. Forged IoTicket.
+    // 6. Forged IoTicket.
     out.push(case(
         "forged_ticket",
         "ticket",
@@ -240,76 +193,6 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         },
         Err(e) => CaseResult {
             name: "clean_fixture",
-            ok: false,
-            detail: e,
-        },
-    });
-
-    // Clean counters corpus: the good engine variant stays silent.
-    let clean_counters = (|| {
-        let stats = load(fixtures, "counters/stats.rs")?;
-        let engine = load(fixtures, "counters/engine_good.rs")?;
-        let cleaner = load(fixtures, "counters/cleaner.rs")?;
-        let io = load(fixtures, "counters/io.rs")?;
-        let mut f = Vec::new();
-        crate::counters::check_counters(
-            &CounterSources {
-                stats: &stats,
-                engine: &engine,
-                cleaner: &cleaner,
-                io: &io,
-            },
-            &mut f,
-        );
-        Ok::<_, String>(f)
-    })();
-    out.push(match clean_counters {
-        Ok(f) if f.is_empty() => CaseResult {
-            name: "clean_counters",
-            ok: true,
-            detail: "0 findings".into(),
-        },
-        Ok(f) => CaseResult {
-            name: "clean_counters",
-            ok: false,
-            detail: format!("clean counters corpus produced findings: {f:?}"),
-        },
-        Err(e) => CaseResult {
-            name: "clean_counters",
-            ok: false,
-            detail: e,
-        },
-    });
-
-    // Clean telemetry corpus: the maintained trio stays silent.
-    let clean_telemetry = (|| {
-        let sampler = load(fixtures, "telemetry/sampler.rs")?;
-        let blackbox = load(fixtures, "telemetry/blackbox.rs")?;
-        let cp = load(fixtures, "telemetry/cp.rs")?;
-        let mut f = Vec::new();
-        crate::counters::check_telemetry(
-            &TelemetrySources {
-                sampler: &sampler,
-                blackbox: &blackbox,
-                cp: &cp,
-            },
-            &mut f,
-        );
-        Ok::<_, String>(f)
-    })();
-    out.push(match clean_telemetry {
-        Ok(f) if f.is_empty() => CaseResult {
-            name: "clean_telemetry",
-            ok: true,
-            detail: "0 findings".into(),
-        },
-        Ok(f) => CaseResult {
-            name: "clean_telemetry",
-            ok: false,
-            detail: format!("clean telemetry corpus produced findings: {f:?}"),
-        },
-        Err(e) => CaseResult {
-            name: "clean_telemetry",
             ok: false,
             detail: e,
         },

@@ -55,5 +55,4 @@ fn scan_coverage_floors_hold() {
     assert!(s.lock_decls >= 20, "only {} ranked locks", s.lock_decls);
     assert!(s.lock_edges >= 1, "no nested-acquisition edges observed");
     assert!(s.pair_labels >= 20, "only {} pair labels", s.pair_labels);
-    assert!(s.counters >= 40, "only {} counters traced", s.counters);
 }

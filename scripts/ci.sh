@@ -32,10 +32,10 @@ echo "=== bucket-cache stress under debug assertions ==="
 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p alligator --test cache_stress
 
-echo "=== ward: concurrency analyzer (lock order, pairing, counters, audit) ==="
+echo "=== ward: concurrency analyzer (lock order, pairing, audit) ==="
 # Detection power first (every check must catch its seeded fixture),
 # then the real scan: lock-rank graph, Release/Acquire pairs-with
-# labels, counter plumbing, unsafe-audit freshness. --check also
+# labels, unsafe-audit freshness. --check also
 # emits the machine-readable report, which must validate against the
 # wafl.ward.v1 schema. See DESIGN.md §15 for the annotation contract.
 cargo run --release -q -p ward -- --self-test
@@ -64,30 +64,9 @@ echo "=== cargo fmt --check ==="
 cargo fmt --check
 
 # Bench smokes write into a scratch dir so CI numbers never clobber the
-# committed records; each validates the fresh record and the committed
-# one against its schema.
+# committed records.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-
-echo "=== exp_put_convoy smoke (traced build) + schema validation ==="
-# Runs the real cleaner pool under tracing: exercises the obs rings,
-# the Chrome-trace exporter, and the convoy-ratio schema end to end.
-WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --features trace --bin exp_put_convoy
-cargo run --release -q -p wafl-bench --features trace --bin exp_put_convoy -- \
-  --validate "$SMOKE_DIR/BENCH_put_convoy.json"
-cargo run --release -q -p wafl-bench --features trace --bin exp_put_convoy -- \
-  --validate BENCH_put_convoy.json
-
-echo "=== exp_scrub smoke + schema validation ==="
-# Online scrub over the Waffinity pool: detection, clean-image false
-# positives, foreground interference, and checkpoint/resume gates.
-WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --bin exp_scrub -- --smoke
-cargo run --release -q -p wafl-bench --bin exp_scrub -- \
-  --validate "$SMOKE_DIR/BENCH_scrub.json"
-cargo run --release -q -p wafl-bench --bin exp_scrub -- \
-  --validate BENCH_scrub.json
 
 echo "=== file-backend tests on a real tmpdir (O_DIRECT probe) ==="
 # The aio file backend prefers O_DIRECT and quietly falls back to
@@ -108,30 +87,25 @@ file-backend re-run (buffered-fallback coverage still ran in the \
 workspace suite)"
 fi
 
-echo "=== exp_io_engine smoke + schema validation ==="
-# Async-engine pipelining gates: tickets balance at every depth, deep
-# queues really overlap, and depth ≥ 8 beats the depth-1 synchronous
-# baseline — ≥ 1.5× on the committed full record; the quick smoke
-# gates at a 1.05× sanity floor because scratch filesystems make the
-# amortized fsync nearly free.
-WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --bin exp_io_engine
-cargo run --release -q -p wafl-bench --bin exp_io_engine -- \
-  --validate "$SMOKE_DIR/BENCH_io_engine.json"
-cargo run --release -q -p wafl-bench --bin exp_io_engine -- \
-  --validate BENCH_io_engine.json
-
-echo "=== exp_telemetry smoke (traced build) + schema validation ==="
-# Continuous-telemetry gates: CP phase attribution (≥ 95% of wall time
-# named), the drive-death blackbox bundle, and the sampler-overhead
-# A/B. The < 5% sampler budget is enforced on full multi-core runs and
-# reported-only (skip-with-notice) on quick smokes or 1-core boxes.
-WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-  cargo run --release -q -p wafl-bench --features trace --bin exp_telemetry
-cargo run --release -q -p wafl-bench --features trace --bin exp_telemetry -- \
-  --validate "$SMOKE_DIR/BENCH_telemetry.json"
-cargo run --release -q -p wafl-bench --features trace --bin exp_telemetry -- \
-  --validate BENCH_telemetry.json
+# One row per real-path bench: bin | cargo features | smoke argument.
+# Every row runs the same three commands: a quick run into the scratch
+# dir, then --validate of the fresh record and of the committed one
+# (schema + the bench's own gates; the quick run relaxes only the
+# wall-clock ones). exp_put_convoy and exp_telemetry run traced so the
+# obs rings, the Chrome-trace exporter and the blackbox are exercised.
+while IFS='|' read -r bin features smoke; do
+  echo "=== $bin smoke + schema validation ==="
+  run=(cargo run --release -q -p wafl-bench ${features:+--features "$features"} --bin "$bin" --)
+  WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
+    "${run[@]}" ${smoke:+"$smoke"}
+  "${run[@]}" --validate "$SMOKE_DIR/BENCH_${bin#exp_}.json"
+  "${run[@]}" --validate "BENCH_${bin#exp_}.json"
+done <<'BENCHES'
+exp_put_convoy|trace|
+exp_scrub||--smoke
+exp_io_engine||
+exp_telemetry|trace|
+BENCHES
 
 echo "=== tsan: data-race check on the cache stress suite ==="
 # ThreadSanitizer needs -Z sanitizer=thread plus a rebuilt std
