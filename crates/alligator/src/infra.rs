@@ -115,23 +115,21 @@ impl Infrastructure {
         self.exhausted.load(Ordering::Acquire)
     }
 
-    /// Harvest async write completions without blocking (a no-op when no
-    /// [`wafl_blockdev::AioEngine`] is attached). Counts terminal I/O
-    /// errors here, per *completion*, exactly where the synchronous path
-    /// counted them per call — crucial for the fault machinery under
-    /// depth > 1. Depth and latency live in the engine itself. Returns
-    /// the number of completions harvested.
+    /// Harvest completions of queued writes without blocking (there are
+    /// none when the engine writes inline). Counts terminal I/O errors
+    /// here, per *completion*, exactly where the inline path counts them
+    /// per call — crucial for the fault machinery under depth > 1. Depth
+    /// and latency live in the engine itself. Returns the number of
+    /// completions harvested.
     pub fn harvest_io(&self) -> usize {
-        let Some(aio) = self.io.aio() else { return 0 };
-        self.account_completions(aio.poll_completions())
+        self.account_completions(self.io.poll())
     }
 
-    /// Barrier: wait for every in-flight async write to complete (and
-    /// the file mirror, if any, to fsync), then harvest. A no-op without
-    /// an attached engine. Returns completions harvested.
+    /// Barrier: wait for every queued write to complete and the file
+    /// mirror, if any, to fsync, then harvest. Returns completions
+    /// harvested.
     pub fn drain_io(&self) -> usize {
-        let Some(aio) = self.io.aio() else { return 0 };
-        self.account_completions(aio.drain())
+        self.account_completions(self.io.barrier())
     }
 
     fn account_completions(&self, done: Vec<wafl_blockdev::Completion>) -> usize {

@@ -141,32 +141,12 @@ impl Tetris {
             rg: self.rg,
             segments,
         };
-        let blocks: usize = io.segments.iter().map(|s| s.stamps.len()).sum();
-        let _sp = obs::trace_span!(obs::EventKind::StripeFire, blocks as u64);
+        let _sp = obs::trace_span!(obs::EventKind::StripeFire, io.blocks());
         // ordering: statistics counter; staleness is acceptable.
         self.stats.tetris_ios.fetch_add(1, Ordering::Relaxed);
-        // Pipelined path: when an async engine is attached, enqueue and
-        // return immediately — the stripe completes in the background and
+        // Queued or inline is the engine's decision; a queued stripe's
         // errors are accounted at harvest (`Infrastructure::harvest_io`).
-        // Parity computation for the *next* tetris thus overlaps this
-        // one's media time, which is the point of the aio engine.
-        if !io.segments.is_empty() {
-            if let Some(aio) = self.io.aio() {
-                return match aio.submit(io) {
-                    Ok(_ticket) => Ok(IoResult {
-                        service_ns: 0,
-                        parity_reads: 0,
-                        blocks_written: blocks as u64,
-                    }),
-                    Err(e) => {
-                        // ordering: statistics counter; staleness is acceptable.
-                        self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                        Err(e)
-                    }
-                };
-            }
-        }
-        let result = self.io.submit_write(&io);
+        let result = self.io.write(io);
         if result.is_err() {
             // ordering: statistics counter; staleness is acceptable.
             self.stats.io_errors.fetch_add(1, Ordering::Relaxed);

@@ -16,9 +16,10 @@
 //! | `ablation_chunk` | bucket chunk-size sweep |
 //! | `probe` | raw calibration dump (not a paper artifact) |
 //!
-//! Criterion micro-benchmarks (`cargo bench -p wafl-bench`) cover the
-//! mechanism-level claims: bucket amortization, bitmap scans, Waffinity
-//! scheduling, loose accounting, tetris construction, and CP cycles.
+//! Mechanism-level costs (bucket GET/USE/PUT, bitmap scans, the Waffinity
+//! round trip, loose accounting, tetris deposit, CP phases) are
+//! `*_probe_ns` rows of the end-to-end ledger (`e2e --probes`), not
+//! targets of this crate.
 //!
 //! Each `fig*` binary prints a paper-vs-measured table and writes the
 //! same rows as JSON under `results/` (next to the workspace root, or

@@ -13,13 +13,15 @@
 //!   identical at any queue depth — retries and offlining decisions are
 //!   made **per completion**, exactly as the synchronous engine made
 //!   them per call);
-//! * finished writes are published on a lock-free MPMC completion ring
-//!   ([`CompletionRing`], a Vyukov-style sequenced ring built on the
-//!   `crate::sync` shim so `crates/mc` can model-check the protocol);
-//! * [`AioEngine::poll_completions`] harvests completions without
-//!   blocking, and [`AioEngine::drain`] is the barrier: it returns only
-//!   when every prior submission has completed, then fsyncs the file
-//!   backend (CP phase boundaries are the only durability barriers).
+//! * finished writes go on one lock-protected completion list, counted
+//!   under the same lock — a tetris I/O carries a few hundred buffers,
+//!   so the lock is taken once per few hundred buffers (§IV-C: amortise
+//!   until a plain lock is cheap enough);
+//! * [`AioEngine::poll_completions`] takes that list without blocking,
+//!   and [`AioEngine::drain`] is the barrier: it waits under the same
+//!   lock until every prior submission has completed, then fsyncs the
+//!   file backend (CP phase boundaries are the only durability
+//!   barriers).
 //!
 //! The engine writes through two backends at once when a
 //! [`FileBackend`] mirror is attached to the [`IoEngine`]: the
@@ -36,13 +38,13 @@
 use crate::fault::IoError;
 use crate::geometry::{AggregateGeometry, Dbn, RaidGroupId, BLOCK_SIZE};
 use crate::io::{IoEngine, IoResult, WriteIo};
-use crate::sync::{atomic, cell};
 use crate::BlockStamp;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Tickets and completions
@@ -75,166 +77,6 @@ pub struct Completion {
     pub result: Result<IoResult, IoError>,
     /// Wall-clock nanoseconds from submit to completion publish.
     pub submit_to_complete_ns: u64,
-}
-
-// ---------------------------------------------------------------------
-// Lock-free completion ring (model-checked in crates/mc)
-// ---------------------------------------------------------------------
-
-struct Slot<T> {
-    /// Vyukov sequence stamp: `pos` when ready for a push at `pos`,
-    /// `pos + 1` when holding the value pushed at `pos`, and
-    /// `pos + capacity` once that value has been popped.
-    seq: atomic::AtomicU64,
-    val: cell::UnsafeCell<Option<T>>,
-}
-
-/// Bounded lock-free MPMC ring (Vyukov sequenced-slot design) used as
-/// the completion queue. Built entirely on the `crate::sync` shim so
-/// that `--features mc` can exhaustively model-check the protocol: no
-/// completion lost, none double-delivered, across any interleaving of
-/// producers (workers) and consumers (pollers).
-pub struct CompletionRing<T> {
-    slots: Box<[Slot<T>]>,
-    /// Next position to pop.
-    head: atomic::AtomicU64,
-    /// Next position to push.
-    tail: atomic::AtomicU64,
-    mask: u64,
-}
-
-// SAFETY: slots are accessed through the sequenced-slot protocol: a
-// producer writes a slot's cell only after winning the tail CAS for
-// that position, a consumer reads it only after winning the head CAS,
-// and the seq Release/Acquire pair orders the hand-off. T crossing
-// threads requires T: Send.
-unsafe impl<T: Send> Sync for CompletionRing<T> {}
-// SAFETY: moving the ring moves ownership of the T values inside it.
-unsafe impl<T: Send> Send for CompletionRing<T> {}
-
-impl<T> CompletionRing<T> {
-    /// Create a ring with at least `capacity` slots (rounded up to a
-    /// power of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: atomic::AtomicU64::new(i),
-                val: cell::UnsafeCell::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            head: atomic::AtomicU64::new(0),
-            tail: atomic::AtomicU64::new(0),
-            mask: cap - 1,
-        }
-    }
-
-    /// Number of slots.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Push a value; returns it back if the ring is full.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
-        // ordering: Relaxed — an optimistic read; the CAS below validates it.
-        let mut tail = self.tail.load(atomic::Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(tail & self.mask) as usize];
-            // ordering: Acquire — pairs with the pop's Release store; seeing
-            // seq == tail proves the slot's previous value was fully taken;
-            // pairs-with: aio.ring-seq.
-            let seq = slot.seq.load(atomic::Ordering::Acquire);
-            let dif = seq.wrapping_sub(tail) as i64;
-            if dif == 0 {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    // ordering: Relaxed — claiming the position; the value
-                    // hand-off is ordered by the slot's seq, not the tail.
-                    atomic::Ordering::Relaxed,
-                    // ordering: Relaxed — failure just rereads the tail.
-                    atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the tail CAS for `tail` grants
-                        // exclusive write access to this slot until the
-                        // seq store below publishes it.
-                        slot.val.with_mut(|p| unsafe { *p = Some(v) });
-                        // ordering: Release — publishes the value to the
-                        // consumer whose Acquire load observes seq == tail+1;
-                        // pairs-with: aio.ring-seq.
-                        slot.seq
-                            .store(tail.wrapping_add(1), atomic::Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if dif < 0 {
-                return Err(v); // full: slot still holds an unpopped value
-            } else {
-                // ordering: Relaxed — another producer advanced past us; reread.
-                tail = self.tail.load(atomic::Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Pop a value; `None` when the ring is empty.
-    pub fn try_pop(&self) -> Option<T> {
-        // ordering: Relaxed — an optimistic read; the CAS below validates it.
-        let mut head = self.head.load(atomic::Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(head & self.mask) as usize];
-            // ordering: Acquire — pairs with the push's Release store; seeing
-            // seq == head+1 proves the slot's value is fully written;
-            // pairs-with: aio.ring-seq.
-            let seq = slot.seq.load(atomic::Ordering::Acquire);
-            let dif = seq.wrapping_sub(head.wrapping_add(1)) as i64;
-            if dif == 0 {
-                match self.head.compare_exchange_weak(
-                    head,
-                    head.wrapping_add(1),
-                    // ordering: Relaxed — claiming the position; the value
-                    // hand-off is ordered by the slot's seq, not the head.
-                    atomic::Ordering::Relaxed,
-                    // ordering: Relaxed — failure just rereads the head.
-                    atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the head CAS for `head` grants
-                        // exclusive access to this slot until the seq
-                        // store below recycles it for producers.
-                        let v = slot.val.with_mut(|p| unsafe { (*p).take() });
-                        // ordering: Release — recycles the slot for the
-                        // producer one lap ahead (its Acquire load pairs here);
-                        // pairs-with: aio.ring-seq.
-                        slot.seq.store(
-                            head.wrapping_add(self.mask).wrapping_add(1),
-                            atomic::Ordering::Release,
-                        );
-                        return Some(v.expect("sequenced slot held no value"));
-                    }
-                    Err(h) => head = h,
-                }
-            } else if dif < 0 {
-                return None; // empty: slot not yet filled for this lap
-            } else {
-                // ordering: Relaxed — another consumer advanced past us; reread.
-                head = self.head.load(atomic::Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for CompletionRing<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompletionRing")
-            .field("capacity", &self.slots.len())
-            .finish()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -297,7 +139,7 @@ pub struct FileBackend {
     policy: SyncPolicy,
     /// Set by [`FileBackend::crash`]: all subsequent file writes are
     /// dropped, tearing any multi-segment write in progress.
-    crashed: std::sync::atomic::AtomicBool,
+    crashed: AtomicBool,
 }
 
 impl FileBackend {
@@ -358,7 +200,7 @@ impl FileBackend {
             blocks_per_drive,
             o_direct,
             policy,
-            crashed: std::sync::atomic::AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
         })
     }
 
@@ -387,15 +229,14 @@ impl FileBackend {
     pub fn crash(&self) {
         // ordering: Release — the tear point is published to writer
         // threads; pairs-with: aio.file-crash.
-        self.crashed
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.crashed.store(true, Ordering::Release);
     }
 
     /// Has [`FileBackend::crash`] been called?
     pub fn is_crashed(&self) -> bool {
         // ordering: Acquire — pairs with the Release store in crash();
         // pairs-with: aio.file-crash.
-        self.crashed.load(std::sync::atomic::Ordering::Acquire)
+        self.crashed.load(Ordering::Acquire)
     }
 
     /// Mirror one completed write I/O into the backing files. Segments
@@ -495,67 +336,79 @@ fn open_direct(path: &Path, size: u64) -> std::io::Result<File> {
     Ok(f)
 }
 
-/// A 4096-aligned heap buffer sized in whole blocks (O_DIRECT requires
-/// aligned user memory as well as aligned offsets/lengths).
-struct AlignedBuf {
-    ptr: *mut u8,
-    len: usize,
-}
+use aligned::AlignedBuf;
 
-impl AlignedBuf {
-    fn zeroed(blocks: usize) -> Self {
-        let len = blocks.max(1) * BLOCK_SIZE;
-        let layout = std::alloc::Layout::from_size_align(len, BLOCK_SIZE).expect("valid layout");
-        // SAFETY: layout has nonzero size (blocks >= 1) and valid
-        // power-of-two alignment; allocation failure is handled below.
-        let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "aligned buffer allocation failed");
-        Self { ptr, len }
+/// The crate's only `unsafe`: raw allocation for O_DIRECT's alignment
+/// rule. `ptr`/`len` are private to this module, so every function that
+/// can change what the `SAFETY` comments rely on is in it.
+#[allow(unsafe_code)]
+mod aligned {
+    use crate::geometry::BLOCK_SIZE;
+    use crate::BlockStamp;
+
+    /// A 4096-aligned heap buffer sized in whole blocks (O_DIRECT requires
+    /// aligned user memory as well as aligned offsets/lengths).
+    pub(super) struct AlignedBuf {
+        ptr: *mut u8,
+        len: usize,
     }
 
-    /// Fill: one block per stamp, each block the 16-byte stamp repeated.
-    fn fill(stamps: &[BlockStamp]) -> Self {
-        let buf = Self::zeroed(stamps.len());
-        for (i, &s) in stamps.iter().enumerate() {
-            let bytes = s.to_le_bytes();
-            for j in 0..(BLOCK_SIZE / 16) {
-                let off = i * BLOCK_SIZE + j * 16;
-                // SAFETY: off + 16 <= len by construction (i < stamps.len(),
-                // j < BLOCK_SIZE/16); the buffer is exclusively owned here.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.ptr.add(off), 16);
+    impl AlignedBuf {
+        pub(super) fn zeroed(blocks: usize) -> Self {
+            let len = blocks.max(1) * BLOCK_SIZE;
+            let layout =
+                std::alloc::Layout::from_size_align(len, BLOCK_SIZE).expect("valid layout");
+            // SAFETY: layout has nonzero size (blocks >= 1) and valid
+            // power-of-two alignment; allocation failure is handled below.
+            let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+            assert!(!ptr.is_null(), "aligned buffer allocation failed");
+            Self { ptr, len }
+        }
+
+        /// Fill: one block per stamp, each block the 16-byte stamp repeated.
+        pub(super) fn fill(stamps: &[BlockStamp]) -> Self {
+            let buf = Self::zeroed(stamps.len());
+            for (i, &s) in stamps.iter().enumerate() {
+                let bytes = s.to_le_bytes();
+                for j in 0..(BLOCK_SIZE / 16) {
+                    let off = i * BLOCK_SIZE + j * 16;
+                    // SAFETY: off + 16 <= len by construction (i < stamps.len(),
+                    // j < BLOCK_SIZE/16); the buffer is exclusively owned here.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.ptr.add(off), 16);
+                    }
                 }
             }
+            buf
         }
-        buf
+
+        pub(super) fn bytes(&self) -> &[u8] {
+            // SAFETY: ptr is a live allocation of exactly len bytes.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+
+        pub(super) fn bytes_mut(&mut self) -> &mut [u8] {
+            // SAFETY: ptr is a live allocation of exactly len bytes, and
+            // &mut self guarantees exclusivity.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+        }
+
+        /// Decode the first 16 bytes of each block as its stamp.
+        pub(super) fn stamps(&self) -> Vec<BlockStamp> {
+            self.bytes()
+                .chunks_exact(BLOCK_SIZE)
+                .map(|b| BlockStamp::from_le_bytes(b[..16].try_into().expect("16-byte prefix")))
+                .collect()
+        }
     }
 
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: ptr is a live allocation of exactly len bytes.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: ptr is a live allocation of exactly len bytes, and
-        // &mut self guarantees exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-
-    /// Decode the first 16 bytes of each block as its stamp.
-    fn stamps(&self) -> Vec<BlockStamp> {
-        self.bytes()
-            .chunks_exact(BLOCK_SIZE)
-            .map(|b| BlockStamp::from_le_bytes(b[..16].try_into().expect("16-byte prefix")))
-            .collect()
-    }
-}
-
-impl Drop for AlignedBuf {
-    fn drop(&mut self) {
-        let layout =
-            std::alloc::Layout::from_size_align(self.len, BLOCK_SIZE).expect("valid layout");
-        // SAFETY: ptr was allocated with exactly this layout in zeroed().
-        unsafe { std::alloc::dealloc(self.ptr, layout) };
+    impl Drop for AlignedBuf {
+        fn drop(&mut self) {
+            let layout =
+                std::alloc::Layout::from_size_align(self.len, BLOCK_SIZE).expect("valid layout");
+            // SAFETY: ptr was allocated with exactly this layout in zeroed().
+            unsafe { std::alloc::dealloc(self.ptr, layout) };
+        }
     }
 }
 
@@ -579,24 +432,40 @@ struct SubmitRing {
     cap: usize,
 }
 
+/// The completion side: finished writes waiting to be harvested, and the
+/// counts [`AioEngine::drain`] waits on. One lock covers both, so a
+/// drainer that sees `completed` catch up with `submitted` also sees
+/// every completion behind that count.
+#[derive(Default)]
+struct Done {
+    list: Vec<Completion>,
+    /// Writes finished or crash-dropped; never exceeds `Inner::submitted`.
+    completed: u64,
+    dropped: u64,
+    lat_total_ns: u64,
+}
+
+impl Done {
+    /// Hand the finished writes over. The list keeps its buffer: taking
+    /// it whole makes the workers regrow one every CP and free it on
+    /// another thread, which read as +1.8 % `peak_rss_mb` on the aged
+    /// e2e workload (EXPERIMENTS.md "One completion queue").
+    fn harvest(&mut self) -> Vec<Completion> {
+        self.list.drain(..).collect()
+    }
+}
+
 /// Shared state between the engine handle and its workers.
 struct Inner {
     io: Arc<IoEngine>,
     rings: Vec<SubmitRing>,
-    completions: CompletionRing<Completion>,
-    /// Spill list for a full completion ring, so a worker never blocks
-    /// on a caller that is slow to poll.
-    overflow: parking_lot::Mutex<Vec<Completion>>, // lock-rank: aio.overflow 74
-    submitted: std::sync::atomic::AtomicU64,
-    completed: std::sync::atomic::AtomicU64,
-    inflight: std::sync::atomic::AtomicU64,
-    depth_peak: std::sync::atomic::AtomicU64,
-    lat_total_ns: std::sync::atomic::AtomicU64,
-    dropped: std::sync::atomic::AtomicU64,
-    shutdown: std::sync::atomic::AtomicBool,
-    crashed: std::sync::atomic::AtomicBool,
-    drain_mx: parking_lot::Mutex<()>, // lock-rank: aio.drain 72
-    drain_cv: parking_lot::Condvar,
+    done: parking_lot::Mutex<Done>, // lock-rank: aio.done 72
+    done_cv: parking_lot::Condvar,
+    submitted: AtomicU64,
+    inflight: AtomicU64,
+    depth_peak: AtomicU64,
+    shutdown: AtomicBool,
+    crashed: AtomicBool,
     /// Live queue-depth gauge in the obs metrics registry.
     depth_gauge: Arc<obs::Gauge>,
     /// Submit→complete latency histogram in the obs metrics registry.
@@ -628,18 +497,13 @@ impl AioEngine {
         let inner = Arc::new(Inner {
             io,
             rings,
-            completions: CompletionRing::with_capacity((groups * depth).max(64)),
-            overflow: parking_lot::Mutex::new(Vec::new()),
-            submitted: std::sync::atomic::AtomicU64::new(0),
-            completed: std::sync::atomic::AtomicU64::new(0),
-            inflight: std::sync::atomic::AtomicU64::new(0),
-            depth_peak: std::sync::atomic::AtomicU64::new(0),
-            lat_total_ns: std::sync::atomic::AtomicU64::new(0),
-            dropped: std::sync::atomic::AtomicU64::new(0),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-            crashed: std::sync::atomic::AtomicBool::new(false),
-            drain_mx: parking_lot::Mutex::new(()),
-            drain_cv: parking_lot::Condvar::new(),
+            done: parking_lot::Mutex::new(Done::default()),
+            done_cv: parking_lot::Condvar::new(),
+            submitted: AtomicU64::new(0),
+            inflight: AtomicU64::new(0),
+            depth_peak: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
             depth_gauge: registry.gauge("io_queue_depth"),
             lat_hist: registry.histogram("io_submit_to_complete_ns"),
         });
@@ -669,39 +533,21 @@ impl AioEngine {
     /// matches the eventual [`Completion::ticket`].
     pub fn submit(&self, wio: WriteIo) -> Result<IoTicket, IoError> {
         let inner = &*self.inner;
-        // ordering: Relaxed RMW mints unique tickets; completion visibility
-        // is ordered by the ring and the completed counter, not this one.
-        let id = inner
-            .submitted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // ordering: Relaxed RMW mints unique tickets; a completion is
+        // ordered after its own mint by the submit ring's lock.
+        let id = inner.submitted.fetch_add(1, Ordering::Relaxed);
+        // ordering: Relaxed — statistics gauge.
+        let depth = inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         // ordering: Acquire — see whether a crash point already fired;
         // pairs-with: aio.crashed.
-        if inner.crashed.load(std::sync::atomic::Ordering::Acquire) {
+        if inner.crashed.load(Ordering::Acquire) {
             // Crashed engine: the write is lost (powered-off media), but
             // the caller's ticket accounting must still balance.
-            // ordering: Relaxed — statistics counter.
-            inner
-                .dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // ordering: Release — keeps completed <= submitted visible to
-            // drain; pairs-with: aio.completed.
-            inner
-                .completed
-                .fetch_add(1, std::sync::atomic::Ordering::Release);
+            inner.account_dropped(1);
             return Ok(IoTicket(id));
         }
-        // ordering: AcqRel — the gauge and its high-water mark stay
-        // mutually consistent (same pattern as put_commit_outstanding);
-        // pairs-with: aio.inflight-gauge.
-        let depth = inner
-            .inflight
-            .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
-            + 1;
-        // ordering: AcqRel — see the gauge increment above;
-        // pairs-with: aio.inflight-gauge.
-        inner
-            .depth_peak
-            .fetch_max(depth, std::sync::atomic::Ordering::AcqRel);
+        // ordering: Relaxed — statistics high-water mark.
+        inner.depth_peak.fetch_max(depth, Ordering::Relaxed);
         inner.depth_gauge.set(depth);
         let ring = &inner.rings[wio.rg.0 as usize];
         let mut q = ring.q.lock();
@@ -710,9 +556,9 @@ impl AioEngine {
             // A crash while parked: bail out like the pre-queue check.
             // ordering: Acquire — pairs with the crash point's Release;
             // pairs-with: aio.crashed.
-            if inner.crashed.load(std::sync::atomic::Ordering::Acquire) {
+            if inner.crashed.load(Ordering::Acquire) {
                 drop(q);
-                self.account_dropped(1);
+                inner.account_dropped(1);
                 return Ok(IoTicket(id));
             }
         }
@@ -727,14 +573,7 @@ impl AioEngine {
 
     /// Harvest every completion published so far, without blocking.
     pub fn poll_completions(&self) -> Vec<Completion> {
-        let inner = &*self.inner;
-        let mut out = Vec::new();
-        while let Some(c) = inner.completions.try_pop() {
-            out.push(c);
-        }
-        let mut spilled = inner.overflow.lock();
-        out.append(&mut *spilled);
-        out
+        self.inner.done.lock().harvest()
     }
 
     /// Barrier: wait until every prior submission has completed, fsync
@@ -744,28 +583,23 @@ impl AioEngine {
     /// order; nothing in flight after it.
     pub fn drain(&self) -> Vec<Completion> {
         let inner = &*self.inner;
-        {
-            let mut g = inner.drain_mx.lock();
-            loop {
-                // ordering: Acquire — pairs with workers' Release bumps, so
-                // completed == submitted implies all results are visible.
-                let sub = inner.submitted.load(std::sync::atomic::Ordering::Acquire);
-                // ordering: Acquire — see above; pairs-with: aio.completed.
-                let comp = inner.completed.load(std::sync::atomic::Ordering::Acquire);
-                if comp >= sub {
-                    break;
-                }
-                // Timed wait: a missed notify costs one tick, not a hang.
-                inner
-                    .drain_cv
-                    .wait_until(&mut g, Instant::now() + Duration::from_millis(20));
+        let harvested = {
+            let mut done = inner.done.lock();
+            // ordering: Relaxed — a submission made before this call is
+            // visible by program order or the caller's own hand-off, and
+            // every completion counted under the lock was minted (and so
+            // counted here) first; reread because other threads' writes
+            // may complete ahead of the ones this barrier is for.
+            while done.completed < inner.submitted.load(Ordering::Relaxed) {
+                inner.done_cv.wait(&mut done);
             }
-        }
+            done.harvest()
+        };
         // The durability half of the barrier: everything the workers
         // wrote is on media before the caller proceeds (CP phase
         // boundary / superblock commit).
         let _ = inner.io.sync_media();
-        self.poll_completions()
+        harvested
     }
 
     /// Crash point: drop everything still queued (and, via the file
@@ -777,9 +611,7 @@ impl AioEngine {
         // ordering: Release — later Acquire loads (submit, workers) see the
         // crash before they see any queue state mutated below;
         // pairs-with: aio.crashed.
-        inner
-            .crashed
-            .store(true, std::sync::atomic::Ordering::Release);
+        inner.crashed.store(true, Ordering::Release);
         inner.io.crash_mirror();
         let mut n = 0u64;
         for ring in &inner.rings {
@@ -790,81 +622,42 @@ impl AioEngine {
             ring.not_empty.notify_all();
         }
         if n > 0 {
-            self.account_dropped(n);
+            inner.account_dropped(n);
         }
         n
     }
 
-    fn account_dropped(&self, n: u64) {
-        let inner = &*self.inner;
-        // ordering: Relaxed — statistics counter.
-        inner
-            .dropped
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        // ordering: AcqRel — gauge decrement pairs with submit's increment;
-        // pairs-with: aio.inflight-gauge.
-        inner
-            .inflight
-            .fetch_sub(n, std::sync::atomic::Ordering::AcqRel);
-        // ordering: Release — keeps drain's completed-vs-submitted check
-        // sound; pairs-with: aio.completed.
-        inner
-            .completed
-            .fetch_add(n, std::sync::atomic::Ordering::Release);
-        let _g = inner.drain_mx.lock();
-        inner.drain_cv.notify_all();
-    }
-
     /// Total writes submitted.
     pub fn submitted(&self) -> u64 {
-        // ordering: Acquire — pairs with the Relaxed/Release bumps; a
-        // point-in-time reporting read.
-        self.inner
-            .submitted
-            .load(std::sync::atomic::Ordering::Acquire)
+        // ordering: Relaxed — a point-in-time reporting read.
+        self.inner.submitted.load(Ordering::Relaxed)
     }
 
     /// Total writes completed (including crash-dropped ones).
     pub fn completed(&self) -> u64 {
-        // ordering: Acquire — pairs with workers' Release bumps;
-        // pairs-with: aio.completed.
-        self.inner
-            .completed
-            .load(std::sync::atomic::Ordering::Acquire)
+        self.inner.done.lock().completed
     }
 
     /// Writes dropped by a crash point.
     pub fn dropped(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.inner
-            .dropped
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.inner.done.lock().dropped
     }
 
     /// Writes currently submitted but not completed.
     pub fn inflight(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel gauge updates;
-        // pairs-with: aio.inflight-gauge.
-        self.inner
-            .inflight
-            .load(std::sync::atomic::Ordering::Acquire)
+        // ordering: Relaxed — statistics gauge.
+        self.inner.inflight.load(Ordering::Relaxed)
     }
 
     /// High-water mark of [`AioEngine::inflight`].
     pub fn queue_depth_peak(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel fetch_max;
-        // pairs-with: aio.inflight-gauge.
-        self.inner
-            .depth_peak
-            .load(std::sync::atomic::Ordering::Acquire)
+        // ordering: Relaxed — statistics high-water mark.
+        self.inner.depth_peak.load(Ordering::Relaxed)
     }
 
     /// Accumulated submit→complete latency over all completions.
     pub fn submit_to_complete_ns_total(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.inner
-            .lat_total_ns
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.inner.done.lock().lat_total_ns
     }
 
     /// Stop the workers (draining their rings first unless crashed).
@@ -873,9 +666,7 @@ impl AioEngine {
         // ordering: Release — workers' Acquire loads see the flag after
         // observing any queue state published before this call;
         // pairs-with: aio.shutdown.
-        self.inner
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.inner.shutdown.store(true, Ordering::Release);
         for ring in &self.inner.rings {
             let _q = ring.q.lock();
             ring.not_empty.notify_all();
@@ -904,6 +695,36 @@ impl std::fmt::Debug for AioEngine {
     }
 }
 
+impl Inner {
+    /// Publish one finished write and wake any drainer.
+    fn complete(&self, ticket: u64, result: Result<IoResult, IoError>, ns: u64) {
+        self.lat_hist.record(ns);
+        // ordering: Relaxed — statistics gauge.
+        let depth = self.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
+        self.depth_gauge.set(depth);
+        let mut done = self.done.lock();
+        done.list.push(Completion {
+            ticket: IoTicket(ticket),
+            result,
+            submit_to_complete_ns: ns,
+        });
+        done.lat_total_ns += ns;
+        done.completed += 1;
+        self.done_cv.notify_all();
+    }
+
+    /// Count `n` writes lost to a crash point as completed (the caller's
+    /// ticket accounting must balance) and wake any drainer.
+    fn account_dropped(&self, n: u64) {
+        // ordering: Relaxed — statistics gauge.
+        self.inflight.fetch_sub(n, Ordering::Relaxed);
+        let mut done = self.done.lock();
+        done.dropped += n;
+        done.completed += n;
+        self.done_cv.notify_all();
+    }
+}
+
 /// Worker: drain one RAID group's submit ring in FIFO order. One
 /// worker per group means each drive observes the same op sequence at
 /// any queue depth, so fault-plan draws, retry backoff, and
@@ -920,7 +741,7 @@ fn worker_loop(inner: &Inner, rg: usize) {
                 }
                 // ordering: Acquire — pairs with shutdown's Release store;
                 // pairs-with: aio.shutdown.
-                if inner.shutdown.load(std::sync::atomic::Ordering::Acquire) {
+                if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 ring.not_empty.wait(&mut q);
@@ -929,58 +750,16 @@ fn worker_loop(inner: &Inner, rg: usize) {
         // ordering: Acquire — a crash point fired while this item was
         // queued; drop it exactly as the crash path drops the rest;
         // pairs-with: aio.crashed.
-        if inner.crashed.load(std::sync::atomic::Ordering::Acquire) {
-            complete(inner, pending.ticket, None, 0);
+        if inner.crashed.load(Ordering::Acquire) {
+            inner.account_dropped(1);
             continue;
         }
         let sp = obs::trace_span!(obs::EventKind::Io, pending.io.blocks());
         let result = inner.io.submit_write(&pending.io);
         drop(sp);
         let ns = pending.submitted_at.elapsed().as_nanos() as u64;
-        complete(inner, pending.ticket, Some(result), ns);
+        inner.complete(pending.ticket, result, ns);
     }
-}
-
-/// Publish one completion (or account a dropped write when `result` is
-/// `None`) and wake any drainer.
-fn complete(inner: &Inner, ticket: u64, result: Option<Result<IoResult, IoError>>, ns: u64) {
-    match result {
-        Some(result) => {
-            // ordering: Relaxed — statistics counter.
-            inner
-                .lat_total_ns
-                .fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
-            inner.lat_hist.record(ns);
-            let c = Completion {
-                ticket: IoTicket(ticket),
-                result,
-                submit_to_complete_ns: ns,
-            };
-            if let Err(c) = inner.completions.try_push(c) {
-                inner.overflow.lock().push(c);
-            }
-        }
-        None => {
-            // ordering: Relaxed — statistics counter.
-            inner
-                .dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-    // ordering: AcqRel — gauge decrement pairs with submit's increment;
-    // pairs-with: aio.inflight-gauge.
-    let depth = inner
-        .inflight
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel)
-        - 1;
-    inner.depth_gauge.set(depth);
-    // ordering: Release — publishes this completion's effects to drain's
-    // Acquire load of the counter; pairs-with: aio.completed.
-    inner
-        .completed
-        .fetch_add(1, std::sync::atomic::Ordering::Release);
-    let _g = inner.drain_mx.lock();
-    inner.drain_cv.notify_all();
 }
 
 #[cfg(test)]
@@ -1020,76 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_push_pop_fifo_per_producer() {
-        let r: CompletionRing<u64> = CompletionRing::with_capacity(4);
-        assert_eq!(r.capacity(), 4);
-        for i in 0..4 {
-            r.try_push(i).unwrap();
-        }
-        assert!(r.try_push(99).is_err(), "full ring rejects");
-        for i in 0..4 {
-            assert_eq!(r.try_pop(), Some(i));
-        }
-        assert_eq!(r.try_pop(), None);
-        // Reusable across laps.
-        r.try_push(7).unwrap();
-        assert_eq!(r.try_pop(), Some(7));
-    }
-
-    #[test]
-    fn ring_concurrent_no_loss_no_dup() {
-        let r: Arc<CompletionRing<u64>> = Arc::new(CompletionRing::with_capacity(8));
-        let n_per = 5_000u64;
-        let producers: Vec<_> = (0..3u64)
-            .map(|p| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for i in 0..n_per {
-                        let mut v = p * n_per + i;
-                        loop {
-                            match r.try_push(v) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    v = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while got.len() < (3 * n_per as usize) / 2 {
-                        match r.try_pop() {
-                            Some(v) => got.push(v),
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        while let Some(v) = r.try_pop() {
-            all.push(v);
-        }
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..3 * n_per).collect();
-        assert_eq!(all, expect, "every value delivered exactly once");
-    }
-
-    #[test]
     fn submit_poll_drain_roundtrip() {
         let io = engine();
         let aio = AioEngine::new(Arc::clone(&io), 8);
@@ -1116,6 +825,85 @@ mod tests {
         assert_eq!(io.full_stripe_ratio(), Some(1.0));
         io.scrub().unwrap();
         assert_eq!(io.read_vbn(Vbn(0)).unwrap(), crate::stamp(7, 0, 1));
+    }
+
+    /// Submit `n` two-block stripes to `rg`, wrapping within the drive.
+    fn submit_stripes(aio: &AioEngine, rg: u32, width: u32, n: u64) {
+        for i in 0..n {
+            aio.submit(stripe_io(rg, (i * 2) % 512, 2, width, 13))
+                .unwrap();
+        }
+    }
+
+    fn sorted_ids(done: impl IntoIterator<Item = Completion>) -> Vec<u64> {
+        let mut ids: Vec<u64> = done.into_iter().map(|c| c.ticket.id()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn burst_between_polls_is_delivered_exactly_once() {
+        // Nothing harvests until the one drain at the end, so the list
+        // holds the whole burst (far beyond either ring's depth of 8).
+        let aio = AioEngine::new(engine(), 8);
+        std::thread::scope(|s| {
+            s.spawn(|| submit_stripes(&aio, 0, 3, 300));
+            s.spawn(|| submit_stripes(&aio, 1, 2, 300));
+        });
+        assert_eq!(sorted_ids(aio.drain()), (0..600).collect::<Vec<_>>());
+        assert!(aio.poll_completions().is_empty());
+    }
+
+    #[test]
+    fn concurrent_pollers_lose_and_duplicate_nothing() {
+        let aio = AioEngine::new(engine(), 8);
+        let n = 600;
+        let mut got = std::thread::scope(|s| {
+            let pollers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        while aio.completed() < n {
+                            got.extend(aio.poll_completions());
+                        }
+                        got
+                    })
+                })
+                .collect();
+            s.spawn(|| submit_stripes(&aio, 0, 3, n / 2));
+            s.spawn(|| submit_stripes(&aio, 1, 2, n / 2));
+            pollers
+                .into_iter()
+                .flat_map(|p| p.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        got.extend(aio.drain());
+        assert_eq!(sorted_ids(got), (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn drain_never_sleeps_through_the_last_completion() {
+        // One write in flight per round, and the one wake-up the drainer
+        // will ever get is for it. No wait in the engine has a timeout, so
+        // a completion that forgets to notify hangs this test. The lag
+        // sweeps the drainer's arrival across the worker's completion, so
+        // a count that runs ahead of the list (bumped before the push
+        // instead of under its lock) lets a drain return without its
+        // completion within a few thousand rounds. (A count bumped
+        // *after* the lock is released loses a wake-up only inside the
+        // few instructions between predicate and park: EXPERIMENTS.md
+        // "One completion queue" has the rounds that took.)
+        let aio = AioEngine::new(engine(), 8);
+        for round in 0..30_000u64 {
+            aio.submit(stripe_io(0, (round * 2) % 512, 2, 3, 17))
+                .unwrap();
+            let submitted_at = Instant::now();
+            let lag = std::time::Duration::from_nanos(round % 256 * 200);
+            while submitted_at.elapsed() < lag {
+                std::hint::spin_loop();
+            }
+            assert_eq!(sorted_ids(aio.drain()), [round]);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! counters that the evaluation harness reads (full-stripe ratio, blocks
 //! written per drive, simulated busy time).
 
-use crate::aio::{AioEngine, FileBackend};
+use crate::aio::{AioEngine, Completion, FileBackend};
 use crate::drive::DriveKind;
 use crate::fault::{FaultPlan, FaultSpec, IoError, RetryPolicy};
 use crate::geometry::{AggregateGeometry, BlockLoc, DriveId, RaidGroupId, Vbn};
@@ -185,9 +185,10 @@ impl IoEngine {
         }
     }
 
-    /// Register an async engine layered on top of this one. Callers that
-    /// honor async submission (the tetris fire path) check
-    /// [`IoEngine::aio`] before falling back to inline completion.
+    /// Register an async engine layered on top of this one. From now on
+    /// [`IoEngine::write`], [`IoEngine::poll`], [`IoEngine::barrier`] and
+    /// [`IoEngine::crash`] go through it; callers of those four never
+    /// ask which mode they are in.
     pub fn set_aio(&self, engine: &Arc<AioEngine>) {
         *self.aio.lock() = Arc::downgrade(engine);
     }
@@ -195,6 +196,71 @@ impl IoEngine {
     /// The registered async engine, if one is attached and still alive.
     pub fn aio(&self) -> Option<Arc<AioEngine>> {
         self.aio.lock().upgrade()
+    }
+
+    /// Send a tetris to RAID. With an async engine attached the write is
+    /// only enqueued — it completes in the background, so parity
+    /// computation for the next tetris overlaps this one's media time —
+    /// and the returned [`IoResult`] carries the block count alone; its
+    /// outcome arrives as a [`Completion`] from [`IoEngine::poll`] or
+    /// [`IoEngine::barrier`]. Without one (or for an I/O with nothing in
+    /// it) the write completes inline, as [`IoEngine::submit_write`].
+    pub fn write(&self, io: WriteIo) -> Result<IoResult, IoError> {
+        match self.aio() {
+            Some(aio) if !io.segments.is_empty() => {
+                let blocks_written = io.blocks();
+                aio.submit(io)?;
+                Ok(IoResult {
+                    service_ns: 0,
+                    parity_reads: 0,
+                    blocks_written,
+                })
+            }
+            _ => self.submit_write(&io),
+        }
+    }
+
+    /// Completions of queued writes that have finished since the last
+    /// call, without blocking. Always empty without an async engine.
+    pub fn poll(&self) -> Vec<Completion> {
+        self.aio()
+            .map_or_else(Vec::new, |aio| aio.poll_completions())
+    }
+
+    /// The durability barrier: wait for every queued write, make the file
+    /// mirror (if any) durable, and return the unharvested completions.
+    pub fn barrier(&self) -> Vec<Completion> {
+        match self.aio() {
+            // `drain` already ends with the media fsync.
+            Some(aio) => aio.drain(),
+            None => {
+                let _ = self.sync_media();
+                Vec::new()
+            }
+        }
+    }
+
+    /// A crash point fired: everything submitted but not yet on media is
+    /// lost. Queued writes are dropped and the file mirror (if any)
+    /// stops persisting, tearing at most one mid-flight stripe.
+    ///
+    /// What a recovery may rely on afterwards is weaker than "the
+    /// committed image is intact": a CP reuses blocks freed *within* it
+    /// (an overwrite's old PVBN is staged by the cleaner, a full stage
+    /// clears its active-map bit, a later refill of the same CP hands it
+    /// out), so writes that did reach media before this call may have
+    /// overwritten blocks the committed image still maps. Every such
+    /// block was freed by an operation still in the un-retired NVLog
+    /// halves, so replay supersedes it
+    /// (`abandoned_cp_overwrites_only_blocks_the_log_supersedes`).
+    pub fn crash(&self) {
+        match self.aio() {
+            // Tears the mirror too.
+            Some(aio) => {
+                aio.crash_drop_inflight();
+            }
+            None => self.crash_mirror(),
+        }
     }
 
     /// Build an engine whose drives (data and parity) share a seeded

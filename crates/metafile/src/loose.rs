@@ -34,8 +34,8 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct LooseCounter {
     global: AtomicI64,
-    /// Number of batched applications (for the M4 micro-bench: fewer
-    /// global RMWs = less contention).
+    /// Number of batched applications (fewer global RMWs = less
+    /// contention).
     applies: AtomicU64,
 }
 

@@ -386,6 +386,14 @@ mod tests {
     use crate::sampler::RegistrySource;
     use std::sync::Arc;
 
+    /// The trigger board is process-wide: a fire in one test is pending
+    /// for every armed `Blackbox` in another, so the tests take turns.
+    /// A failed test poisons the lock; the others still get theirs.
+    fn board_turn() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(()); // lock-rank: obs.test-board 84
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("obs-blackbox-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -405,6 +413,7 @@ mod tests {
 
     #[test]
     fn service_is_idle_until_a_trigger_fires() {
+        let _turn = board_turn();
         let dir = tempdir("idle");
         let reg = Arc::new(Registry::new());
         let bb = Blackbox::new(
@@ -424,6 +433,7 @@ mod tests {
 
     #[test]
     fn bundle_has_schema_board_metrics_and_sections() {
+        let _turn = board_turn();
         let dir = tempdir("bundle");
         let reg = Arc::new(Registry::new());
         reg.counter("puts").add(9);
@@ -477,6 +487,7 @@ mod tests {
 
     #[test]
     fn disabled_triggers_do_not_dump() {
+        let _turn = board_turn();
         let dir = tempdir("disabled");
         let bb = Blackbox::new(
             RegistrySource::Shared(Arc::new(Registry::new())),
@@ -494,6 +505,7 @@ mod tests {
 
     #[test]
     fn bundles_are_complete_files_with_no_temp_residue() {
+        let _turn = board_turn();
         let dir = tempdir("atomic");
         let bb = Blackbox::new(
             RegistrySource::Shared(Arc::new(Registry::new())),

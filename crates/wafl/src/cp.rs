@@ -458,7 +458,7 @@ fn run_cp_inner(
         // Arm the flight recorder before abandoning the CP (lock-free;
         // dumped at next service). Arg = crash-point pipeline ordinal.
         obs::trigger(obs::Trigger::CrashPoint, 1);
-        crash_drop_io(alloc);
+        alloc.infra().io().crash();
         return None;
     }
 
@@ -470,15 +470,14 @@ fn run_cp_inner(
     let items = partition_work(frozen, &cfg.cleaner);
     report.cleaner_messages = items.len();
     let results = pool.clean_all(items);
-    // Keep the completion ring shallow; errors are accounted per
-    // completion here, not per submission.
+    // Errors are accounted per completion here, not per submission.
     alloc.infra().harvest_io();
     drop(sp2);
     report.clean_ns = t0.elapsed().as_nanos() as u64;
     if crash_at == Some(CrashPoint::AfterClean) {
         // See the AfterFreeze branch.
         obs::trigger(obs::Trigger::CrashPoint, 2);
-        crash_drop_io(alloc);
+        alloc.infra().io().crash();
         return None;
     }
 
@@ -504,7 +503,7 @@ fn run_cp_inner(
     if crash_at == Some(CrashPoint::AfterApply) {
         // See the AfterFreeze branch.
         obs::trigger(obs::Trigger::CrashPoint, 3);
-        crash_drop_io(alloc);
+        alloc.infra().io().crash();
         return None;
     }
 
@@ -520,7 +519,7 @@ fn run_cp_inner(
     if crash_at == Some(CrashPoint::AfterMetafileFlush) {
         // See the AfterFreeze branch.
         obs::trigger(obs::Trigger::CrashPoint, 4);
-        crash_drop_io(alloc);
+        alloc.infra().io().crash();
         return None;
     }
 
@@ -533,7 +532,7 @@ fn run_cp_inner(
     // in-memory update of the committed image.
     let t0 = std::time::Instant::now();
     let _sp5 = obs::trace_span!(obs::EventKind::CpPhase, 5);
-    io_barrier(alloc);
+    alloc.infra().drain_io();
     report.barrier_ns = t0.elapsed().as_nanos() as u64;
     let t0 = std::time::Instant::now();
     sb.commit_delta(cp_id, volumes, &results, mf_locs.snapshot());
@@ -551,34 +550,6 @@ fn flush_bucket_cache(alloc: &Arc<Allocator>) {
     // `flush_cache` retires buckets (no Immediate-mode re-refill), so
     // this terminates under either reinsertion policy.
     alloc.flush_cache();
-}
-
-/// The pre-commit barrier: wait for every async write submitted during
-/// this CP and make the media durable. Without an async engine the only
-/// outstanding obligation is the file mirror's fsync.
-fn io_barrier(alloc: &Arc<Allocator>) {
-    let infra = alloc.infra();
-    if infra.io().aio().is_some() {
-        // `drain` already ends with the media fsync.
-        infra.drain_io();
-    } else {
-        let _ = infra.io().sync_media();
-    }
-}
-
-/// A crash point fired: everything submitted but not yet on media is
-/// lost. Queued async writes are dropped and the file mirror (if any)
-/// stops persisting — tearing at most one mid-flight stripe. Safe
-/// because CP writes are copy-on-write: nothing the *committed* image
-/// references is touched, so the dropped blocks are unreachable after
-/// recovery and NVLog replay restores their logical content.
-fn crash_drop_io(alloc: &Arc<Allocator>) {
-    let infra = alloc.infra();
-    if let Some(aio) = infra.io().aio() {
-        aio.crash_drop_inflight();
-    } else {
-        infra.io().crash_mirror();
-    }
 }
 
 /// Metafile-flush fix-point rounds before the CP writes the remaining

@@ -53,7 +53,7 @@ cargo clippy --all-targets -- -D warnings
 
 echo "=== cargo clippy (workspace minus vendor; incl. mc shim mode) ==="
 cargo clippy --workspace --all-targets \
-  --exclude criterion --exclude crossbeam --exclude parking_lot \
+  --exclude crossbeam --exclude parking_lot \
   --exclude proptest --exclude rand --exclude rand_chacha \
   --exclude serde --exclude serde_derive --exclude serde_json \
   -- -D warnings
@@ -106,23 +106,5 @@ exp_scrub||--smoke
 exp_io_engine||
 exp_telemetry|trace|
 BENCHES
-
-echo "=== tsan: data-race check on the cache stress suite ==="
-# ThreadSanitizer needs -Z sanitizer=thread plus a rebuilt std
-# (-Zbuild-std), both nightly-only: skip with a notice where no
-# nightly+rust-src toolchain is installed (the container bakes stable
-# only) — the stanza arms itself on hosts that have it.
-HOST_TRIPLE="$(rustc -vV | sed -n 's/^host: //p')"
-if command -v rustup >/dev/null 2>&1 \
-   && rustup toolchain list 2>/dev/null | grep -q nightly \
-   && rustup component list --toolchain nightly 2>/dev/null \
-      | grep -q 'rust-src.*(installed)'; then
-  RUSTFLAGS="-Z sanitizer=thread" \
-    cargo +nightly test --release -q -p alligator --test cache_stress \
-      -Z build-std --target "$HOST_TRIPLE"
-else
-  echo "NOTICE: nightly+rust-src not installed; skipping the TSan pass \
-(the debug-assertion stress run above still covers conservation)"
-fi
 
 echo "CI green."
