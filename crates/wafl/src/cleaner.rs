@@ -34,7 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// VVBNs a cleaner reserves per chunk (the volume-side bucket analog).
+/// Most VVBNs one reservation takes (the volume-side bucket analog). A
+/// job reserves no more than it has buffers left to clean; the cap bounds
+/// how long a reservation holds the volume's VVBN cursor.
 const VVBN_CHUNK: usize = 64;
 
 /// Cleaner subsystem configuration.
@@ -265,20 +267,14 @@ pub fn clean_job(
 ) -> Option<CleanResult> {
     let mut cleaned = Vec::with_capacity(job.buffers.len());
     let mut chunk: Option<crate::vvbn::VvbnChunkGuard<'_>> = None;
-    for buf in &job.buffers {
-        // Virtual VBN from the volume's chunked allocator.
-        let vvbn = loop {
-            if let Some(c) = chunk.as_mut() {
-                if let Some(v) = c.take() {
-                    break v;
-                }
-            }
-            chunk = Some(crate::vvbn::VvbnChunkGuard::new(
-                job.vol.vvbn(),
-                VVBN_CHUNK,
-            )?);
-        };
-        job.vol.vvbn().commit(vvbn);
+    for (i, buf) in job.buffers.iter().enumerate() {
+        // Virtual VBNs from the volume's chunked allocator, reserved for
+        // the buffers this job still has to clean: a small inode takes
+        // exactly what it uses and releases nothing.
+        if chunk.as_ref().is_none_or(|c| c.is_empty()) {
+            let want = VVBN_CHUNK.min(job.buffers.len() - i);
+            chunk = Some(crate::vvbn::VvbnChunkGuard::new(job.vol.vvbn(), want)?);
+        }
         // Physical VBN from the bucket (prefetched or freshly GOT).
         let pvbn = loop {
             if let Some(b) = ctx.bucket.as_mut() {
@@ -291,6 +287,14 @@ pub fn clean_job(
             }
             ctx.refill(alloc)?;
         };
+        // Only now, with the PVBN in hand, consume the VVBN: an
+        // out-of-space exit above leaves it reserved for the guard to
+        // release.
+        let vvbn = chunk
+            .as_mut()
+            .and_then(|c| c.take())
+            .expect("chunk refilled above");
+        job.vol.vvbn().commit(vvbn);
         // Overwrite: free the previous locations.
         if let Some(old) = buf.old_pvbn {
             alloc.free_vbn(stage, old);
@@ -305,8 +309,6 @@ pub fn clean_job(
             stamp: buf.stamp,
         });
     }
-    // Unused VVBNs go back to the volume.
-    drop(chunk);
     Some(CleanResult {
         vol: job.vol.id(),
         file: job.file,
@@ -641,12 +643,7 @@ mod tests {
             })
             .collect();
         let items = partition_work(frozen, &cfg);
-        // 3+3 > 5 → one inode per... 3 ≤ 5, adding second would exceed →
-        // messages of 1 inode... first item holds inode0 (3 buffers);
-        // inode1 would make 6 > 5 → flush. So 4 messages? No: each new
-        // message starts empty, 3 ≤ 5 then next would exceed → 4 items of
-        // 1... wait, after flush, batch = [inode1] (3), inode2 exceeds →
-        // flush. Result: 4 items.
+        // Each 3-buffer inode plus the next is 6 > 5: one inode per message.
         assert_eq!(items.len(), 4);
     }
 
@@ -688,6 +685,79 @@ mod tests {
         alloc.flush_stage(&mut stage);
         alloc.drain();
         alloc.infra().aggmap().verify().unwrap();
+    }
+
+    #[test]
+    fn small_jobs_reserve_only_the_vvbns_they_use() {
+        let alloc = mk_alloc();
+        let v = vol();
+        let total = v.vvbn().total();
+        let mut ctx = CleanerCtx::new(0, 4);
+        let mut stage = alloc.new_stage();
+        let mut vvbns = Vec::new();
+        for _ in 0..8 {
+            let job = CleanJob {
+                vol: Arc::clone(&v),
+                file: FileId(1),
+                buffers: dirty(3),
+            };
+            let r = clean_job(&alloc, &mut ctx, &mut stage, &job).unwrap();
+            vvbns.extend(r.cleaned.iter().map(|c| c.vvbn));
+            assert_eq!(
+                v.vvbn().free_count(),
+                total - vvbns.len() as u64,
+                "no reservation outlives its job"
+            );
+        }
+        assert_eq!(
+            vvbns,
+            (0..24).collect::<Vec<u64>>(),
+            "each job reserves exactly its 3 VVBNs, so jobs pack back to back"
+        );
+        ctx.finish(&alloc);
+        alloc.flush_stage(&mut stage);
+        alloc.drain();
+    }
+
+    #[test]
+    fn out_of_space_commits_no_vvbn_without_a_pvbn() {
+        // A 32-block aggregate (the allocator's exhaustion geometry).
+        let geo = Arc::new(
+            GeometryBuilder::new()
+                .aa_stripes(8)
+                .raid_group(1, 1, 32)
+                .build(),
+        );
+        let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
+        let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 2, 2));
+        let alloc = Allocator::new(
+            AllocConfig::with_chunk(32),
+            aggmap,
+            io,
+            Arc::new(InlineExecutor),
+            topo,
+            0,
+        );
+        let v = vol();
+        let total = v.vvbn().total();
+        let mut ctx = CleanerCtx::new(0, 4);
+        let mut stage = alloc.new_stage();
+        let job = CleanJob {
+            vol: Arc::clone(&v),
+            file: FileId(1),
+            buffers: dirty(40),
+        };
+        assert!(clean_job(&alloc, &mut ctx, &mut stage, &job).is_none());
+        assert_eq!(
+            v.vvbn().free_count(),
+            total - 32,
+            "one VVBN per PVBN handed out; the 33rd buffer consumed none"
+        );
+        assert_eq!(v.vvbn().map().recount_free(), v.vvbn().free_count());
+        ctx.finish(&alloc);
+        alloc.flush_stage(&mut stage);
+        alloc.drain();
     }
 
     #[test]

@@ -468,13 +468,26 @@ impl Filesystem {
 
     /// Verify that every committed block reads back its expected stamp
     /// from the simulated media, and that the free-space metadata is
-    /// internally consistent.
+    /// internally consistent: the aggregate's, and each volume's VVBN map,
+    /// whose used VVBNs are exactly those the block maps and retained
+    /// snapshots reference.
     pub fn verify_integrity(&self) -> Result<(), String> {
         for v in self.volumes() {
+            let space = v.vvbn();
+            let mut referenced = vec![0u64; space.total().div_ceil(64) as usize];
+            let mut unallocated = 0u64;
+            let mut mark = |vvbn: u64| {
+                referenced[(vvbn / 64) as usize] |= 1 << (vvbn % 64);
+                unallocated += u64::from(!space.map().is_used(vvbn));
+            };
+            for snap in v.snapshots().list() {
+                snap.iter_blocks().for_each(|(_, _, ptr)| mark(ptr.vvbn));
+            }
             for f in v.file_ids() {
                 let inode = v.inode(f).expect("listed file exists");
                 let inode = inode.lock();
                 for (fbn, ptr) in inode.block_map().iter() {
+                    mark(ptr.vvbn);
                     let got = self.io.read_vbn(ptr.pvbn).map_err(|e| {
                         format!("read failed vol {:?} file {:?} fbn {fbn}: {e}", v.id(), f)
                     })?;
@@ -487,6 +500,23 @@ impl Filesystem {
                         ));
                     }
                 }
+            }
+            let free = space.free_count();
+            let recount = space.map().recount_free();
+            if recount != free {
+                return Err(format!(
+                    "vol {:?}: VVBN free count {free}, bitmap recount {recount}",
+                    v.id()
+                ));
+            }
+            let distinct: u64 = referenced.iter().map(|w| u64::from(w.count_ones())).sum();
+            if unallocated > 0 || space.total() - free != distinct {
+                return Err(format!(
+                    "vol {:?}: {} VVBNs used, {distinct} referenced by block maps and \
+                     snapshots ({unallocated} of them free)",
+                    v.id(),
+                    space.total() - free
+                ));
             }
         }
         self.alloc.infra().aggmap().verify()?;

@@ -8,7 +8,12 @@
 //!
 //! * **chunked reservation** ([`VvbnSpace::alloc_chunk`]): a cleaner
 //!   grabs a run of VVBNs at a time, amortizing synchronization exactly
-//!   like a bucket;
+//!   like a bucket. The cleaner sizes each run to the buffers its job
+//!   still has to clean, capped at the cleaner's `VVBN_CHUNK` (64),
+//!   which bounds the cursor hold. An over-sized run would be
+//!   reserved and then released VVBN by VVBN, each a contended RMW on
+//!   the map's bits and free count, and would scatter the volume's
+//!   VVBNs over more metafile blocks;
 //! * the backing [`ActiveMap`] tracks *metafile-block dirtying* for VVBN
 //!   allocations and frees, which is the volume-side infrastructure load
 //!   (the Volume-VBN Range affinities of §IV-B2).
@@ -50,12 +55,6 @@ impl VvbnChunk {
         let v = *self.vvbns.get(self.next)?;
         self.next += 1;
         Some(v)
-    }
-
-    /// VVBNs not yet taken.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.vvbns.len() - self.next
     }
 
     /// The unconsumed tail (for release at CP end).
@@ -152,7 +151,9 @@ impl VvbnSpace {
 
 /// A [`VvbnChunk`] that releases its unconsumed VVBNs back to the space
 /// on drop — the RAII form cleaners use so a job can never leak
-/// reservations, even on early exit.
+/// reservations, even on early exit. A job's reservations are sized to
+/// its buffers, so the drop releases anything only when the job stops
+/// short (the aggregate ran out of space).
 pub struct VvbnChunkGuard<'a> {
     space: &'a VvbnSpace,
     chunk: VvbnChunk,
@@ -171,10 +172,10 @@ impl<'a> VvbnChunkGuard<'a> {
         self.chunk.take()
     }
 
-    /// VVBNs not yet taken.
+    /// Has every reserved VVBN been taken?
     #[inline]
-    pub fn remaining(&self) -> usize {
-        self.chunk.remaining()
+    pub fn is_empty(&self) -> bool {
+        self.chunk.unused().is_empty()
     }
 }
 
@@ -187,7 +188,7 @@ impl Drop for VvbnChunkGuard<'_> {
 impl std::fmt::Debug for VvbnChunkGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VvbnChunkGuard")
-            .field("remaining", &self.chunk.remaining())
+            .field("unused", &self.chunk.unused().len())
             .finish()
     }
 }

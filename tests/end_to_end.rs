@@ -90,6 +90,51 @@ fn space_is_conserved_across_overwrite_cycles() {
 }
 
 #[test]
+fn small_files_conserve_vvbns_through_churn_and_snapshots() {
+    // Many 1–4-block files: each cleaner job is smaller than a VVBN
+    // reservation cap, the case where a job's reservation is sized to it.
+    let fs = small_fs(ExecMode::Pool(2));
+    let vol = VolumeId(0);
+    fs.create_volume(vol);
+    let files = 300u64;
+    let blocks = |f: u64| 1 + f % 4;
+    for f in 0..files {
+        fs.create_file(vol, FileId(f));
+    }
+    for generation in 1..=3u64 {
+        for f in (0..files).filter(|f| generation == 1 || f % generation == 0) {
+            for fbn in 0..blocks(f) {
+                fs.write(vol, FileId(f), fbn, stamp(f, fbn, generation));
+            }
+        }
+        fs.run_cp();
+        fs.verify_integrity().unwrap();
+    }
+    assert!(fs.create_snapshot(vol, "before"));
+    // Overwrite and truncate blocks the snapshot retains, delete a file.
+    for f in (0..files).step_by(5) {
+        fs.write(vol, FileId(f), 0, stamp(f, 0, 9));
+    }
+    for f in (3..files).step_by(4) {
+        assert!(fs.truncate(vol, FileId(f), 1));
+    }
+    assert!(fs.delete_file(vol, FileId(2)));
+    fs.run_cp();
+    fs.verify_integrity().unwrap();
+    assert!(fs.delete_snapshot(vol, "before").unwrap() > 0);
+    fs.run_cp();
+    fs.verify_integrity().unwrap();
+    // No snapshot left: the used VVBNs are exactly the live blocks.
+    let v = fs.volume(vol).unwrap();
+    let live: usize = v
+        .file_ids()
+        .into_iter()
+        .map(|f| v.inode(f).unwrap().lock().block_map().len())
+        .sum();
+    assert_eq!(v.vvbn().total() - v.vvbn().free_count(), live as u64);
+}
+
+#[test]
 fn sequential_files_land_contiguously_per_drive() {
     // §IV-C objective 2: consecutive blocks of a file written by one
     // cleaner land on consecutive VBNs of one drive.
