@@ -52,10 +52,13 @@ use std::time::Instant;
 
 /// Opaque handle for one submitted write I/O.
 ///
-/// Tickets are minted only by [`AioEngine::submit`] (the field is
-/// private, and `ward --check` additionally enforces that no code
-/// outside this module constructs one): a completion can
-/// therefore never be forged or double-sourced by a caller.
+/// Tickets are minted only by [`AioEngine::submit`]: the field is
+/// private to this module, so a completion can never be forged or
+/// double-sourced by a caller. The compiler refuses a forged one:
+///
+/// ```compile_fail,E0603
+/// let _t: wafl_blockdev::aio::IoTicket = wafl_blockdev::aio::IoTicket(7);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IoTicket(u64);
 

@@ -35,9 +35,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The only `unsafe` is the O_DIRECT buffer in `aio::aligned`, which
-// carries the one `allow`.
-#![deny(unsafe_code)]
 
 pub mod aio;
 pub mod drive;

@@ -40,6 +40,9 @@ pub mod cell;
 mod checker;
 mod clock;
 mod exec;
+// The shims hand out `&T`/`&mut T` from an `UnsafeCell` under the
+// scheduler's exclusion; the crate's only `unsafe`.
+#[allow(unsafe_code)]
 pub mod sync_impl;
 pub mod thread;
 
@@ -52,7 +55,7 @@ pub mod sync {
 
     /// Model-aware atomic integers.
     pub mod atomic {
-        pub use crate::sync_impl::{AtomicU32, AtomicU64, AtomicUsize};
+        pub use crate::sync_impl::{AtomicU64, AtomicUsize};
         pub use std::sync::atomic::Ordering;
     }
 }

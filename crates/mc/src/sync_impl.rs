@@ -210,7 +210,6 @@ macro_rules! atomic_int {
     };
 }
 
-atomic_int!(AtomicU32, std::sync::atomic::AtomicU32, u32);
 atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 

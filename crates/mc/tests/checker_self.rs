@@ -4,6 +4,9 @@
 //! because a model checker that cannot find planted bugs proves nothing
 //! when it passes.
 
+// The tracked-cell tests dereference `UnsafeCell` pointers on purpose.
+#![allow(unsafe_code)]
+
 use mc::sync::atomic::{AtomicU64, Ordering};
 use mc::sync::{Condvar, Mutex};
 use std::sync::Arc;

@@ -3,60 +3,58 @@
 //!
 //! Kinds are deliberately coarse — one per lifecycle edge the paper's
 //! evaluation cares about — so a trace stays readable in Perfetto and
-//! the ring's fixed slots (kind + ts + dur + one argument word) suffice.
+//! one fixed-size [`Event`] (kind + ts + dur + one argument word) suffices.
 
 use serde::{Deserialize, Serialize};
 
-/// What happened. Stored in the ring as a `u32`; `arg` meaning is
-/// per-kind (documented on each variant).
+/// What happened. `arg` meaning is per-kind (documented on each variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[repr(u32)]
 pub enum EventKind {
     /// Span: a cleaner blocked in `get_bucket_many` until buckets
     /// arrived. `arg` = buckets granted.
-    Get = 0,
+    Get,
     /// Instant: a GET found the cache empty and had to wait on the
     /// refill condvar. `arg` = buckets still wanted.
-    GetStall = 1,
+    GetStall,
     /// Instant: USE activity on a bucket, recorded once per PUT at
     /// bucket granularity (the per-block USE path is intentionally
     /// untraced — it has zero synchronization; §IV-C). `arg` = blocks
     /// consumed from the bucket.
-    Use = 2,
+    Use,
     /// Instant: a bucket was PUT (returned or retired). `arg` =
     /// blocks consumed.
-    Put = 3,
+    Put,
     /// Span: infrastructure commit of a PUT bucket (used-queue walk +
     /// release of leftovers). `arg` = blocks committed to used queues.
-    CommitBucket = 4,
+    CommitBucket,
     /// Span: one infrastructure refill round. `arg` = buckets built.
-    Refill = 5,
+    Refill,
     /// Instant: a collective `insert_all` handed a refill round's
     /// buckets to the cache in one call. `arg` = bucket count.
-    InsertAll = 6,
+    InsertAll,
     /// Span: tetris fired a full stripe write to a RAID group.
     /// `arg` = blocks in the stripe.
-    StripeFire = 7,
+    StripeFire,
     /// Span: a stage of deferred frees committed to the metafiles.
     /// `arg` = VBNs freed.
-    StageCommit = 8,
+    StageCommit,
     /// Span: a cleaner-pool worker processed one work item.
     /// `arg` = cleaning jobs in the item.
-    CleanItem = 9,
+    CleanItem,
     /// Span: one checkpoint phase (freeze / clean / apply / metafile
     /// flush / superblock commit). `arg` = phase number, 1-based.
-    CpPhase = 10,
+    CpPhase,
     /// Instant: the fault injector fired on an I/O. `arg` = decision
     /// code (1 slow, 2 drive-failed, 3 transient, 4 torn write).
-    Fault = 11,
+    Fault,
     /// Catch-all for tests and ad-hoc probes. `arg` is caller-defined.
-    Custom = 12,
+    Custom,
     /// Span: one scrub range message (an allocation-area unit walked by
     /// the online scrubber). `arg` = blocks checked in the unit.
-    Scrub = 13,
+    Scrub,
     /// Span: one asynchronous write I/O serviced by an `aio` worker
     /// (submit-ring pop → media completion). `arg` = blocks written.
-    Io = 14,
+    Io,
 }
 
 impl EventKind {
@@ -80,32 +78,9 @@ impl EventKind {
             EventKind::Io => "io",
         }
     }
-
-    /// Decode the ring's `u32` encoding; unknown values map to `Custom`
-    /// (a torn slot can briefly hold garbage the seqlock recheck then
-    /// rejects, so decoding must be total).
-    pub fn from_u32(v: u32) -> EventKind {
-        match v {
-            0 => EventKind::Get,
-            1 => EventKind::GetStall,
-            2 => EventKind::Use,
-            3 => EventKind::Put,
-            4 => EventKind::CommitBucket,
-            5 => EventKind::Refill,
-            6 => EventKind::InsertAll,
-            7 => EventKind::StripeFire,
-            8 => EventKind::StageCommit,
-            9 => EventKind::CleanItem,
-            10 => EventKind::CpPhase,
-            11 => EventKind::Fault,
-            13 => EventKind::Scrub,
-            14 => EventKind::Io,
-            _ => EventKind::Custom,
-        }
-    }
 }
 
-/// One decoded ring event, as returned by `EventRing::snapshot`.
+/// One ring event, as returned by `EventRing::snapshot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Event {
     /// Event type.
@@ -117,8 +92,8 @@ pub struct Event {
     /// Per-kind argument word (see `EventKind` variant docs).
     pub arg: u64,
     /// Position in the thread's event sequence (0-based, monotonically
-    /// increasing; gaps never occur — overwritten events raise the
-    /// ring's dropped counter instead).
+    /// increasing; gaps never occur — overwritten events are counted in
+    /// the snapshot's `dropped` instead).
     pub seq: u64,
 }
 
@@ -127,21 +102,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_roundtrips_through_u32() {
-        for v in 0..=14u32 {
-            let k = EventKind::from_u32(v);
-            assert_eq!(k as u32, v, "kind {v} must round-trip");
-        }
-        // Unknown encodings decode (to Custom) rather than panicking.
-        assert_eq!(EventKind::from_u32(999), EventKind::Custom);
-    }
-
-    #[test]
     fn kind_names_are_unique() {
-        let names: Vec<_> = (0..=14u32).map(|v| EventKind::from_u32(v).name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
+        use EventKind::*;
+        let kinds = [
+            Get,
+            GetStall,
+            Use,
+            Put,
+            CommitBucket,
+            Refill,
+            InsertAll,
+            StripeFire,
+            StageCommit,
+            CleanItem,
+            CpPhase,
+            Fault,
+            Custom,
+            Scrub,
+            Io,
+        ];
+        let mut names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), kinds.len());
     }
 }

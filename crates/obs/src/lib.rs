@@ -3,8 +3,8 @@
 //!
 //! Five pieces:
 //!
-//! * **Event rings** ([`ring::EventRing`], [`trace`]): per-thread
-//!   lock-free fixed-capacity rings recording typed spans/instants for
+//! * **Event rings** ([`ring::EventRing`], [`trace`]): per-thread,
+//!   lock-protected fixed-capacity rings recording typed spans/instants for
 //!   the bucket lifecycle (GET/USE/PUT), refill rounds, tetris stripe
 //!   fires, stage commits, CP phases, and injected faults. Zero cost
 //!   unless built with `--features trace`; a runtime switch inside a
@@ -41,7 +41,6 @@ pub mod event;
 pub mod metrics;
 pub mod ring;
 pub mod sampler;
-pub mod sync;
 pub mod trace;
 
 pub use blackbox::{trigger, Blackbox, BlackboxConfig, Trigger, BLACKBOX_SCHEMA};

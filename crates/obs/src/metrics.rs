@@ -8,8 +8,8 @@
 //! mutex-protected name table touched only at get-or-create and
 //! enumeration time, never on the hot path.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Monotonic event counter.

@@ -1,74 +1,33 @@
-//! Per-thread event ring: fixed capacity, overwrite-oldest, lock-free.
+//! Per-thread event ring: fixed capacity, overwrite-oldest, one lock.
 //!
-//! One ring has exactly **one writer** (the owning thread) and any
-//! number of concurrent snapshot readers (the exporter). Slots are
-//! guarded by a per-slot sequence word — a seqlock variant built only
-//! from atomic loads/stores/RMWs (no fences, so the `mc` shims can
-//! model every operation):
+//! One ring has exactly **one writer** (the owning thread) and is read
+//! only when a trace is exported or the blackbox dumps. Its lock is
+//! therefore uncontended on the recording path, and it buys exact
+//! accounting: a snapshot sees the ring between two records, so
 //!
-//! * seq = `0`: slot never written.
-//! * seq = `2h + 1`: writer is mid-write of event `h` (busy).
-//! * seq = `2h + 2`: event `h` is complete and readable.
-//!
-//! Writer protocol for event `h` (slot `h % cap`):
-//! 1. if `h >= cap`, increment `dropped` — *before* touching the slot,
-//!    so any reader that observes the slot busy/overwritten also
-//!    observes the drop accounted (the accounting invariant below);
-//! 2. `seq.swap(2h + 1, AcqRel)` — the release side publishes step 1,
-//!    the acquire side keeps the payload stores from hoisting above
-//!    the busy mark;
-//! 3. store payload fields (each its own atomic — a torn slot is never
-//!    UB, merely rejected by the reader's recheck);
-//! 4. `seq.store(2h + 2, Release)`; `head.store(h + 1, Release)`.
-//!
-//! Reader protocol: load `head` (acquire), scan the last `cap`
-//! positions; for each, accept the payload only if seq reads `2i + 2`
-//! both before and after the payload loads (the recheck is a CAS so it
-//! observes the *latest* value in the slot's modification order, not a
-//! stale one). Load `dropped` after the scan.
-//!
-//! **Accounting invariant** (model-checked in
-//! `crates/mc/tests/obs_ring.rs`): for any snapshot,
-//! `events.len() + dropped >= head` — no event disappears before the
-//! drop counter says so.
+//! * `events.len() == min(head, capacity)`, seqs contiguous and ending
+//!   at `head - 1`, every payload whole;
+//! * `dropped == head - events.len()` — every recorded event is either
+//!   in the snapshot or counted dropped, never both and never neither.
 
 use crate::event::{Event, EventKind};
-use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// One ring slot. Every field is an independent atomic so concurrent
-/// writer/reader access is always defined behavior; `seq` arbitrates
-/// which reads are coherent.
+/// The ring's state, all of it under the one lock.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU32,
-    ts: AtomicU64,
-    dur: AtomicU64,
-    arg: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            kind: AtomicU32::new(0),
-            ts: AtomicU64::new(0),
-            dur: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-        }
-    }
+struct Slots {
+    /// Power-of-two slot array; event `h` lives at `h & mask`.
+    buf: Box<[Event]>,
+    /// Next event number to write (== total events ever recorded).
+    head: u64,
 }
 
 /// Fixed-capacity overwrite-oldest event ring (see module docs).
 #[derive(Debug)]
 pub struct EventRing {
-    slots: Box<[Slot]>,
-    /// Power-of-two slot count; index = event number & mask.
+    slots: Mutex<Slots>, // lock-rank: obs.ring 90
+    /// Slot count minus one.
     mask: u64,
-    /// Next event number to write (== total events ever recorded).
-    head: AtomicU64,
-    /// Events overwritten before any reader could see them.
-    dropped: AtomicU64,
 }
 
 impl EventRing {
@@ -76,143 +35,58 @@ impl EventRing {
     /// power of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
+        let empty = Event {
+            kind: EventKind::Custom,
+            ts_ns: 0,
+            dur_ns: 0,
+            arg: 0,
+            seq: 0,
+        };
         EventRing {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
+            slots: Mutex::new(Slots {
+                buf: vec![empty; cap].into_boxed_slice(),
+                head: 0,
+            }),
             mask: cap as u64 - 1,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask as usize + 1
     }
 
-    /// Total events ever recorded on this ring.
-    pub fn head(&self) -> u64 {
-        // ordering: monotonic counter read for display; acquire pairs with
-        // the writer's release store so slots below the value are
-        // published; pairs-with: obs.ring-head.
-        self.head.load(Ordering::Acquire)
+    /// Nothing panics while a guard is live, so a poisoned lock still
+    /// guards a whole ring; the trace path never panics on it.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Events lost to overwrite so far.
-    pub fn dropped(&self) -> u64 {
-        // ordering: statistics read; staleness acceptable on its own —
-        // coherent accounting uses `snapshot`, which orders this load
-        // after the slot scan.
-        self.dropped.load(Ordering::Acquire)
-    }
-
-    /// Record one event. **Single-writer**: must only be called by the
-    /// ring's owning thread (the thread-local registry in `trace.rs`
-    /// enforces this; tests that share a ring must provide their own
-    /// single-writer discipline).
+    /// Record one event, overwriting the oldest once the ring is full.
     pub fn record(&self, kind: EventKind, ts_ns: u64, dur_ns: u64, arg: u64) {
-        // ordering: relaxed — head is only ever stored by this (the
-        // single writer) thread, so it reads its own last store.
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h & self.mask) as usize];
-        if h > self.mask {
-            // Reusing a slot destroys event `h - cap`. Account for it
-            // *first*:
-            // ordering: relaxed increment is enough for atomicity; its
-            // visibility to readers is ordered by the AcqRel swap below
-            // (release side), so any reader that sees this slot busy or
-            // overwritten also sees the drop counted.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        // ordering: AcqRel swap marks the slot busy. Release publishes
-        // the dropped-counter increment above to readers whose seq load
-        // observes the busy mark; Acquire keeps the payload stores below
-        // from being hoisted above the mark (they must not land while a
-        // reader could still accept the old sequence value);
-        // pairs-with: obs.ring-seq.
-        slot.seq.swap(2 * h + 1, Ordering::AcqRel);
-        // ordering: relaxed payload stores — ordered against readers
-        // solely by the seq protocol (busy mark above, release below).
-        slot.kind.store(kind as u32, Ordering::Relaxed);
-        // ordering: as above — seq arbitrates.
-        slot.ts.store(ts_ns, Ordering::Relaxed);
-        // ordering: as above — seq arbitrates.
-        slot.dur.store(dur_ns, Ordering::Relaxed);
-        // ordering: as above — seq arbitrates.
-        slot.arg.store(arg, Ordering::Relaxed);
-        // ordering: release makes every payload store above visible to a
-        // reader whose acquire seq load observes `2h + 2`;
-        // pairs-with: obs.ring-seq.
-        slot.seq.store(2 * h + 2, Ordering::Release);
-        // ordering: release so a reader that acquires the new head also
-        // sees the completed slot write it covers;
-        // pairs-with: obs.ring-head.
-        self.head.store(h + 1, Ordering::Release);
+        let mut s = self.lock();
+        let seq = s.head;
+        s.buf[(seq & self.mask) as usize] = Event {
+            kind,
+            ts_ns,
+            dur_ns,
+            arg,
+            seq,
+        };
+        s.head = seq + 1;
     }
 
-    /// Coherent snapshot: the readable suffix of the event sequence,
-    /// oldest first, plus head and the dropped count. Events being
-    /// overwritten mid-scan are skipped; the `dropped` value (loaded
-    /// after the scan) accounts for every skip, so
-    /// `events.len() + dropped >= head` always holds.
+    /// The last `min(head, capacity)` events, oldest first, plus head and
+    /// the exact dropped count (see module docs).
     pub fn snapshot(&self) -> RingSnapshot {
-        // ordering: acquire pairs with the writer's release store of
-        // head; every slot for events < head has its final seq visible;
-        // pairs-with: obs.ring-head.
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut events = Vec::with_capacity((head - start) as usize);
-        for i in start..head {
-            let slot = &self.slots[(i & self.mask) as usize];
-            // ordering: acquire so the payload loads below cannot be
-            // hoisted above this check and cannot see values older than
-            // the seq they were published under;
-            // pairs-with: obs.ring-seq.
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != 2 * i + 2 {
-                continue; // never written, busy, or already overwritten
-            }
-            // ordering: acquire on each payload load keeps the recheck
-            // CAS below from being hoisted above it.
-            let kind = slot.kind.load(Ordering::Acquire);
-            // ordering: as above.
-            let ts = slot.ts.load(Ordering::Acquire);
-            // ordering: as above.
-            let dur = slot.dur.load(Ordering::Acquire);
-            // ordering: as above.
-            let arg = slot.arg.load(Ordering::Acquire);
-            // Recheck via CAS: an RMW observes the *latest* value in
-            // seq's modification order, so success proves the writer had
-            // not begun reusing this slot when the payload was read
-            // (its payload stores are program-ordered after its busy
-            // swap, which would have made this CAS fail).
-            // ordering: AcqRel on success for the RMW's read-don't-miss
-            // guarantee; acquire on failure — we only compare the value;
-            // pairs-with: obs.ring-seq.
-            if slot
-                .seq
-                .compare_exchange(s1, s1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue; // torn: writer reused the slot mid-read
-            }
-            events.push(Event {
-                kind: EventKind::from_u32(kind),
-                ts_ns: ts,
-                dur_ns: dur,
-                arg,
-                seq: i,
-            });
-        }
-        // ordering: acquire, loaded after the slot scan. Any event the
-        // scan failed to read was overwritten by a writer whose busy
-        // swap (release) we observed via the slot's seq; that swap is
-        // preceded by the matching dropped increment, so this load
-        // covers every skipped event.
-        let dropped = self.dropped.load(Ordering::Acquire);
+        let s = self.lock();
+        let start = s.head.saturating_sub(self.mask + 1);
+        let events = (start..s.head)
+            .map(|i| s.buf[(i & self.mask) as usize])
+            .collect();
         RingSnapshot {
-            head,
-            dropped,
+            head: s.head,
+            dropped: start,
             events,
         }
     }
@@ -223,10 +97,9 @@ impl EventRing {
 pub struct RingSnapshot {
     /// Total events recorded at snapshot time.
     pub head: u64,
-    /// Events lost to overwrite, loaded after the slot scan (so
-    /// `events.len() + dropped >= head`).
+    /// Events lost to overwrite: `head - events.len()`.
     pub dropped: u64,
-    /// Readable events, oldest first, `seq` strictly increasing.
+    /// The surviving events, oldest first, seqs contiguous.
     pub events: Vec<Event>,
 }
 
@@ -275,41 +148,51 @@ mod tests {
             vec![6, 7, 8, 9],
             "survivors are the newest, oldest first"
         );
-        assert!(snap.events.len() as u64 + snap.dropped >= snap.head);
     }
 
+    /// A writer records until told to stop while the reader takes
+    /// 100 000 snapshots once the ring has wrapped many times. Every
+    /// snapshot must be exact, not merely conservative: the newest
+    /// `min(head, cap)` events, contiguous, untorn, and
+    /// `events.len() + dropped == head`.
     #[test]
-    fn snapshot_is_coherent_under_concurrent_writes() {
+    fn every_snapshot_under_a_running_writer_is_exact() {
+        use std::sync::mpsc::{channel, TryRecvError};
         use std::sync::Arc;
-        let ring = Arc::new(EventRing::with_capacity(16));
+        const CAP: u64 = 16;
+        let ring = Arc::new(EventRing::with_capacity(CAP as usize));
+        let (stop, stopped) = channel::<()>();
         let writer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
-                for i in 0..20_000u64 {
+                let mut i = 0u64;
+                while let Err(TryRecvError::Empty) = stopped.try_recv() {
+                    // ts == dur == arg == seq: a torn or misplaced slot shows.
                     ring.record(EventKind::Custom, i, i, i);
+                    i += 1;
                 }
             })
         };
-        // Hammer snapshots while the writer runs; every accepted event
-        // must be internally consistent (ts == dur == arg == its seq's
-        // recorded values) and accounting must hold.
-        for _ in 0..200 {
+        while ring.snapshot().head < 1000 {
+            std::thread::yield_now();
+        }
+        let mut inexact = 0u32;
+        for _ in 0..100_000 {
             let snap = ring.snapshot();
-            assert!(snap.events.len() as u64 + snap.dropped >= snap.head);
-            let mut prev = None;
-            for ev in &snap.events {
-                assert_eq!(ev.ts_ns, ev.seq, "slot holds a different event's payload");
-                assert_eq!(ev.ts_ns, ev.arg, "torn slot accepted");
-                assert_eq!(ev.dur_ns, ev.arg, "torn slot accepted");
-                if let Some(p) = prev {
-                    assert!(ev.seq > p, "snapshot out of order");
-                }
-                prev = Some(ev.seq);
+            let n = snap.events.len() as u64;
+            if n != snap.head.min(CAP) || n + snap.dropped != snap.head {
+                inexact += 1;
+                continue;
+            }
+            for (k, ev) in snap.events.iter().enumerate() {
+                assert_eq!(ev.seq, snap.dropped + k as u64, "seqs not contiguous");
+                assert_eq!(ev.ts_ns, ev.seq, "slot holds another event's payload");
+                assert_eq!(ev.dur_ns, ev.seq, "torn slot");
+                assert_eq!(ev.arg, ev.seq, "torn slot");
             }
         }
+        drop(stop);
         writer.join().unwrap();
-        let fin = ring.snapshot();
-        assert_eq!(fin.head, 20_000);
-        assert_eq!(fin.events.len() as u64 + fin.dropped, 20_000);
+        assert_eq!(inexact, 0, "{inexact} of 100000 snapshots were inexact");
     }
 }

@@ -23,7 +23,7 @@ use crate::event::Event;
 /// True iff this build compiled the tracing fast path in.
 pub const ENABLED: bool = cfg!(feature = "trace");
 
-/// One thread's exported trace: identity plus a coherent ring snapshot.
+/// One thread's exported trace: identity plus an exact ring snapshot.
 #[derive(Debug, Clone)]
 pub struct ThreadTrace {
     /// Small dense id assigned at first event (stable for the process).
@@ -55,12 +55,11 @@ mod imp {
 
     /// Runtime switch (within a trace-enabled build). Defaults to on —
     /// tracing is "always-on"; benches flip it to measure overhead.
-    // Note: deliberately std, not the mc shim — the switch is trace-only
-    // plumbing the model checker never sees (it drives the ring directly).
     static RECORDING: AtomicBool = AtomicBool::new(true);
 
     static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
+    #[derive(Clone)]
     struct ThreadEntry {
         tid: u64,
         name: String,
@@ -85,7 +84,7 @@ mod imp {
     /// Flip the runtime recording switch.
     pub fn set_recording(on: bool) {
         // ordering: independent on/off flag; no data is published
-        // through it (rings have their own protocol).
+        // through it (each ring has its own lock).
         RECORDING.store(on, Ordering::Relaxed);
     }
 
@@ -181,15 +180,15 @@ mod imp {
     /// Snapshot every registered thread's ring (rings of exited threads
     /// are retained so their events still export).
     pub fn snapshot_all() -> Vec<ThreadTrace> {
-        threads()
-            .lock()
-            .unwrap()
-            .iter()
+        // Copy the table out first so no ring lock is taken under it.
+        let entries = threads().lock().unwrap().clone();
+        entries
+            .into_iter()
             .map(|e| {
                 let snap = e.ring.snapshot();
                 ThreadTrace {
                     tid: e.tid,
-                    name: e.name.clone(),
+                    name: e.name,
                     events: snap.events,
                     dropped: snap.dropped,
                     head: snap.head,

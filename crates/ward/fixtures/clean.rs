@@ -1,6 +1,6 @@
 // Fixture: a file every per-file check must pass untouched — correctly
-// justified orderings, a closed pairs-with label, ranked locks acquired
-// in order, and an audited unsafe block.
+// justified orderings, a closed pairs-with label, and ranked locks
+// acquired in order.
 struct Seed {
     // lock-rank: fixture-clean.outer 10
     outer: std::sync::Mutex<u32>,
@@ -28,11 +28,5 @@ impl Seed {
         let inner = self.inner.lock().unwrap();
         drop(inner);
         drop(outer);
-    }
-
-    fn raw(&self, p: *mut u8) {
-        // SAFETY: p is valid for writes by the caller's contract, and no
-        // other reference aliases it while this block runs.
-        unsafe { *p = 0 };
     }
 }

@@ -1,8 +1,8 @@
 //! `ward` CLI — see crate docs and DESIGN.md §15.
 //!
 //! ```text
-//! cargo run -p ward                 scan + regenerate UNSAFE_AUDIT.md + report
-//! cargo run -p ward -- --check      scan + verify audit freshness (CI gate)
+//! cargo run -p ward                 scan + write the report
+//! cargo run -p ward -- --check      the same, as the CI gate
 //! cargo run -p ward -- --self-test  detection-power fixtures
 //! cargo run -p ward -- --validate <report.json>
 //! cargo run -p ward -- --graph     print the observed lock-order edges
@@ -11,11 +11,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use ward::report::{parse_baseline, render_report, validate_report};
-use ward::{apply_baseline, render_audit, scan_workspace, selftest, workspace_root};
+use ward::{apply_baseline, scan_workspace, selftest, workspace_root};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check = false;
     let mut self_test = false;
     let mut graph = false;
     let mut validate: Option<PathBuf> = None;
@@ -23,7 +22,8 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--check" => check = true,
+            // A plain run is already the gate; CI spells it `--check`.
+            "--check" => {}
             "--self-test" => self_test = true,
             "--graph" => graph = true,
             "--validate" => match it.next() {
@@ -122,25 +122,6 @@ fn main() -> ExitCode {
         ));
     }
 
-    // Audit: regenerate, or verify freshness under --check.
-    let audit = render_audit(&scan.inventory);
-    let audit_path = root.join("UNSAFE_AUDIT.md");
-    if check {
-        let current = std::fs::read_to_string(&audit_path).unwrap_or_default();
-        if current != audit {
-            findings.push(ward::report::Finding::new(
-                "audit",
-                "UNSAFE_AUDIT.md",
-                0,
-                "UNSAFE_AUDIT.md is stale — regenerate with `cargo run -p ward`",
-                "stale-audit",
-            ));
-        }
-    } else if std::fs::write(&audit_path, &audit).is_err() {
-        eprintln!("ward: cannot write {}", audit_path.display());
-        return ExitCode::FAILURE;
-    }
-
     // Machine-readable report.
     let report = render_report(&findings, &suppressed, &scan.stats);
     let report_path = json_out.unwrap_or_else(|| root.join("results/ward.json"));
@@ -163,12 +144,11 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "ward: {} — {} files, {} ordering sites, {} unsafe sites, {} ranked locks, \
+        "ward: {} — {} files, {} ordering sites, {} ranked locks, \
          {} lock edges, {} pair labels; {} finding(s), {} suppressed",
         if findings.is_empty() { "OK" } else { "FAIL" },
         scan.stats.files,
         scan.stats.ordering_sites,
-        scan.stats.unsafe_sites,
         scan.stats.lock_decls,
         scan.stats.lock_edges,
         scan.stats.pair_labels,

@@ -63,8 +63,6 @@ pub struct ScanStats {
     pub files: usize,
     /// `Ordering::*` sites seen.
     pub ordering_sites: usize,
-    /// `unsafe` sites inventoried.
-    pub unsafe_sites: usize,
     /// Ranked lock declarations.
     pub lock_decls: usize,
     /// Nested lock-acquisition edges observed.
@@ -110,7 +108,6 @@ pub fn render_report(
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(out, "  \"files_scanned\": {},", stats.files);
     let _ = writeln!(out, "  \"ordering_sites\": {},", stats.ordering_sites);
-    let _ = writeln!(out, "  \"unsafe_sites\": {},", stats.unsafe_sites);
     let _ = writeln!(out, "  \"lock_decls\": {},", stats.lock_decls);
     let _ = writeln!(out, "  \"lock_edges\": {},", stats.lock_edges);
     let _ = writeln!(out, "  \"pair_labels\": {},", stats.pair_labels);
@@ -385,7 +382,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     for key in [
         "files_scanned",
         "ordering_sites",
-        "unsafe_sites",
         "lock_decls",
         "lock_edges",
         "pair_labels",

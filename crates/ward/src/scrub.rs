@@ -344,55 +344,6 @@ pub fn attached_comment(lines: &[&str], idx: usize, tag: &str) -> Vec<String> {
     above
 }
 
-/// Full comment block attached to line `idx`, starting at the segment
-/// that contains `tag` and continuing through the rest of that comment
-/// run (the fix for the audit generator's first-line-only truncation:
-/// a multi-line `// SAFETY: …` argument is captured whole).
-pub fn attached_block_from_tag(lines: &[&str], idx: usize, tag: &str) -> Option<String> {
-    // Same-line comment: take the rest of the line from the tag.
-    if let Some(c) = comment_part(lines[idx]) {
-        if let Some(p) = c.find(tag) {
-            return Some(clean_comment(&c[p + tag.len()..]));
-        }
-    }
-    // Upward scan to find the tagged segment, then read downward through
-    // the contiguous comment run it opens.
-    for off in 1..=SCAN_LIMIT {
-        let j = idx.checked_sub(off)?;
-        let prev = lines[j];
-        let is_comment = is_comment_line(prev);
-        if let Some(c) = comment_part(prev) {
-            if let Some(p) = c.find(tag) {
-                let mut parts = vec![clean_comment(&c[p + tag.len()..])];
-                for cont in lines.iter().take(idx).skip(j + 1) {
-                    if !is_comment_line(cont) {
-                        break;
-                    }
-                    parts.push(clean_comment(comment_part(cont).unwrap_or("")));
-                }
-                let joined = parts.join(" ");
-                return Some(joined.split_whitespace().collect::<Vec<_>>().join(" "));
-            }
-        }
-        if is_comment {
-            continue;
-        }
-        let stripped = prev.trim();
-        if stripped.is_empty() {
-            return None;
-        }
-        let code = code_part(prev).trim_end();
-        if code.ends_with(';') || code.ends_with('{') || code.ends_with('}') {
-            return None;
-        }
-    }
-    None
-}
-
-fn clean_comment(s: &str) -> String {
-    s.trim_start_matches('/').trim().to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,20 +369,6 @@ mod tests {
         let s = Scrubbed::new("/* a /* b */ still comment */ fn f() {}");
         assert!(!s.code.contains("still"));
         assert!(s.code.contains("fn f"));
-    }
-
-    #[test]
-    fn full_block_capture() {
-        let lines = vec![
-            "// SAFETY: the pointer is valid until the",
-            "// epoch advances twice, by the grace rule.",
-            "unsafe { work() };",
-        ];
-        let got = attached_block_from_tag(&lines, 2, "SAFETY:").unwrap();
-        assert_eq!(
-            got,
-            "the pointer is valid until the epoch advances twice, by the grace rule."
-        );
     }
 
     #[test]

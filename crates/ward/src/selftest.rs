@@ -7,7 +7,7 @@
 use crate::locks::LockRegistry;
 use crate::report::Finding;
 use crate::scrub::Scrubbed;
-use crate::{gates, locks, ordering, unsafety};
+use crate::{locks, ordering};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -140,30 +140,6 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         }),
     ));
 
-    // 5. Missing SAFETY comment.
-    out.push(case(
-        "missing_safety",
-        "unsafe",
-        1,
-        load(fixtures, "missing_safety.rs").map(|src| {
-            let mut f = Vec::new();
-            unsafety::check_unsafe("fixture.rs", &src, &mut f);
-            f
-        }),
-    ));
-
-    // 6. Forged IoTicket.
-    out.push(case(
-        "forged_ticket",
-        "ticket",
-        1,
-        load(fixtures, "forged_ticket.rs").map(|src| {
-            let mut f = Vec::new();
-            gates::check_ticket_construction("crates/wafl/src/cp.rs", &src, &mut f);
-            f
-        }),
-    ));
-
     // Clean fixture: the full per-file battery must stay silent.
     let clean = (|| {
         let src = load(fixtures, "clean.rs")?;
@@ -172,8 +148,6 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         ordering::check_justifications("fixture.rs", &src, &mut f);
         ordering::check_pairing_file("fixture.rs", &src, &mut f, &mut labels);
         ordering::check_pairing_global(&labels, &mut f);
-        unsafety::check_unsafe("fixture.rs", &src, &mut f);
-        gates::check_ticket_construction("fixture.rs", &src, &mut f);
         let decls = locks::collect_decls("fixture.rs", &src, &mut f);
         let mut reg = LockRegistry::default();
         reg.add(decls, &mut f);

@@ -51,7 +51,6 @@ fn scan_coverage_floors_hold() {
         "only {} ordering sites",
         s.ordering_sites
     );
-    assert!(s.unsafe_sites >= 10, "only {} unsafe sites", s.unsafe_sites);
     assert!(s.lock_decls >= 20, "only {} ranked locks", s.lock_decls);
     assert!(s.lock_edges >= 1, "no nested-acquisition edges observed");
     assert!(s.pair_labels >= 15, "only {} pair labels", s.pair_labels);

@@ -32,12 +32,14 @@ echo "=== bucket-cache stress under debug assertions ==="
 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p alligator --test cache_stress
 
-echo "=== ward: concurrency analyzer (lock order, pairing, audit) ==="
+echo "=== ward: concurrency analyzer (lock order, pairing, orderings) ==="
 # Detection power first (every check must catch its seeded fixture),
 # then the real scan: lock-rank graph, Release/Acquire pairs-with
-# labels, unsafe-audit freshness. --check also
-# emits the machine-readable report, which must validate against the
+# labels, ordering justifications. --check also emits the
+# machine-readable report, which must validate against the
 # wafl.ward.v1 schema. See DESIGN.md §15 for the annotation contract.
+# `unsafe` confinement and SAFETY comments are rustc's and clippy's
+# (`[workspace.lints]`), checked by the build and clippy steps.
 cargo run --release -q -p ward -- --self-test
 cargo run --release -q -p ward -- --check
 cargo run --release -q -p ward -- --validate results/ward.json
@@ -49,6 +51,8 @@ MC_SCHEDULES=10000 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p mc
 
 echo "=== cargo clippy --all-targets -- -D warnings ==="
+# With [workspace.lints], an unsafe block or impl without a `// SAFETY:`
+# comment fails here (clippy::undocumented_unsafe_blocks).
 cargo clippy --all-targets -- -D warnings
 
 echo "=== cargo clippy (workspace minus vendor; incl. mc shim mode) ==="
