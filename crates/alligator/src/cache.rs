@@ -30,16 +30,12 @@
 //! * **No lost wakeup**: the queue changes, `len` is stored and the
 //!   condvar is notified all under the lock, and a blocked GET re-checks
 //!   the queue under the same lock before it parks.
-//!
-//! All synchronization comes through [`crate::sync`], so `--features mc`
-//! routes the lock, the condvar and `len` through the model checker
-//! (`crates/mc/tests/cache_invariants.rs`).
 
 use crate::bucket::Bucket;
 use crate::stats::AllocStats;
-use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -348,13 +344,42 @@ mod tests {
     }
 
     #[test]
-    fn blocked_get_wakes_on_insert() {
+    fn get_timeout_never_sleeps_through_an_insert() {
+        // One getter and one bucket per round. The lag sweeps the insert
+        // across the getter's arrival, so an insert that lands between a
+        // getter's emptiness check and its park is tried thousands of
+        // times. A lost wakeup does not lose the bucket — the getter pops
+        // it when its timeout fires — so the check is on the time waited.
+        // Odd rounds publish through `insert_all` to cover `notify_all`.
+        // EXPERIMENTS.md "The model checker leaves" has the rounds at
+        // which a `len` read outside the lock was caught.
+        let timeout = Duration::from_secs(2);
         let c = Arc::new(BucketCache::new());
-        let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || c2.get_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(10));
-        c.insert(mk_bucket(7));
-        assert_eq!(h.join().unwrap().unwrap().start_vbn(), Vbn(7));
+        for round in 0..50_000u64 {
+            let b = mk_bucket(round * 4);
+            let getter = {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    let t0 = Instant::now();
+                    let b = c.get_timeout(timeout);
+                    (b.map(|b| b.start_vbn()), t0.elapsed())
+                })
+            };
+            let spawned_at = Instant::now();
+            let lag = Duration::from_nanos(round % 256 * 200);
+            while spawned_at.elapsed() < lag {
+                std::hint::spin_loop();
+            }
+            if round % 2 == 0 {
+                c.insert(b);
+            } else {
+                c.insert_all([b]);
+            }
+            let (got, waited) = getter.join().unwrap();
+            assert_eq!(got, Some(Vbn(round * 4)), "round {round}");
+            assert!(waited < timeout, "round {round}: slept {waited:?}");
+        }
+        assert!(c.is_empty());
     }
 
     #[test]

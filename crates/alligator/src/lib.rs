@@ -54,7 +54,6 @@ pub mod executor;
 pub mod infra;
 pub mod stage;
 pub mod stats;
-pub mod sync;
 pub mod tetris;
 
 pub use allocator::Allocator;

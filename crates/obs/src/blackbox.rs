@@ -26,8 +26,6 @@ use crate::metrics::Registry;
 use crate::sampler::RegistrySource;
 use serde::Value;
 use std::path::PathBuf;
-// Note: deliberately std atomics — the trigger board is wall-clock
-// plumbing the model checker never schedules (same note as trace.rs).
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 

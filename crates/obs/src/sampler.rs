@@ -512,9 +512,6 @@ fn promname(name: &str) -> String {
 /// Stop with [`SamplerThread::stop`] (also runs on drop).
 #[derive(Debug)]
 pub struct SamplerThread {
-    // Note: deliberately std atomics/threads, not the mc shim — the
-    // sampler thread is wall-clock plumbing the model checker never
-    // schedules.
     stop: Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }

@@ -105,13 +105,9 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Is `rel` in scope for the lock-rank graph? Library sources only —
-/// the model checker defines its own `Mutex` shim (not a lock
-/// instance), and test-local mutexes are single-purpose.
+/// test-local mutexes are single-purpose.
 fn lock_rank_scope(rel: &str) -> bool {
-    rel.starts_with("crates/")
-        && rel.contains("/src/")
-        && !rel.starts_with("crates/mc/")
-        && !rel.starts_with("crates/ward/")
+    rel.starts_with("crates/") && rel.contains("/src/") && !rel.starts_with("crates/ward/")
 }
 
 /// Run the full analyzer over the workspace at `root`.

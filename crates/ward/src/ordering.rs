@@ -69,8 +69,8 @@ pub fn check_justifications(rel: &str, src: &Scrubbed, findings: &mut Vec<Findin
     let mut flagged_lines = Vec::new();
     for ord in ORDERINGS {
         for pos in find_word(&src.code, ord) {
-            // Require the `Ordering::` qualifier so enum defs in the mc
-            // shim or a stray ident don't count.
+            // Require the `Ordering::` qualifier so an enum def or a
+            // stray ident doesn't count.
             let pre = &src.code[..pos];
             if !pre.trim_end().ends_with("Ordering::") {
                 continue;

@@ -1,8 +1,7 @@
 //! Detection-power self-test: every check must still fire on its seeded
 //! fixture violation, and the clean fixture must produce zero findings.
-//! Mirrors the model checker's detection-power discipline — a gate that
-//! cannot catch its target bug class is worse than no gate, because it
-//! launders confidence.
+//! A gate that cannot catch its target bug class is worse than no gate,
+//! because it launders confidence.
 
 use crate::locks::LockRegistry;
 use crate::report::Finding;

@@ -44,24 +44,16 @@ cargo run --release -q -p ward -- --self-test
 cargo run --release -q -p ward -- --check
 cargo run --release -q -p ward -- --validate results/ward.json
 
-echo "=== model checker: mc suite (10k schedules/invariant, debug assertions) ==="
-# Every invariant in crates/mc/tests explores at least MC_SCHEDULES
-# interleavings; failures print a replayable seed (MC_REPLAY=<seed>).
-MC_SCHEDULES=10000 RUSTFLAGS="-C debug-assertions=on" \
-  cargo test --release -q -p mc
-
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 # With [workspace.lints], an unsafe block or impl without a `// SAFETY:`
 # comment fails here (clippy::undocumented_unsafe_blocks).
 cargo clippy --all-targets -- -D warnings
 
-echo "=== cargo clippy (workspace minus vendor; incl. mc shim mode) ==="
+echo "=== cargo clippy (workspace minus vendor) ==="
 cargo clippy --workspace --all-targets \
   --exclude crossbeam --exclude parking_lot \
   --exclude proptest --exclude rand --exclude rand_chacha \
   --exclude serde --exclude serde_derive --exclude serde_json \
-  -- -D warnings
-cargo clippy -p mc -p alligator --features alligator/mc --all-targets \
   -- -D warnings
 
 echo "=== cargo fmt --check ==="
