@@ -26,7 +26,7 @@
 //! `$WAFL_RESULTS_DIR`). Set `WAFL_BENCH_QUICK=1` to run shorter
 //! simulations (CI-friendly; noisier numbers).
 //!
-//! The real-path experiments `exp_{io_engine,put_convoy,scrub,telemetry}`
+//! The real-path experiments `exp_{io_engine,put_convoy,scrub}`
 //! print their table and keep one record each, `BENCH_<name>.json` at
 //! the repo root ([`save_record`]); `<bin> --validate <path>` re-checks a
 //! written record ([`validate_arg`]).

@@ -469,10 +469,6 @@ struct Inner {
     depth_peak: AtomicU64,
     shutdown: AtomicBool,
     crashed: AtomicBool,
-    /// Live queue-depth gauge in the obs metrics registry.
-    depth_gauge: Arc<obs::Gauge>,
-    /// Submit→complete latency histogram in the obs metrics registry.
-    lat_hist: Arc<obs::LogHistogram>,
 }
 
 /// The asynchronous I/O engine (see module docs).
@@ -496,7 +492,6 @@ impl AioEngine {
                 cap: depth,
             })
             .collect();
-        let registry = obs::Registry::global();
         let inner = Arc::new(Inner {
             io,
             rings,
@@ -507,8 +502,6 @@ impl AioEngine {
             depth_peak: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
-            depth_gauge: registry.gauge("io_queue_depth"),
-            lat_hist: registry.histogram("io_submit_to_complete_ns"),
         });
         let workers = (0..groups)
             .map(|rg| {
@@ -551,7 +544,6 @@ impl AioEngine {
         }
         // ordering: Relaxed — statistics high-water mark.
         inner.depth_peak.fetch_max(depth, Ordering::Relaxed);
-        inner.depth_gauge.set(depth);
         let ring = &inner.rings[wio.rg.0 as usize];
         let mut q = ring.q.lock();
         while q.len() >= ring.cap {
@@ -701,10 +693,8 @@ impl std::fmt::Debug for AioEngine {
 impl Inner {
     /// Publish one finished write and wake any drainer.
     fn complete(&self, ticket: u64, result: Result<IoResult, IoError>, ns: u64) {
-        self.lat_hist.record(ns);
         // ordering: Relaxed — statistics gauge.
-        let depth = self.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.depth_gauge.set(depth);
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
         let mut done = self.done.lock();
         done.list.push(Completion {
             ticket: IoTicket(ticket),

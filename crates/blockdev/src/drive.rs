@@ -171,9 +171,6 @@ impl Drive {
         // ordering: Release — publishes the health-state transition;
         // pairs-with: drive.health.
         self.offline.store(true, Ordering::Release);
-        // Losing a drive is the canonical post-mortem moment: arm the
-        // flight recorder (lock-free; dumped at next service).
-        obs::trigger(obs::Trigger::DriveOffline, self.id.0 as u64);
     }
 
     /// Return the drive to service (after a rebuild) and reset its

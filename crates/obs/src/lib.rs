@@ -1,7 +1,7 @@
 //! `obs` — always-on observability for the White Alligator
 //! reproduction (DESIGN.md §11).
 //!
-//! Five pieces:
+//! Three pieces:
 //!
 //! * **Event rings** ([`ring::EventRing`], [`trace`]): per-thread,
 //!   lock-protected fixed-capacity rings recording typed spans/instants for
@@ -9,19 +9,10 @@
 //!   fires, stage commits, CP phases, and injected faults. Zero cost
 //!   unless built with `--features trace`; a runtime switch inside a
 //!   trace build gates recording for overhead A/B runs.
-//! * **Metrics registry** ([`metrics::Registry`]): named counters,
-//!   gauges, and log-bucketed histograms, enumerated in name order by
-//!   the sampler and the flight recorder.
+//! * **Instruments** ([`metrics`]): a [`Counter`] and a log-bucketed
+//!   [`LogHistogram`], and a [`Registry`] that names counters.
 //! * **Exporter** ([`chrome::chrome_trace_json`]): Chrome trace-event
 //!   JSON for `chrome://tracing`/Perfetto.
-//! * **Continuous telemetry** ([`sampler::Sampler`], DESIGN.md §16): a
-//!   background thread snapshots every registered metric into a
-//!   timestamped delta ring — rate queries, SLO burn-rate tracking, a
-//!   Prometheus-text exporter, and a `wafl.telemetry.v1` JSON export.
-//! * **Flight recorder** ([`blackbox::Blackbox`]): on a trigger (drive
-//!   offlining, CP crash point, scrub finding, manual) atomically writes a post-mortem bundle — recent events
-//!   from every thread ring, full metrics, registered config/fault
-//!   sections — schema `wafl.blackbox.v1`.
 //!
 //! Instrumentation sites use the macros:
 //!
@@ -35,21 +26,15 @@
 
 #![warn(missing_docs)]
 
-pub mod blackbox;
 pub mod chrome;
 pub mod event;
 pub mod metrics;
 pub mod ring;
-pub mod sampler;
 pub mod trace;
 
-pub use blackbox::{trigger, Blackbox, BlackboxConfig, Trigger, BLACKBOX_SCHEMA};
 pub use event::{Event, EventKind};
-pub use metrics::{Counter, Gauge, LogHistogram, Registry};
+pub use metrics::{Counter, LogHistogram, Registry};
 pub use ring::{EventRing, RingSnapshot};
-pub use sampler::{
-    RegistrySource, Sampler, SamplerConfig, SamplerThread, SloObjective, TELEMETRY_SCHEMA,
-};
 pub use trace::{Span, ThreadTrace, ENABLED};
 
 /// Record an instantaneous event on the current thread's ring.

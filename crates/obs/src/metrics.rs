@@ -1,16 +1,15 @@
-//! Metrics registry: named counters, gauges, and log-bucketed
-//! histograms behind one get-or-create API. An instrument created here
-//! is born here — nothing imports values collected elsewhere. The
-//! allocator's counters live in `alligator::stats`, the I/O engines'
-//! in `blockdev` (DESIGN.md §11 lists each family's home).
+//! Instruments: a monotonic [`Counter`], a log-bucketed
+//! [`LogHistogram`], and a [`Registry`] that hands out named counters.
+//! The allocator's counters live in `alligator::stats`, the I/O
+//! engines' in `blockdev` (DESIGN.md §11 lists each family's home).
 //!
-//! All instruments are cheap shared atomics; the registry itself is a
-//! mutex-protected name table touched only at get-or-create and
-//! enumeration time, never on the hot path.
+//! Both instruments are cheap shared atomics. The registry is a
+//! mutex-protected name table touched only at get-or-create time, never
+//! on the hot path; it is owned by whoever creates it, never process-wide.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Monotonic event counter.
 #[derive(Debug, Default)]
@@ -36,35 +35,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         // ordering: statistics read; staleness acceptable.
         self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous level with a high-water mark.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    v: AtomicU64,
-    hi: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the current level, ratcheting the high-water mark.
-    pub fn set(&self, n: u64) {
-        // ordering: statistics gauge; atomicity only.
-        self.v.store(n, Ordering::Relaxed);
-        // ordering: monotonic max ratchet; atomicity only.
-        self.hi.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        // ordering: statistics read; staleness acceptable.
-        self.v.load(Ordering::Relaxed)
-    }
-
-    /// Highest level ever set.
-    pub fn high_water(&self) -> u64 {
-        // ordering: statistics read; staleness acceptable.
-        self.hi.load(Ordering::Relaxed)
     }
 }
 
@@ -195,30 +165,13 @@ impl LogHistogram {
         }
         self.max()
     }
-
-    /// Samples recorded with a value at or below `v`, up to bucket
-    /// resolution: the count includes every bucket whose range starts at
-    /// or below `v`, so samples in `v`'s own bucket that exceed it (by
-    /// at most `1/64` relative) are included too. The SLO tracker uses
-    /// this to count objective-meeting samples; the bucket error only
-    /// ever *flatters* by the histogram's stated `1/64` bound.
-    pub fn count_le(&self, v: u64) -> u64 {
-        let hi = Self::index(v);
-        self.counts[..=hi]
-            .iter()
-            // ordering: statistics read; staleness acceptable.
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
-/// The instrument table. Cloneable handles (`Arc`) come out of the
-/// get-or-create accessors; enumeration walks the table in name order.
+/// The counter table. Cloneable handles (`Arc`) come out of the
+/// get-or-create accessor; one name always yields the same counter.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>, // lock-rank: obs.counters 85
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,     // lock-rank: obs.gauges 86
-    histograms: Mutex<BTreeMap<String, Arc<LogHistogram>>>, // lock-rank: obs.histograms 87
 }
 
 impl Registry {
@@ -227,61 +180,10 @@ impl Registry {
         Self::default()
     }
 
-    /// Process-wide registry (for call sites with no natural owner,
-    /// e.g. the CP phase profiler).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut t = self.counters.lock().unwrap();
         Arc::clone(t.entry(name.to_string()).or_default())
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut t = self.gauges.lock().unwrap();
-        Arc::clone(t.entry(name.to_string()).or_default())
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        let mut t = self.histograms.lock().unwrap();
-        Arc::clone(t.entry(name.to_string()).or_default())
-    }
-
-    /// Name-sorted snapshot of every counter's current value. The
-    /// sampler walks this to build its delta ring.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        self.counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect()
-    }
-
-    /// Name-sorted snapshot of every gauge: `(name, value, high_water)`.
-    pub fn gauge_values(&self) -> Vec<(String, u64, u64)> {
-        self.gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get(), g.high_water()))
-            .collect()
-    }
-
-    /// Name-sorted handles to every registered histogram (shared — the
-    /// caller reads counts/quantiles without holding the table lock).
-    pub fn histogram_handles(&self) -> Vec<(String, Arc<LogHistogram>)> {
-        self.histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, h)| (n.clone(), Arc::clone(h)))
-            .collect()
     }
 }
 
@@ -467,12 +369,6 @@ mod tests {
         reg.counter("puts").add(3);
         reg.counter("puts").inc();
         assert_eq!(reg.counter("puts").get(), 4);
-        reg.gauge("queue").set(7);
-        reg.gauge("queue").set(2);
-        assert_eq!(reg.gauge("queue").get(), 2);
-        assert_eq!(reg.gauge("queue").high_water(), 7);
-        reg.histogram("lat").record(50);
-        assert_eq!(reg.histogram("lat").count(), 1);
     }
 
     #[test]
@@ -488,43 +384,5 @@ mod tests {
         }
         assert!(h.percentile(0.99) <= 1_000 + (1_000 >> SUB_BITS));
         assert_eq!(h.percentile(0.999), 1_000_000);
-    }
-
-    #[test]
-    fn count_le_counts_objective_meeting_samples() {
-        let h = LogHistogram::new();
-        for v in 1..=100u64 {
-            h.record(v * 1000);
-        }
-        // Exact at bucket boundaries for values below SUB? use large
-        // values: count_le may over-count within one bucket only.
-        let le = h.count_le(50_000);
-        assert!((50..=51).contains(&le), "count_le(50000) = {le}");
-        assert_eq!(h.count_le(u64::MAX), 100);
-        assert_eq!(h.count_le(0), 0);
-        // Small values are exact buckets.
-        let small = LogHistogram::new();
-        for v in 1..=10u64 {
-            small.record(v);
-        }
-        assert_eq!(small.count_le(5), 5);
-    }
-
-    #[test]
-    fn registry_enumeration_matches_contents() {
-        let reg = Registry::new();
-        reg.counter("a").add(1);
-        reg.counter("b").add(2);
-        reg.gauge("g").set(3);
-        reg.histogram("h").record(4);
-        assert_eq!(
-            reg.counter_values(),
-            vec![("a".to_string(), 1), ("b".to_string(), 2)]
-        );
-        assert_eq!(reg.gauge_values(), vec![("g".to_string(), 3, 3)]);
-        let hists = reg.histogram_handles();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].0, "h");
-        assert_eq!(hists[0].1.count(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! Per-thread event ring: fixed capacity, overwrite-oldest, one lock.
 //!
 //! One ring has exactly **one writer** (the owning thread) and is read
-//! only when a trace is exported or the blackbox dumps. Its lock is
-//! therefore uncontended on the recording path, and it buys exact
-//! accounting: a snapshot sees the ring between two records, so
+//! only when a trace is exported. Its lock is therefore uncontended on
+//! the recording path, and it buys exact accounting: a snapshot sees
+//! the ring between two records, so
 //!
 //! * `events.len() == min(head, capacity)`, seqs contiguous and ending
 //!   at `head - 1`, every payload whole;

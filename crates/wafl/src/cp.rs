@@ -307,7 +307,7 @@ pub struct CpReport {
     /// Whole-CP wall time, measured around all phases. The per-phase
     /// times are nested inside this span, so
     /// `phase_ns().iter().sum() <= total_ns`; the gap is the (tiny)
-    /// inter-phase bookkeeping, which `exp_telemetry` bounds at ≤ 5 %.
+    /// inter-phase bookkeeping, which `cp_units` bounds at ≤ 5 %.
     pub total_ns: u64,
 }
 
@@ -328,49 +328,6 @@ impl CpReport {
             self.barrier_ns,
             self.commit_ns,
         ]
-    }
-
-    /// Index into [`CP_PHASE_NAMES`] of the phase that bound this CP's
-    /// latency (ties go to the earlier phase).
-    pub fn binding_phase(&self) -> usize {
-        let ns = self.phase_ns();
-        let mut best = 0;
-        for (i, v) in ns.iter().enumerate() {
-            if *v > ns[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Fraction of [`CpReport::total_ns`] the profiled phases account
-    /// for (1.0 when total is zero — a degenerate instant CP has no
-    /// unattributed time).
-    pub fn phase_coverage(&self) -> f64 {
-        if self.total_ns == 0 {
-            return 1.0;
-        }
-        self.phase_ns().iter().sum::<u64>() as f64 / self.total_ns as f64
-    }
-
-    /// Publish this CP's critical-path profile to the global metrics
-    /// registry: one `cp_phase_<name>_ns` histogram sample per phase, a
-    /// `cp_phase_binding_<name>` counter tick for the binding phase,
-    /// and `cp_phase_profiled` for the CP itself. Called by every
-    /// committed CP; the telemetry sampler picks the series up from
-    /// the registry (DESIGN.md §16).
-    pub fn record_profile(&self) {
-        let reg = obs::Registry::global();
-        for (name, ns) in CP_PHASE_NAMES.iter().zip(self.phase_ns()) {
-            reg.histogram(&format!("cp_phase_{name}_ns")).record(ns);
-        }
-        reg.histogram("cp_total_ns").record(self.total_ns);
-        reg.counter(&format!(
-            "cp_phase_binding_{}",
-            CP_PHASE_NAMES[self.binding_phase()]
-        ))
-        .inc();
-        reg.counter("cp_phase_profiled").inc();
     }
 }
 
@@ -455,9 +412,6 @@ fn run_cp_inner(
     drop(sp1);
     report.freeze_ns = t0.elapsed().as_nanos() as u64;
     if crash_at == Some(CrashPoint::AfterFreeze) {
-        // Arm the flight recorder before abandoning the CP (lock-free;
-        // dumped at next service). Arg = crash-point pipeline ordinal.
-        obs::trigger(obs::Trigger::CrashPoint, 1);
         alloc.infra().io().crash();
         return None;
     }
@@ -475,8 +429,6 @@ fn run_cp_inner(
     drop(sp2);
     report.clean_ns = t0.elapsed().as_nanos() as u64;
     if crash_at == Some(CrashPoint::AfterClean) {
-        // See the AfterFreeze branch.
-        obs::trigger(obs::Trigger::CrashPoint, 2);
         alloc.infra().io().crash();
         return None;
     }
@@ -501,8 +453,6 @@ fn run_cp_inner(
     drop(sp3);
     report.apply_ns = t0.elapsed().as_nanos() as u64;
     if crash_at == Some(CrashPoint::AfterApply) {
-        // See the AfterFreeze branch.
-        obs::trigger(obs::Trigger::CrashPoint, 3);
         alloc.infra().io().crash();
         return None;
     }
@@ -517,8 +467,6 @@ fn run_cp_inner(
     drop(sp4);
     report.metafile_ns = t0.elapsed().as_nanos() as u64;
     if crash_at == Some(CrashPoint::AfterMetafileFlush) {
-        // See the AfterFreeze branch.
-        obs::trigger(obs::Trigger::CrashPoint, 4);
         alloc.infra().io().crash();
         return None;
     }
@@ -539,7 +487,6 @@ fn run_cp_inner(
     nvlog.commit_cp();
     report.commit_ns = t0.elapsed().as_nanos() as u64;
     report.total_ns = cp_t0.elapsed().as_nanos() as u64;
-    report.record_profile();
     Some(report)
 }
 

@@ -967,9 +967,6 @@ fn process_unit(
         }
         // ordering: statistics counter; staleness is acceptable.
         ctx.stats.scrub_findings.fetch_add(1, Ordering::Relaxed);
-        // A confirmed on-media error is post-mortem material: arm the
-        // flight recorder (lock-free; dumped at next service).
-        obs::trigger(obs::Trigger::ScrubFinding, report.findings.len() as u64);
         let state = repair_finding(fs, ctx, &refs, &err);
         if matches!(state, FindingState::Repaired | FindingState::Reverified) {
             repaired_keys.insert(key);

@@ -87,8 +87,8 @@ fi
 # Every row runs the same three commands: a quick run into the scratch
 # dir, then --validate of the fresh record and of the committed one
 # (schema + the bench's own gates; the quick run relaxes only the
-# wall-clock ones). exp_put_convoy and exp_telemetry run traced so the
-# obs rings, the Chrome-trace exporter and the blackbox are exercised.
+# wall-clock ones). exp_put_convoy runs traced so the obs rings and the
+# Chrome-trace exporter are exercised.
 while IFS='|' read -r bin features smoke; do
   echo "=== $bin smoke + schema validation ==="
   run=(cargo run --release -q -p wafl-bench ${features:+--features "$features"} --bin "$bin" --)
@@ -100,7 +100,6 @@ done <<'BENCHES'
 exp_put_convoy|trace|
 exp_scrub||--smoke
 exp_io_engine||
-exp_telemetry|trace|
 BENCHES
 
 echo "CI green."
