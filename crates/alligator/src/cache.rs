@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct BucketCache {
     /// Available buckets, ascending by refill generation.
-    q: Mutex<VecDeque<Bucket>>, // lock-rank: cache.queue 60 via lock_queue
+    q: Mutex<VecDeque<Bucket>>,
     available: Condvar,
     /// `q.len()`, stored under the lock and read without it.
     len: AtomicUsize,
@@ -65,7 +65,7 @@ impl BucketCache {
     /// An empty cache recording its GET counters into `stats`.
     pub fn with_stats(stats: Arc<AllocStats>) -> Self {
         Self {
-            q: Mutex::new(VecDeque::new()),
+            q: Mutex::ranked(VecDeque::new(), "cache.queue", 60),
             available: Condvar::new(),
             len: AtomicUsize::new(0),
             stats,

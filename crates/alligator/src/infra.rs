@@ -48,7 +48,7 @@ pub struct Infrastructure {
     aggmap: Arc<AggregateMap>,
     io: Arc<IoEngine>,
     stats: Arc<AllocStats>,
-    cursors: Mutex<Vec<RgCursor>>, // lock-rank: infra.cursors 40
+    cursors: Mutex<Vec<RgCursor>>,
     generation: AtomicU64,
     /// Set when the most recent refill round produced zero buckets —
     /// i.e., the aggregate has no allocatable space left.
@@ -77,7 +77,7 @@ impl Infrastructure {
             aggmap,
             io,
             stats,
-            cursors: Mutex::new(cursors),
+            cursors: Mutex::ranked(cursors, "infra.cursors", 40),
             generation: AtomicU64::new(0),
             exhausted: AtomicBool::new(false),
         })

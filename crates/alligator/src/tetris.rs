@@ -36,7 +36,7 @@ pub struct Tetris {
     /// Buckets that have not yet deposited and signaled completion.
     outstanding: AtomicUsize,
     /// Deposited per-drive lists: `(drive_in_rg, Vec<(dbn, stamp)>)`.
-    deposits: Mutex<Vec<DriveDeposit>>, // lock-rank: tetris.deposits 41
+    deposits: Mutex<Vec<DriveDeposit>>,
     io: Arc<IoEngine>,
     stats: Arc<AllocStats>,
     submitted: AtomicBool,
@@ -55,7 +55,7 @@ impl Tetris {
         Arc::new(Self {
             rg,
             outstanding: AtomicUsize::new(outstanding),
-            deposits: Mutex::new(Vec::with_capacity(outstanding)),
+            deposits: Mutex::ranked(Vec::with_capacity(outstanding), "tetris.deposits", 41),
             io,
             stats,
             submitted: AtomicBool::new(false),

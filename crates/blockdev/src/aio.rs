@@ -429,7 +429,7 @@ struct Pending {
 /// Per-RAID-group bounded MPSC submit ring: producers block when the
 /// ring is at capacity (backpressure), the group's worker drains FIFO.
 struct SubmitRing {
-    q: parking_lot::Mutex<VecDeque<Pending>>, // lock-rank: aio.queue 73
+    q: parking_lot::Mutex<VecDeque<Pending>>,
     not_full: parking_lot::Condvar,
     not_empty: parking_lot::Condvar,
     cap: usize,
@@ -462,7 +462,7 @@ impl Done {
 struct Inner {
     io: Arc<IoEngine>,
     rings: Vec<SubmitRing>,
-    done: parking_lot::Mutex<Done>, // lock-rank: aio.done 72
+    done: parking_lot::Mutex<Done>,
     done_cv: parking_lot::Condvar,
     submitted: AtomicU64,
     inflight: AtomicU64,
@@ -474,7 +474,7 @@ struct Inner {
 /// The asynchronous I/O engine (see module docs).
 pub struct AioEngine {
     inner: Arc<Inner>,
-    workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>, // lock-rank: aio.workers 75
+    workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl AioEngine {
@@ -486,7 +486,7 @@ impl AioEngine {
         let groups = io.raid_groups().len();
         let rings = (0..groups)
             .map(|_| SubmitRing {
-                q: parking_lot::Mutex::new(VecDeque::with_capacity(depth)),
+                q: parking_lot::Mutex::ranked(VecDeque::with_capacity(depth), "aio.queue", 73),
                 not_full: parking_lot::Condvar::new(),
                 not_empty: parking_lot::Condvar::new(),
                 cap: depth,
@@ -495,7 +495,7 @@ impl AioEngine {
         let inner = Arc::new(Inner {
             io,
             rings,
-            done: parking_lot::Mutex::new(Done::default()),
+            done: parking_lot::Mutex::ranked(Done::default(), "aio.done", 72),
             done_cv: parking_lot::Condvar::new(),
             submitted: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
@@ -514,7 +514,7 @@ impl AioEngine {
             .collect();
         Arc::new(AioEngine {
             inner,
-            workers: parking_lot::Mutex::new(workers),
+            workers: parking_lot::Mutex::ranked(workers, "aio.workers", 75),
         })
     }
 

@@ -84,7 +84,7 @@ pub struct Drive {
     kind: DriveKind,
     model: ServiceModel,
     blocks: u64,
-    content: RwLock<Vec<BlockStamp>>, // lock-rank: drive.content 76
+    content: RwLock<Vec<BlockStamp>>,
     // Statistics (relaxed: monotone counters, read only for reporting).
     writes: AtomicU64,
     blocks_written: AtomicU64,
@@ -95,7 +95,7 @@ pub struct Drive {
     busy_ns: AtomicU64,
     // Fault machinery.
     /// Injected fault schedule, if any (None = perfect media).
-    fault: RwLock<Option<Arc<FaultPlan>>>, // lock-rank: drive.fault 77
+    fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Per-drive op ordinal feeding the fault plan's deterministic draws.
     op_counter: AtomicU64,
     /// Set when the drive has been taken out of service (whole-drive
@@ -115,14 +115,14 @@ impl Drive {
             kind,
             model: ServiceModel::for_kind(kind),
             blocks,
-            content: RwLock::new(vec![0; blocks as usize]),
+            content: RwLock::ranked(vec![0; blocks as usize], "drive.content", 76),
             writes: AtomicU64::new(0),
             blocks_written: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             blocks_read: AtomicU64::new(0),
             last_write_end: AtomicU64::new(u64::MAX),
             busy_ns: AtomicU64::new(0),
-            fault: RwLock::new(None),
+            fault: RwLock::ranked(None, "drive.fault", 77),
             op_counter: AtomicU64::new(0),
             offline: AtomicBool::new(false),
             consecutive_failures: AtomicU32::new(0),

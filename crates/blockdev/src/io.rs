@@ -130,10 +130,10 @@ pub struct IoEngine {
     fault: Option<Arc<FaultPlan>>,
     /// Optional real-file mirror: every write that completes against the
     /// simulated drives is also persisted here (see [`crate::aio`]).
-    mirror: Mutex<Option<Arc<FileBackend>>>, // lock-rank: io.mirror 70
+    mirror: Mutex<Option<Arc<FileBackend>>>,
     /// Back-reference to an attached async engine, if any. Weak: the
     /// [`AioEngine`] owns an `Arc<IoEngine>`, never the reverse.
-    aio: Mutex<Weak<AioEngine>>, // lock-rank: io.aio 71
+    aio: Mutex<Weak<AioEngine>>,
 }
 
 impl IoEngine {
@@ -149,8 +149,8 @@ impl IoEngine {
             groups,
             counters: IoCounters::default(),
             fault: None,
-            mirror: Mutex::new(None),
-            aio: Mutex::new(Weak::new()),
+            mirror: Mutex::ranked(None, "io.mirror", 70),
+            aio: Mutex::ranked(Weak::new(), "io.aio", 71),
         }
     }
 

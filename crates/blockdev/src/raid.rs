@@ -87,7 +87,7 @@ pub struct RaidGroup {
     policy: RetryPolicy,
     /// Serializes every parity read-modify-write of the group (see the
     /// module docs).
-    stripe_write: Mutex<()>, // lock-rank: raid.stripe-write 69
+    stripe_write: Mutex<()>,
 }
 
 impl RaidGroup {
@@ -113,7 +113,7 @@ impl RaidGroup {
             parity,
             counters: ParityModel::default(),
             policy: RetryPolicy::default(),
-            stripe_write: Mutex::new(()),
+            stripe_write: Mutex::ranked((), "raid.stripe-write", 69),
         }
     }
 

@@ -171,7 +171,8 @@ impl LogHistogram {
 /// get-or-create accessor; one name always yields the same counter.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>, // lock-rank: obs.counters 85
+    /// A leaf: obs takes no other lock and runs no caller code under it.
+    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
 }
 
 impl Registry {

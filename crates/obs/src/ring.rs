@@ -25,7 +25,8 @@ struct Slots {
 /// Fixed-capacity overwrite-oldest event ring (see module docs).
 #[derive(Debug)]
 pub struct EventRing {
-    slots: Mutex<Slots>, // lock-rank: obs.ring 90
+    /// A leaf: obs takes no other lock and runs no caller code under it.
+    slots: Mutex<Slots>,
     /// Slot count minus one.
     mask: u64,
 }

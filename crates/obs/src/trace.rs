@@ -67,7 +67,8 @@ mod imp {
     }
 
     fn threads() -> &'static Mutex<Vec<ThreadEntry>> {
-        static THREADS: OnceLock<Mutex<Vec<ThreadEntry>>> = OnceLock::new(); // lock-rank: obs.threads 88
+        // A leaf: obs takes no other lock and runs no caller code under it.
+        static THREADS: OnceLock<Mutex<Vec<ThreadEntry>>> = OnceLock::new();
         THREADS.get_or_init(|| Mutex::new(Vec::new()))
     }
 
@@ -258,8 +259,9 @@ mod tests {
     use std::sync::Mutex;
 
     /// The recording switch is process-global; serialize these tests so
-    /// a mid-test `set_recording(false)` can't starve a neighbor.
-    static SWITCH_LOCK: Mutex<()> = Mutex::new(()); // lock-rank: obs.switch 89
+    /// a mid-test `set_recording(false)` can't starve a neighbor. Held
+    /// across a whole test, it is taken before any other obs lock.
+    static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spans_and_instants_land_on_the_current_thread_in_order() {

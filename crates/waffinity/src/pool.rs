@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Inner {
-    sched: Mutex<Scheduler<Job>>, // lock-rank: waffinity.sched 30
+    sched: Mutex<Scheduler<Job>>,
     /// Signaled when work arrives or completes (a completion can unblock
     /// any number of excluded affinities, so notify_all).
     work: Condvar,
@@ -71,7 +71,11 @@ impl WaffinityPool {
         assert!(threads > 0, "pool needs at least one thread");
         let n = topo.len();
         let inner = Arc::new(Inner {
-            sched: Mutex::new(Scheduler::new(ExclusionState::new(Arc::clone(&topo)))),
+            sched: Mutex::ranked(
+                Scheduler::new(ExclusionState::new(Arc::clone(&topo))),
+                "waffinity.sched",
+                30,
+            ),
             work: Condvar::new(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -321,7 +325,7 @@ mod tests {
     #[test]
     fn same_affinity_messages_run_in_order() {
         let pool = WaffinityPool::new(topo(), 4);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Mutex::ranked(Vec::new(), "test.log", 100));
         for i in 0..50u32 {
             let log = Arc::clone(&log);
             pool.send(Affinity::VolVbnRange(0, 1), move || {

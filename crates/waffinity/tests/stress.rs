@@ -157,8 +157,9 @@ fn serial_message_sees_quiesced_system_under_storm() {
 fn per_affinity_fifo_holds_under_concurrency() {
     let topo = topo();
     let pool = WaffinityPool::new(Arc::clone(&topo), 4);
-    let logs: Vec<Arc<Mutex<Vec<u32>>>> =
-        (0..3).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+    let logs: Vec<Arc<Mutex<Vec<u32>>>> = (0..3)
+        .map(|_| Arc::new(Mutex::ranked(Vec::new(), "test.log", 100)))
+        .collect();
     for i in 0..120u32 {
         let lane = (i % 3) as usize;
         let log = Arc::clone(&logs[lane]);
@@ -178,7 +179,7 @@ fn per_affinity_fifo_holds_under_concurrency() {
 fn single_thread_pool_is_equivalent_to_serial_execution() {
     let topo = topo();
     let pool = WaffinityPool::new(Arc::clone(&topo), 1);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::new(Mutex::ranked(Vec::new(), "test.log", 100));
     for i in 0..50u32 {
         let log = Arc::clone(&log);
         // Alternate conflicting affinities: one worker must still make

@@ -330,7 +330,7 @@ struct PoolShared {
     /// Workers with index ≥ this limit park (dynamic tuning).
     active_limit: AtomicUsize,
     limit_changed: Condvar,
-    limit_lock: Mutex<()>, // lock-rank: cleaner.limit 26
+    limit_lock: Mutex<()>,
     shutdown: AtomicBool,
     /// Per-pool busy time for utilization measurement.
     busy_ns: AtomicU64,
@@ -355,7 +355,7 @@ impl CleanerPool {
             rx,
             active_limit: AtomicUsize::new(cfg.threads),
             limit_changed: Condvar::new(),
-            limit_lock: Mutex::new(()),
+            limit_lock: Mutex::ranked((), "cleaner.limit", 26),
             shutdown: AtomicBool::new(false),
             busy_ns: AtomicU64::new(0),
             items_done: AtomicU64::new(0),

@@ -66,9 +66,15 @@ pub enum MetafileSrc {
 
 /// On-disk locations of metafile blocks (metafiles are files too and are
 /// written copy-on-write like everything else).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetafileLocs {
-    locs: Mutex<BTreeMap<(MetafileSrc, u64), Vbn>>, // lock-rank: cp.locs 20
+    locs: Mutex<BTreeMap<(MetafileSrc, u64), Vbn>>,
+}
+
+impl Default for MetafileLocs {
+    fn default() -> Self {
+        Self::restore(&[])
+    }
 }
 
 impl MetafileLocs {
@@ -95,7 +101,7 @@ impl MetafileLocs {
     /// Restore from a superblock image.
     pub fn restore(entries: &[((MetafileSrc, u64), Vbn)]) -> Self {
         Self {
-            locs: Mutex::new(entries.iter().copied().collect()),
+            locs: Mutex::ranked(entries.iter().copied().collect(), "cp.locs", 20),
         }
     }
 
@@ -148,9 +154,17 @@ fn install_cleaned(map: &mut BlockMap, cleaned: &[CleanedBlock]) {
 }
 
 /// The superblock slot: the committed image, updated in place by each CP.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SuperblockStore {
-    image: Mutex<Option<Arc<DiskImage>>>, // lock-rank: cp.image 12
+    image: Mutex<Option<Arc<DiskImage>>>,
+}
+
+impl Default for SuperblockStore {
+    fn default() -> Self {
+        Self {
+            image: Mutex::ranked(None, "cp.image", 12),
+        }
+    }
 }
 
 impl SuperblockStore {

@@ -62,7 +62,7 @@ pub struct Filesystem {
     /// `Weak` back-pointer (no cycle).
     aio: Option<Arc<wafl_blockdev::AioEngine>>,
     alloc: Arc<Allocator>,
-    volumes: RwLock<BTreeMap<VolumeId, Arc<Volume>>>, // lock-rank: fs.volumes 10
+    volumes: RwLock<BTreeMap<VolumeId, Arc<Volume>>>,
     nvlog: NvLog,
     pool: CleanerPool,
     mf_locs: MetafileLocs,
@@ -172,7 +172,7 @@ impl Filesystem {
             io,
             aio,
             alloc,
-            volumes: RwLock::new(BTreeMap::new()),
+            volumes: RwLock::ranked(BTreeMap::new(), "fs.volumes", 10),
             nvlog: NvLog::new(),
             pool,
             mf_locs: MetafileLocs::new(),

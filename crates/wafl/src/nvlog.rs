@@ -75,9 +75,17 @@ pub enum Op {
 /// log.commit_cp();     // superblock written: the CP's half is discarded
 /// assert_eq!(log.replay_ops(), vec![w(1)]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NvLog {
-    inner: Mutex<Halves>, // lock-rank: nvlog 22
+    inner: Mutex<Halves>,
+}
+
+impl Default for NvLog {
+    fn default() -> Self {
+        Self {
+            inner: Mutex::ranked(Halves::default(), "nvlog", 22),
+        }
+    }
 }
 
 #[derive(Debug, Default)]

@@ -267,9 +267,17 @@ pub struct ScrubCheckpoint {
 }
 
 /// Shared store for the scrub cursor (the scrubber's "superblock").
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ScrubCheckpointStore {
-    slot: Mutex<Option<ScrubCheckpoint>>, // lock-rank: scrub.slot 25
+    slot: Mutex<Option<ScrubCheckpoint>>,
+}
+
+impl Default for ScrubCheckpointStore {
+    fn default() -> Self {
+        Self {
+            slot: Mutex::ranked(None, "scrub.slot", 25),
+        }
+    }
 }
 
 impl ScrubCheckpointStore {

@@ -61,9 +61,17 @@ impl Snapshot {
 }
 
 /// The snapshot set of one volume.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SnapshotSet {
-    snaps: parking_lot::RwLock<Vec<Arc<Snapshot>>>, // lock-rank: snapshot.snaps 23
+    snaps: parking_lot::RwLock<Vec<Arc<Snapshot>>>,
+}
+
+impl Default for SnapshotSet {
+    fn default() -> Self {
+        Self {
+            snaps: parking_lot::RwLock::ranked(Vec::new(), "snapshot.snaps", 23),
+        }
+    }
 }
 
 impl SnapshotSet {

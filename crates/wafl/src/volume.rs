@@ -23,14 +23,14 @@ pub struct VolumeId(pub u32);
 /// A file's inode behind its own lock. Taken under `cp.image` (the delta
 /// commit copies restructured files) and `volume.inodes`; `volume.dirty`
 /// is taken under it.
-pub type InodeRef = Arc<Mutex<Inode>>; // lock-rank: volume.inode 16 via inode
+pub type InodeRef = Arc<Mutex<Inode>>;
 
 /// A FlexVol volume: inodes + VVBN space + dirty-inode list.
 pub struct Volume {
     id: VolumeId,
     /// Aggregate index in the Waffinity topology housing this volume.
     aggr: u32,
-    inodes: RwLock<BTreeMap<FileId, InodeRef>>, // lock-rank: volume.inodes 15
+    inodes: RwLock<BTreeMap<FileId, InodeRef>>,
     vvbn: VvbnSpace,
     /// "a list of dirty inodes to process in the next consistency point"
     /// (§II-C). A set: an inode appears once however many blocks dirty.
@@ -40,7 +40,7 @@ pub struct Volume {
     /// the file on the clean→dirty transition, a truncate removes it on
     /// the way back. (The CP freeze empties the list first and the fronts
     /// after, so a file may also sit here clean; the freeze skips it.)
-    dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 17
+    dirty: Mutex<BTreeSet<FileId>>,
     /// Retained point-in-time images (see [`crate::snapshot`]).
     snapshots: SnapshotSet,
     /// Files created, truncated or deleted since the last committed CP:
@@ -49,7 +49,7 @@ pub struct Volume {
     /// A file is added *after* its change is in place: a commit that takes
     /// the set just before the mark lands copies nothing stale, and the
     /// next commit picks the file up.
-    restructured: Mutex<BTreeSet<FileId>>, // lock-rank: volume.restructured 18
+    restructured: Mutex<BTreeSet<FileId>>,
 }
 
 impl Volume {
@@ -58,11 +58,11 @@ impl Volume {
         Arc::new(Self {
             id,
             aggr,
-            inodes: RwLock::new(BTreeMap::new()),
+            inodes: RwLock::ranked(BTreeMap::new(), "volume.inodes", 15),
             vvbn: VvbnSpace::new(vvbn_total),
-            dirty: Mutex::new(BTreeSet::new()),
+            dirty: Mutex::ranked(BTreeSet::new(), "volume.dirty", 17),
             snapshots: SnapshotSet::new(),
-            restructured: Mutex::new(BTreeSet::new()),
+            restructured: Mutex::ranked(BTreeSet::new(), "volume.restructured", 18),
         })
     }
 
@@ -91,7 +91,10 @@ impl Volume {
             if inodes.contains_key(&file) {
                 return false;
             }
-            inodes.insert(file, Arc::new(Mutex::new(Inode::new(file))));
+            inodes.insert(
+                file,
+                Arc::new(Mutex::ranked(Inode::new(file), "volume.inode", 16)),
+            );
         }
         self.restructured.lock().insert(file);
         true
@@ -374,8 +377,11 @@ mod tests {
         let v = Volume::new(VolumeId(0), 0, 1 << 20);
         // A write to a missing file panics by contract, so a writer holds
         // its file's gate shared and the delete + re-create pair holds it
-        // exclusively. Truncates take no gate.
-        let gates: Vec<_> = (0..FILES).map(|_| RwLock::new(())).collect();
+        // exclusively. Truncates take no gate. A gate is outermost: it is
+        // held across the volume call.
+        let gates: Vec<_> = (0..FILES)
+            .map(|_| RwLock::ranked((), "test.gate", 5))
+            .collect();
         for f in 0..FILES {
             v.create_file(FileId(f));
         }

@@ -37,7 +37,7 @@ use wafl_metafile::ActiveMap;
 pub struct VvbnSpace {
     map: Arc<ActiveMap>,
     /// Next offset to scan for free VVBNs (wraps once).
-    cursor: Mutex<u64>, // lock-rank: vvbn.cursor 24
+    cursor: Mutex<u64>,
     total: u64,
 }
 
@@ -75,7 +75,7 @@ impl VvbnSpace {
     pub fn new(total: u64) -> Self {
         Self {
             map: Arc::new(ActiveMap::new(total)),
-            cursor: Mutex::new(0),
+            cursor: Mutex::ranked(0, "vvbn.cursor", 24),
             total,
         }
     }

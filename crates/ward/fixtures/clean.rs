@@ -1,11 +1,6 @@
 // Fixture: a file every per-file check must pass untouched — correctly
-// justified orderings, a closed pairs-with label, and ranked locks
-// acquired in order.
+// justified orderings and a closed pairs-with label.
 struct Seed {
-    // lock-rank: fixture-clean.outer 10
-    outer: std::sync::Mutex<u32>,
-    // lock-rank: fixture-clean.inner 20
-    inner: std::sync::Mutex<u32>,
     flag: std::sync::atomic::AtomicBool,
 }
 
@@ -21,12 +16,5 @@ impl Seed {
         use std::sync::atomic::Ordering;
         // ordering: Acquire observe; pairs-with: fixture-clean.ready.
         self.flag.load(Ordering::Acquire)
-    }
-
-    fn nested(&self) {
-        let outer = self.outer.lock().unwrap();
-        let inner = self.inner.lock().unwrap();
-        drop(inner);
-        drop(outer);
     }
 }

@@ -2,23 +2,21 @@
 //!
 //! A dependency-free static-analysis pass over the whole Rust tree
 //! (token-level lexer, no `syn`), run from CI as
-//! `cargo run -p ward -- --check`. Beside per-line gates it makes
-//! *cross-site* checks:
+//! `cargo run -p ward -- --check`. It makes two checks:
 //!
-//! 1. **Lock-order graph** ([`locks`]): every `Mutex`/`RwLock`
-//!    declaration carries `// lock-rank: <name> <n>`; nested
-//!    acquisitions must strictly ascend in rank, workspace-wide.
-//! 2. **Release/Acquire pairing** ([`ordering`]): every
+//! 1. **Release/Acquire pairing** ([`ordering`]): every
 //!    `Ordering::Release`/`AcqRel` publish names its acquire partner via
 //!    `pairs-with: <label>`; a deleted or weakened partner fails the
-//!    build instead of silently dropping a happens-before edge.
-//! 3. **Ordering justifications** ([`ordering`]): every `Ordering::*`
+//!    build instead of silently dropping a happens-before edge. This is
+//!    a cross-site check: labels are matched workspace-wide.
+//! 2. **Ordering justifications** ([`ordering`]): every `Ordering::*`
 //!    site carries an attached `// ordering:` comment.
 //!
 //! What the toolchain checks itself is not re-checked here: `unsafe` is
 //! denied workspace-wide by rustc and every unsafe block needs a
 //! `// SAFETY:` comment by clippy (`[workspace.lints]`), and completion
-//! tickets are unforgeable by module privacy.
+//! tickets are unforgeable by module privacy. Lock order is checked at
+//! runtime by the vendored lock types, under debug assertions.
 //!
 //! Findings carry stable content-derived IDs; `baseline.txt` suppresses
 //! known accepted findings; `results/ward.json` is the machine-readable
@@ -27,13 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod locks;
 pub mod ordering;
 pub mod report;
 pub mod scrub;
 pub mod selftest;
 
-use crate::locks::{LockEdge, LockRegistry};
 use crate::report::{Finding, ScanStats};
 use crate::scrub::Scrubbed;
 use std::collections::BTreeMap;
@@ -46,8 +42,6 @@ const EXCLUDE: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
 pub struct Scan {
     /// All findings (unsuppressed; baseline application happens later).
     pub findings: Vec<Finding>,
-    /// Observed nested-acquisition edges (the lock-order graph).
-    pub edges: Vec<LockEdge>,
     /// Scan statistics for the report.
     pub stats: ScanStats,
 }
@@ -104,12 +98,6 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Is `rel` in scope for the lock-rank graph? Library sources only —
-/// test-local mutexes are single-purpose.
-fn lock_rank_scope(rel: &str) -> bool {
-    rel.starts_with("crates/") && rel.contains("/src/") && !rel.starts_with("crates/ward/")
-}
-
 /// Run the full analyzer over the workspace at `root`.
 pub fn scan_workspace(root: &Path) -> Scan {
     let files = rust_files(root);
@@ -137,37 +125,15 @@ pub fn scan_workspace(root: &Path) -> Scan {
         sources.push((rel, Scrubbed::new(&text)));
     }
 
-    // Pass 1: per-file checks + lock declarations.
-    let mut registry = LockRegistry::default();
     let mut labels: BTreeMap<String, ordering::LabelSides> = BTreeMap::new();
     for (rel, src) in &sources {
         stats.ordering_sites += ordering::check_justifications(rel, src, &mut findings);
         ordering::check_pairing_file(rel, src, &mut findings, &mut labels);
-        if lock_rank_scope(rel) {
-            let decls = locks::collect_decls(rel, src, &mut findings);
-            registry.add(decls, &mut findings);
-        }
     }
-    stats.lock_decls = registry.decls.len();
     stats.pair_labels = labels.len();
     ordering::check_pairing_global(&labels, &mut findings);
 
-    // Pass 2: acquisition edges against the completed registry.
-    let mut edges = Vec::new();
-    for (rel, src) in &sources {
-        if lock_rank_scope(rel) {
-            edges.extend(locks::check_file_edges(rel, src, &registry, &mut findings));
-        }
-    }
-    edges.sort();
-    edges.dedup();
-    stats.lock_edges = edges.len();
-
-    Scan {
-        findings,
-        edges,
-        stats,
-    }
+    Scan { findings, stats }
 }
 
 /// Split findings into `(unsuppressed, suppressed, stale_baseline_ids)`

@@ -5,7 +5,6 @@
 //! cargo run -p ward -- --check      the same, as the CI gate
 //! cargo run -p ward -- --self-test  detection-power fixtures
 //! cargo run -p ward -- --validate <report.json>
-//! cargo run -p ward -- --graph     print the observed lock-order edges
 //! ```
 
 use std::path::PathBuf;
@@ -16,7 +15,6 @@ use ward::{apply_baseline, scan_workspace, selftest, workspace_root};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut self_test = false;
-    let mut graph = false;
     let mut validate: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -25,7 +23,6 @@ fn main() -> ExitCode {
             // A plain run is already the gate; CI spells it `--check`.
             "--check" => {}
             "--self-test" => self_test = true,
-            "--graph" => graph = true,
             "--validate" => match it.next() {
                 Some(p) => validate = Some(PathBuf::from(p)),
                 None => {
@@ -96,16 +93,6 @@ fn main() -> ExitCode {
 
     let scan = scan_workspace(&root);
 
-    if graph {
-        println!("# lock-order graph: held -> acquired (file:line, fn)");
-        for e in &scan.edges {
-            println!(
-                "{} -> {}    {}:{} (fn {})",
-                e.held, e.acquired, e.file, e.line, e.func
-            );
-        }
-    }
-
     // Baseline.
     let baseline_path = root.join("crates/ward/baseline.txt");
     let baseline = std::fs::read_to_string(&baseline_path)
@@ -144,13 +131,11 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "ward: {} — {} files, {} ordering sites, {} ranked locks, \
-         {} lock edges, {} pair labels; {} finding(s), {} suppressed",
+        "ward: {} — {} files, {} ordering sites, {} pair labels; \
+         {} finding(s), {} suppressed",
         if findings.is_empty() { "OK" } else { "FAIL" },
         scan.stats.files,
         scan.stats.ordering_sites,
-        scan.stats.lock_decls,
-        scan.stats.lock_edges,
         scan.stats.pair_labels,
         findings.len(),
         suppressed.len(),

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 /// One analyzer finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Check slug (`lock-rank`, `pairing`, `ordering`, …).
+    /// Check slug (`pairing`, `ordering`, `baseline`).
     pub check: &'static str,
     /// Repo-relative path.
     pub file: String,
@@ -63,10 +63,6 @@ pub struct ScanStats {
     pub files: usize,
     /// `Ordering::*` sites seen.
     pub ordering_sites: usize,
-    /// Ranked lock declarations.
-    pub lock_decls: usize,
-    /// Nested lock-acquisition edges observed.
-    pub lock_edges: usize,
     /// Distinct `pairs-with` labels.
     pub pair_labels: usize,
 }
@@ -108,8 +104,6 @@ pub fn render_report(
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(out, "  \"files_scanned\": {},", stats.files);
     let _ = writeln!(out, "  \"ordering_sites\": {},", stats.ordering_sites);
-    let _ = writeln!(out, "  \"lock_decls\": {},", stats.lock_decls);
-    let _ = writeln!(out, "  \"lock_edges\": {},", stats.lock_edges);
     let _ = writeln!(out, "  \"pair_labels\": {},", stats.pair_labels);
     out.push_str("  \"counts\": {");
     let mut first = true;
@@ -379,13 +373,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     if schema != SCHEMA {
         return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
     }
-    for key in [
-        "files_scanned",
-        "ordering_sites",
-        "lock_decls",
-        "lock_edges",
-        "pair_labels",
-    ] {
+    for key in ["files_scanned", "ordering_sites", "pair_labels"] {
         doc.get(key)
             .and_then(Json::as_num)
             .ok_or_else(|| format!("missing numeric \"{key}\""))?;
@@ -430,7 +418,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_validator() {
-        let f = vec![Finding::new("lock-rank", "x.rs", 3, "boom \"q\"", "k")];
+        let f = vec![Finding::new("pairing", "x.rs", 3, "boom \"q\"", "k")];
         let s = render_report(&f, &[], &ScanStats::default());
         validate_report(&s).unwrap();
         let empty = render_report(&[], &[], &ScanStats::default());

@@ -187,11 +187,10 @@ impl Scrubbed {
 }
 
 fn prev_is_ident(b: &[u8], i: usize) -> bool {
-    i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_')
+    i > 0 && is_ident(b[i - 1])
 }
 
-/// Is `c` an identifier byte?
-pub fn is_ident(c: u8) -> bool {
+fn is_ident(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
@@ -229,23 +228,6 @@ pub fn ident_before(code: &str, end: usize) -> Option<(usize, String)> {
         return None;
     }
     Some((j, code[j..stop].to_string()))
-}
-
-/// The identifier starting at or after byte `from`, skipping whitespace.
-pub fn ident_after(code: &str, from: usize) -> Option<(usize, String)> {
-    let b = code.as_bytes();
-    let mut j = from;
-    while j < b.len() && b[j].is_ascii_whitespace() {
-        j += 1;
-    }
-    let start = j;
-    while j < b.len() && is_ident(b[j]) {
-        j += 1;
-    }
-    if j == start {
-        return None;
-    }
-    Some((start, code[start..j].to_string()))
 }
 
 /// Byte offset of the delimiter matching the opener at `open` (one of

@@ -3,10 +3,9 @@
 //! A gate that cannot catch its target bug class is worse than no gate,
 //! because it launders confidence.
 
-use crate::locks::LockRegistry;
+use crate::ordering;
 use crate::report::Finding;
 use crate::scrub::Scrubbed;
-use crate::{locks, ordering};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -60,16 +59,6 @@ fn case(
     }
 }
 
-/// Declarations and nested-acquisition edges of one fixture file.
-fn lock_graph_findings(src: &Scrubbed) -> Vec<Finding> {
-    let mut f = Vec::new();
-    let decls = locks::collect_decls("fixture.rs", src, &mut f);
-    let mut reg = LockRegistry::default();
-    reg.add(decls, &mut f);
-    locks::check_file_edges("fixture.rs", src, &reg, &mut f);
-    f
-}
-
 /// Run the whole detection-power suite against `fixtures` (the
 /// `crates/ward/fixtures` directory). Returns per-case results.
 pub fn run(fixtures: &Path) -> Vec<CaseResult> {
@@ -102,43 +91,6 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         }),
     ));
 
-    // 3. Rank inversion.
-    out.push(case(
-        "rank_inversion",
-        "lock-rank",
-        1,
-        load(fixtures, "rank_inversion.rs").map(|src| lock_graph_findings(&src)),
-    ));
-
-    // 3b. The same through a handle: the lock is ranked on a `type`
-    // alias and acquired by the handle's name. Exactly one finding —
-    // `bad`'s inversion; `good` nests in rank order and calls `.write()`
-    // on the guard, which is no acquisition of a `Mutex`.
-    out.push(case(
-        "handle_inversion",
-        "lock-rank",
-        1,
-        load(fixtures, "handle_inversion.rs").and_then(|src| {
-            let f = lock_graph_findings(&src);
-            if f.len() > 1 {
-                return Err(format!("only `bad` inverts, got {f:?}"));
-            }
-            Ok(f)
-        }),
-    ));
-
-    // 4. Undeclared (unranked) lock.
-    out.push(case(
-        "missing_lock_rank",
-        "lock-rank",
-        1,
-        load(fixtures, "missing_lock_rank.rs").map(|src| {
-            let mut f = Vec::new();
-            locks::collect_decls("fixture.rs", &src, &mut f);
-            f
-        }),
-    ));
-
     // Clean fixture: the full per-file battery must stay silent.
     let clean = (|| {
         let src = load(fixtures, "clean.rs")?;
@@ -147,10 +99,6 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         ordering::check_justifications("fixture.rs", &src, &mut f);
         ordering::check_pairing_file("fixture.rs", &src, &mut f, &mut labels);
         ordering::check_pairing_global(&labels, &mut f);
-        let decls = locks::collect_decls("fixture.rs", &src, &mut f);
-        let mut reg = LockRegistry::default();
-        reg.add(decls, &mut f);
-        locks::check_file_edges("fixture.rs", &src, &reg, &mut f);
         Ok::<_, String>(f)
     })();
     out.push(match clean {

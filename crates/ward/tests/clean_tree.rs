@@ -51,7 +51,5 @@ fn scan_coverage_floors_hold() {
         "only {} ordering sites",
         s.ordering_sites
     );
-    assert!(s.lock_decls >= 20, "only {} ranked locks", s.lock_decls);
-    assert!(s.lock_edges >= 1, "no nested-acquisition edges observed");
     assert!(s.pair_labels >= 14, "only {} pair labels", s.pair_labels);
 }

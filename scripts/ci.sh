@@ -8,14 +8,17 @@ echo "=== cargo build --release ==="
 cargo build --release
 
 echo "=== cargo test -q (tier-1: root package) ==="
+# Debug builds arm the vendored locks' rank check on every acquisition.
 cargo test -q
 
 echo "=== cargo test --workspace -q ==="
+# Debug builds arm the vendored locks' rank check on every acquisition.
 cargo test --workspace -q
 
 echo "=== cargo test --workspace --features trace -q (obs rings compiled in) ==="
 # The trace feature swaps the no-op macros for real per-thread event
-# rings; the whole suite must stay green with them armed.
+# rings; the whole suite must stay green with them armed. Debug builds
+# arm the vendored locks' rank check on every acquisition.
 cargo test --workspace --features trace -q
 
 echo "=== e2e: the benchmark's own tests ==="
@@ -32,12 +35,12 @@ echo "=== bucket-cache stress under debug assertions ==="
 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p alligator --test cache_stress
 
-echo "=== ward: concurrency analyzer (lock order, pairing, orderings) ==="
+echo "=== ward: concurrency analyzer (pairing, orderings) ==="
 # Detection power first (every check must catch its seeded fixture),
-# then the real scan: lock-rank graph, Release/Acquire pairs-with
-# labels, ordering justifications. --check also emits the
-# machine-readable report, which must validate against the
-# wafl.ward.v1 schema. See DESIGN.md §15 for the annotation contract.
+# then the real scan: Release/Acquire pairs-with labels, ordering
+# justifications. --check also emits the machine-readable report,
+# which must validate against the wafl.ward.v1 schema. See DESIGN.md
+# §15 for the annotation contract.
 # `unsafe` confinement and SAFETY comments are rustc's and clippy's
 # (`[workspace.lints]`), checked by the build and clippy steps.
 cargo run --release -q -p ward -- --self-test
