@@ -434,6 +434,7 @@ mod tests {
         assert_eq!(s.puts, 1);
         assert_eq!(s.uses, 16);
         assert_eq!(s.vbns_committed, 16);
+        assert_eq!(s.put_commit_queue_len, 1, "the PUT's commit was queued");
         a.infra().aggmap().verify().unwrap();
     }
 
@@ -576,7 +577,9 @@ mod tests {
         // then the conservation identity must hold exactly.
         a.flush_cache();
         a.infra().aggmap().verify().unwrap();
-        a.stats().check_conservation(0).unwrap();
+        let s = a.stats();
+        s.check_conservation(0).unwrap();
+        assert!(s.put_commit_queue_len >= 1, "PUT commits were queued");
     }
 
     #[test]

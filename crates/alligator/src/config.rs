@@ -1,13 +1,13 @@
 //! Allocator configuration: the experimental dimensions of §V.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whether infrastructure work is parallelized across Waffinity Range
 /// affinities or serialized — the instrumented-kernel switch used for
 /// Figures 4, 6, and 7 ("we used an instrumented kernel with serialized
 /// cleaner threads and/or infrastructure to be able to isolate the impact
 /// of parallelization", §V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum InfraMode {
     /// All infrastructure messages run in the Serial affinity: at most one
     /// executes at a time and it excludes all other file-system work. This
@@ -20,7 +20,7 @@ pub enum InfraMode {
 }
 
 /// When refilled buckets re-enter the bucket cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ReinsertPolicy {
     /// The paper's policy: "Only after the buckets from all drives in an
     /// aggregate have been used and refilled with VBNs are they
@@ -45,7 +45,7 @@ pub const LOW_WATERMARK: usize = 2;
 pub const STAGE_CAPACITY: usize = 256;
 
 /// White Alligator tuning parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct AllocConfig {
     /// Bucket length in blocks — "the number of VBNs in a bucket is
     /// determined by the chunk size … typically a multiple of 64 blocks"

@@ -9,7 +9,7 @@
 //! elsewhere. Async-write depth and latency are not here — they live in
 //! `wafl_blockdev::AioEngine`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declares the allocator's statistics in one place.
@@ -31,7 +31,7 @@ macro_rules! alloc_counters {
         }
 
         /// Plain-value copy of [`AllocStats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
         #[allow(missing_docs)]
         pub struct StatsSnapshot {
             $( pub $cname: u64, )*
@@ -131,7 +131,8 @@ alloc_counters! {
         commit_queue_wait_ns,
         /// Nanoseconds cleaners spent inside `get_bucket_many` (the full
         /// GET wall time, stalls included) — the denominator the PUT
-        /// convoy is compared against in `exp_put_convoy`.
+        /// convoy is compared against (the ledger's
+        /// `alligator.cache.get_wait_ns_per_buf` row).
         get_wait_ns,
         /// GET batches the adaptive sizer widened beyond the configured
         /// base because the cache was running deep.

@@ -25,11 +25,6 @@
 //! same rows as JSON under `results/` (next to the workspace root, or
 //! `$WAFL_RESULTS_DIR`). Set `WAFL_BENCH_QUICK=1` to run shorter
 //! simulations (CI-friendly; noisier numbers).
-//!
-//! The real-path experiments `exp_{io_engine,put_convoy,scrub}`
-//! print their table and keep one record each, `BENCH_<name>.json` at
-//! the repo root ([`save_record`]); `<bin> --validate <path>` re-checks a
-//! written record ([`validate_arg`]).
 
 #![warn(missing_docs)]
 
@@ -65,78 +60,6 @@ pub fn emit(table: &FigureTable) {
         } else {
             println!("[saved {path}]");
         }
-    }
-}
-
-/// Directory receiving the `BENCH_*.json` records: `WAFL_BENCH_ROOT` if
-/// set (the CI smoke run points it at a temp dir), else the repo root.
-fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("WAFL_BENCH_ROOT") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
-}
-
-/// `<bin> --validate <path>`: when that is the command line, re-parse the
-/// record at `path`, check it with the bin's own `validate`, print
-/// `summary` or the first violation, and exit — 0 valid, 1 unreadable or
-/// invalid, 2 missing path. Returns when `--validate` was not given.
-pub fn validate_arg<D: serde::Deserialize>(
-    bin: &str,
-    schema: &str,
-    validate: fn(&D) -> Result<(), String>,
-    summary: fn(&D) -> String,
-) {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) != Some("--validate") {
-        return;
-    }
-    let Some(path) = args.get(2) else {
-        eprintln!("usage: {bin} --validate <path>");
-        std::process::exit(2);
-    };
-    let checked = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))
-        .and_then(|raw| {
-            serde_json::from_str::<D>(&raw)
-                .map_err(|e| format!("{path} does not parse as {schema}: {e}"))
-        })
-        .and_then(|doc| match validate(&doc) {
-            Ok(()) => Ok(doc),
-            Err(msg) => Err(format!("{path} invalid: {msg}")),
-        });
-    match checked {
-        Ok(doc) => {
-            println!("{path}: valid {schema} ({})", summary(&doc));
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("{bin}: {msg}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Check a freshly produced record with the bin's `validate` (exit 1 on
-/// a violation) and write it to `<bench_root()>/<file>`.
-pub fn save_record<D: serde::Serialize>(
-    bin: &str,
-    file: &str,
-    doc: &D,
-    validate: fn(&D) -> Result<(), String>,
-) {
-    if let Err(msg) = validate(doc) {
-        eprintln!("{bin}: produced record fails validation: {msg}");
-        std::process::exit(1);
-    }
-    let root = bench_root();
-    let _ = std::fs::create_dir_all(&root);
-    let path = root.join(file);
-    let json = serde_json::to_string_pretty(doc).expect("doc serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {}]", path.display());
     }
 }
 

@@ -18,12 +18,12 @@ use crate::fault::{FaultDecision, FaultPlan, IoError, OpKind};
 use crate::geometry::{Dbn, DriveId};
 use crate::BlockStamp;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The kind of media behind a simulated drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DriveKind {
     /// Flash media: no positioning cost, low per-block cost.
     Ssd,
@@ -37,7 +37,7 @@ pub enum DriveKind {
 /// not absolute latency. Defaults approximate enterprise media circa 2017:
 /// SSD ≈ 90 µs access + 10 µs per 4 KiB block; 10k-RPM SAS ≈ 6 ms seek +
 /// 40 µs per block, with sequential follow-on writes skipping the seek.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServiceModel {
     /// Fixed per-I/O cost (command overhead; seek+rotate for HDD random).
     pub access_ns: u64,
@@ -408,7 +408,7 @@ impl Drive {
 }
 
 /// Point-in-time drive statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DriveStats {
     /// Number of write I/Os.
     pub writes: u64,

@@ -27,7 +27,7 @@
 //! layer takes the drive offline and serves it degraded.
 
 use crate::geometry::{Dbn, DriveId, Vbn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A typed storage I/O error.
@@ -114,7 +114,7 @@ impl std::error::Error for IoError {}
 
 /// Configuration for a [`FaultPlan`]. All rates are in parts-per-million
 /// of drive ops; the default spec injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultSpec {
     /// Seed for the deterministic fault stream.
     pub seed: u64,
@@ -253,7 +253,7 @@ impl FaultPlan {
 
 /// Bounded-retry and drive-offlining policy applied where drive I/O is
 /// issued (the RAID layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt (so a transient op is tried
     /// `max_retries + 1` times in total).

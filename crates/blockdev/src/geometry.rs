@@ -17,7 +17,7 @@
 //! Parity drives carry no VBNs: they are not client-addressable.
 
 use crate::fault::IoError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fixed simulated block size in bytes (WAFL uses 4 KiB blocks).
 pub const BLOCK_SIZE: usize = 4096;
@@ -25,25 +25,25 @@ pub const BLOCK_SIZE: usize = 4096;
 /// A volume block number: the aggregate-wide physical block address.
 ///
 /// `Vbn(0)` is valid; callers that need a sentinel use `Option<Vbn>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Vbn(pub u64);
 
 /// A disk block number: the block offset within a single drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Dbn(pub u64);
 
 /// Aggregate-wide drive index (data drives only; parity drives are
 /// addressed through their RAID group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct DriveId(pub u32);
 
 /// RAID group index within the aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RaidGroupId(pub u32);
 
 /// A stripe within a RAID group: all data blocks at DBN `stripe.0` across
 /// the group's data drives plus the parity block(s) at the same DBN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct StripeId {
     /// Owning RAID group.
     pub rg: RaidGroupId,
@@ -53,7 +53,7 @@ pub struct StripeId {
 
 /// An Allocation Area: a contiguous set of stripes within one RAID group
 /// (§IV-D). `index` counts AAs from DBN 0 upward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct AaId {
     /// Owning RAID group.
     pub rg: RaidGroupId,
@@ -77,7 +77,7 @@ pub struct BlockLoc {
 }
 
 /// Static geometry of one RAID group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RaidGroupGeometry {
     /// Group id.
     pub id: RaidGroupId,
@@ -124,7 +124,7 @@ impl RaidGroupGeometry {
 /// ```text
 /// vbn = B + drive_in_rg * n + dbn
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AggregateGeometry {
     raid_groups: Vec<RaidGroupGeometry>,
     aa_stripes: u64,

@@ -17,7 +17,7 @@ use crate::geometry::{AggregateGeometry, BlockLoc, DriveId, RaidGroupId, Vbn};
 use crate::raid::RaidGroup;
 use crate::BlockStamp;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -50,7 +50,7 @@ impl WriteIo {
 }
 
 /// Outcome of a submitted write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IoResult {
     /// Simulated service time of the whole I/O (max over drives).
     pub service_ns: u64,
@@ -90,7 +90,7 @@ impl IoCounters {
 }
 
 /// Plain-value copy of [`IoCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IoSnapshot {
     /// Write I/Os submitted.
     pub write_ios: u64,
@@ -103,7 +103,7 @@ pub struct IoSnapshot {
 }
 
 /// Aggregate-wide fault/degraded-mode counters, summed over RAID groups.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultSnapshot {
     /// Blocks served by XOR reconstruction instead of the home drive.
     pub reconstructed_reads: u64,

@@ -32,14 +32,14 @@
 //! workloads dirty many more metafile blocks than sequential ones for the
 //! same number of frees — the paper's explanation for Figure 7.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of allocation bits covered by one 4 KiB metafile block.
 pub const BITS_PER_MF_BLOCK: u64 = (wafl_blockdev::BLOCK_SIZE as u64) * 8;
 
 /// Errors from active-map bit transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AllocError {
     /// Attempted to mark used/reserve a bit that is already 1.
     AlreadyUsed(u64),

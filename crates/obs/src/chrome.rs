@@ -141,14 +141,12 @@ mod tests {
     #[test]
     fn exporter_emits_schema_valid_json() {
         let json = chrome_trace_json(&sample_traces(), 0);
-        let doc: Value = serde_json::from_str(&json).expect("exporter output parses");
-        let Value::Map(top) = doc else {
-            panic!("top level must be an object")
-        };
-        let (_, Value::Seq(events)) = &top[0] else {
-            panic!("traceEvents must be an array")
-        };
-        assert_eq!(top[0].0, "traceEvents");
+        let doc = serde_json::from_str(&json).expect("exporter output parses");
+        assert_eq!(doc.as_map().map(|m| m.len()), Some(1));
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_seq)
+            .expect("traceEvents must be an array");
         assert_eq!(
             events.len(),
             4,
@@ -156,14 +154,8 @@ mod tests {
         );
 
         let get = |m: &Value, key: &str| -> Value {
-            let Value::Map(pairs) = m else {
-                panic!("event must be an object")
-            };
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
+            m.get(key)
                 .unwrap_or_else(|| panic!("missing field {key}"))
-                .1
                 .clone()
         };
         // Metadata event names the thread row.
@@ -215,35 +207,18 @@ mod tests {
             })
             .collect();
         let json = chrome_trace_json(&traces, 4);
-        let doc: Value = serde_json::from_str(&json).unwrap();
-        let Value::Map(top) = doc else { unreachable!() };
-        let (_, Value::Seq(events)) = top.into_iter().next().unwrap() else {
-            unreachable!()
-        };
+        let doc = serde_json::from_str(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(Value::as_seq).unwrap();
         // 1 metadata + 1 events_lost marker + the 4 newest events.
         assert_eq!(events.len(), 6);
-        let Value::Map(meta) = &events[0] else {
-            unreachable!()
-        };
-        let trimmed = meta
-            .iter()
-            .find(|(k, _)| k == "args")
-            .and_then(|(_, v)| {
-                let Value::Map(args) = v else { return None };
-                args.iter()
-                    .find(|(k, _)| k == "trimmed")
-                    .map(|(_, v)| v.clone())
-            })
-            .unwrap();
-        assert_eq!(trimmed, Value::UInt(6));
+        let trimmed = events[0].get("args").and_then(|a| a.get("trimmed"));
+        assert_eq!(trimmed, Some(&Value::UInt(6)));
         // events[1] is the loss marker; the first real event follows it.
-        let Value::Map(first) = &events[2] else {
-            unreachable!()
-        };
-        let Value::Map(args) = first.iter().find(|(k, _)| k == "args").unwrap().1.clone() else {
-            unreachable!()
-        };
-        let seq = args.iter().find(|(k, _)| k == "seq").unwrap().1.clone();
-        assert_eq!(seq, Value::UInt(6), "oldest surviving event is seq 6");
+        let seq = events[2].get("args").and_then(|a| a.get("seq"));
+        assert_eq!(
+            seq,
+            Some(&Value::UInt(6)),
+            "oldest surviving event is seq 6"
+        );
     }
 }

@@ -5,10 +5,10 @@
 //! evaluation cares about — so a trace stays readable in Perfetto and
 //! one fixed-size [`Event`] (kind + ts + dur + one argument word) suffices.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What happened. `arg` meaning is per-kind (documented on each variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EventKind {
     /// Span: a cleaner blocked in `get_bucket_many` until buckets
     /// arrived. `arg` = buckets granted.
@@ -42,7 +42,8 @@ pub enum EventKind {
     /// `arg` = cleaning jobs in the item.
     CleanItem,
     /// Span: one checkpoint phase (freeze / clean / apply / metafile
-    /// flush / superblock commit). `arg` = phase number, 1-based.
+    /// flush / I/O barrier / superblock commit). `arg` = phase number,
+    /// 1-based, indexing `wafl::cp::CP_PHASE_NAMES`.
     CpPhase,
     /// Instant: the fault injector fired on an I/O. `arg` = decision
     /// code (1 slow, 2 drive-failed, 3 transient, 4 torn write).
@@ -81,7 +82,7 @@ impl EventKind {
 }
 
 /// One ring event, as returned by `EventRing::snapshot`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Event {
     /// Event type.
     pub kind: EventKind,

@@ -7,8 +7,7 @@
 //!   lock-protected fixed-capacity rings recording typed spans/instants for
 //!   the bucket lifecycle (GET/USE/PUT), refill rounds, tetris stripe
 //!   fires, stage commits, CP phases, and injected faults. Zero cost
-//!   unless built with `--features trace`; a runtime switch inside a
-//!   trace build gates recording for overhead A/B runs.
+//!   unless built with `--features trace`.
 //! * **Instruments** ([`metrics`]): a [`Counter`] and a log-bucketed
 //!   [`LogHistogram`], and a [`Registry`] that names counters.
 //! * **Exporter** ([`chrome::chrome_trace_json`]): Chrome trace-event

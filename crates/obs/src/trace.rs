@@ -13,10 +13,6 @@
 //! Because the cfg lives *here* (the `log`-crate pattern), downstream
 //! crates need no feature forwarding: enabling `obs/trace` anywhere in
 //! a build flips every consumer at once (resolver-2 unification).
-//!
-//! Inside a trace-enabled build there is additionally a **runtime**
-//! recording switch ([`set_recording`]) so a single binary can measure
-//! its own tracing overhead (see `exp_put_convoy`).
 
 use crate::event::Event;
 
@@ -44,7 +40,7 @@ mod imp {
     use crate::event::EventKind;
     use crate::ring::EventRing;
     use std::cell::OnceCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
@@ -52,10 +48,6 @@ mod imp {
     /// at the sim's event rates this holds the last few hundred
     /// milliseconds of activity (older events are counted, not kept).
     const RING_CAP: usize = 4096;
-
-    /// Runtime switch (within a trace-enabled build). Defaults to on —
-    /// tracing is "always-on"; benches flip it to measure overhead.
-    static RECORDING: AtomicBool = AtomicBool::new(true);
 
     static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
@@ -80,19 +72,6 @@ mod imp {
     /// Nanoseconds since the process trace epoch (first use).
     pub fn now_ns() -> u64 {
         epoch().elapsed().as_nanos() as u64
-    }
-
-    /// Flip the runtime recording switch.
-    pub fn set_recording(on: bool) {
-        // ordering: independent on/off flag; no data is published
-        // through it (each ring has its own lock).
-        RECORDING.store(on, Ordering::Relaxed);
-    }
-
-    /// Is recording currently on?
-    pub fn recording() -> bool {
-        // ordering: advisory flag read; staleness acceptable.
-        RECORDING.load(Ordering::Relaxed)
     }
 
     thread_local! {
@@ -121,21 +100,16 @@ mod imp {
     /// Record an instantaneous event on the current thread.
     #[inline]
     pub fn instant(kind: EventKind, arg: u64) {
-        if recording() {
-            record(kind, now_ns(), 0, arg);
-        }
+        record(kind, now_ns(), 0, arg);
     }
 
     /// RAII span: records one complete event (start..drop) when dropped.
-    /// `armed` is latched at creation so a mid-span recording toggle
-    /// never emits a span with a bogus zero start.
     #[derive(Debug)]
     #[must_use = "a span records on drop; binding it to _ discards the measurement immediately"]
     pub struct Span {
         kind: EventKind,
         start_ns: u64,
         arg: u64,
-        armed: bool,
     }
 
     impl Span {
@@ -148,15 +122,13 @@ mod imp {
 
     impl Drop for Span {
         fn drop(&mut self) {
-            if self.armed && recording() {
-                let end = now_ns();
-                record(
-                    self.kind,
-                    self.start_ns,
-                    end.saturating_sub(self.start_ns),
-                    self.arg,
-                );
-            }
+            let end = now_ns();
+            record(
+                self.kind,
+                self.start_ns,
+                end.saturating_sub(self.start_ns),
+                self.arg,
+            );
         }
     }
 
@@ -169,12 +141,10 @@ mod imp {
     /// Open a span with an initial argument word.
     #[inline]
     pub fn span_arg(kind: EventKind, arg: u64) -> Span {
-        let armed = recording();
         Span {
             kind,
-            start_ns: if armed { now_ns() } else { 0 },
+            start_ns: now_ns(),
             arg,
-            armed,
         }
     }
 
@@ -207,14 +177,6 @@ mod imp {
     /// No-op stand-in; see the trace-enabled twin.
     pub fn now_ns() -> u64 {
         0
-    }
-
-    /// No-op: recording cannot be enabled without the `trace` feature.
-    pub fn set_recording(_on: bool) {}
-
-    /// Always false without the `trace` feature.
-    pub fn recording() -> bool {
-        false
     }
 
     /// Zero-sized no-op span.
@@ -250,22 +212,15 @@ mod imp {
     }
 }
 
-pub use imp::{instant, now_ns, recording, set_recording, snapshot_all, span, span_arg, Span};
+pub use imp::{instant, now_ns, snapshot_all, span, span_arg, Span};
 
 #[cfg(all(test, feature = "trace"))]
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use std::sync::Mutex;
-
-    /// The recording switch is process-global; serialize these tests so
-    /// a mid-test `set_recording(false)` can't starve a neighbor. Held
-    /// across a whole test, it is taken before any other obs lock.
-    static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spans_and_instants_land_on_the_current_thread_in_order() {
-        let _g = SWITCH_LOCK.lock().unwrap();
         // Run in a named thread so the registry entry is identifiable
         // (other tests in this process also register rings).
         std::thread::Builder::new()
@@ -300,7 +255,6 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotonic_per_thread() {
-        let _g = SWITCH_LOCK.lock().unwrap();
         std::thread::Builder::new()
             .name("obs-mono-test".into())
             .spawn(|| {
@@ -319,29 +273,6 @@ mod tests {
                     );
                     assert!(w[0].seq < w[1].seq);
                 }
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-    }
-
-    #[test]
-    fn recording_switch_gates_new_events() {
-        let _g = SWITCH_LOCK.lock().unwrap();
-        std::thread::Builder::new()
-            .name("obs-switch-test".into())
-            .spawn(|| {
-                instant(EventKind::Custom, 1);
-                set_recording(false);
-                instant(EventKind::Custom, 2);
-                let sp = span(EventKind::Get);
-                drop(sp);
-                set_recording(true);
-                instant(EventKind::Custom, 3);
-                let all = snapshot_all();
-                let me = all.iter().find(|t| t.name == "obs-switch-test").unwrap();
-                let args: Vec<u64> = me.events.iter().map(|e| e.arg).collect();
-                assert_eq!(args, vec![1, 3], "events while off must not record");
             })
             .unwrap()
             .join()

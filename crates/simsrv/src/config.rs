@@ -2,12 +2,12 @@
 
 use crate::workload::WorkloadKind;
 use alligator::InfraMode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wafl::TunerConfig;
 
 /// Which era of WAFL parallelization to simulate (§III of the paper).
 /// Later eras strictly relax execution constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Era {
     /// Pre-Waffinity (early Data ONTAP): the whole file system is one
     /// domain — every client message *and* all cleaning work run in the
@@ -31,7 +31,7 @@ pub enum Era {
 }
 
 /// How many cleaner threads the simulated system runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum CleanerSetting {
     /// A fixed number of cleaner threads (1 = the serialized baseline).
     Fixed(usize),
@@ -65,7 +65,7 @@ impl CleanerSetting {
 /// path, ~2.5 µs of cleaning per block, and metafile processing costs
 /// that put the serialized infrastructure within a small factor of one
 /// core's cleaning capacity — the regime the paper's Figures 4–7 explore.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CostModel {
     /// Protocol-stack CPU per client op.
     pub protocol_per_op: u64,
@@ -144,7 +144,7 @@ impl Default for CostModel {
 /// Rates are per-million-operations; draws come from a dedicated
 /// counter-based hash (seeded from [`SimConfig::seed`]) so enabling
 /// faults never perturbs workload randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultConfig {
     /// Probability (ppm) that a read op hits a transient media error and
     /// pays retry round-trips before completing.
@@ -184,7 +184,7 @@ impl FaultConfig {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
     /// CPU cores in the simulated controller (the paper's platforms have
     /// 20).

@@ -22,7 +22,7 @@ use crate::workload::{distinct_mf_blocks, OpShape, Workload};
 use alligator::InfraMode;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use waffinity::{Affinity, AffinityId, ExclusionState, Model, Scheduler, Topology
 use wafl::DynamicTuner;
 
 /// Aggregated outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimResult {
     /// Measured window (ns).
     pub measured_ns: u64,

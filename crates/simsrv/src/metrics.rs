@@ -1,10 +1,10 @@
 //! Measurement: latency distributions, throughput, core-usage accounting,
 //! and knee-of-curve detection.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary of a latency distribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LatencyStats {
     /// Samples measured.
     pub count: u64,
@@ -38,7 +38,7 @@ impl From<&obs::LogHistogram> for LatencyStats {
 }
 
 /// One point on a throughput/latency curve (Figs 8–9).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LoadPoint {
     /// Offered load identifier (e.g., client count).
     pub load: u64,
@@ -69,7 +69,7 @@ pub fn knee_point(points: &[LoadPoint]) -> Option<LoadPoint> {
 
 /// Busy-time accounting per simulated component; `cores(x)` = average
 /// cores consumed by that component over the measured interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CoreUsage {
     /// Protocol-stack busy ns.
     pub protocol_ns: u64,

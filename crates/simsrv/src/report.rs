@@ -1,10 +1,10 @@
 //! Paper-vs-measured reporting helpers shared by the `fig*` binaries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One row of a reproduced figure/table: a named quantity, the paper's
 /// reported value (when one exists), and ours.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FigureRow {
     /// Row label (e.g., "parallel/parallel gain").
     pub label: String,
@@ -17,7 +17,7 @@ pub struct FigureRow {
 }
 
 /// A reproduced figure/table: id, caption, and rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FigureTable {
     /// Paper artifact id ("fig4", "table-batching", …).
     pub id: String,
@@ -117,9 +117,10 @@ mod tests {
     fn json_roundtrips() {
         let mut t = FigureTable::new("fig7", "random write");
         t.row("gain", 50.0, 48.0, "%");
-        let j = t.to_json();
-        let back: FigureTable = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.rows.len(), 1);
-        assert_eq!(back.rows[0].paper, Some(50.0));
+        let doc = serde_json::from_str(&t.to_json()).unwrap();
+        assert_eq!(doc, t.to_value(), "the JSON carries every field");
+        let rows = doc.get("rows").and_then(serde::Value::as_seq).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("paper"), Some(&serde::Value::Float(50.0)));
     }
 }

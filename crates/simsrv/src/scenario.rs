@@ -9,13 +9,13 @@ use crate::engine::{SimResult, Simulator};
 use crate::metrics::{knee_point, LoadPoint};
 use crate::workload::WorkloadKind;
 use alligator::InfraMode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wafl::scrub::{ScrubCheckpointStore, ScrubConfig, ScrubError};
 use wafl::{CrashPoint, ExecMode, FileId, Filesystem, FsConfig, VolumeId};
 use wafl_blockdev::{stamp, DriveKind, FaultSnapshot, FaultSpec, GeometryBuilder, RetryPolicy};
 
 /// One permutation row of Figures 4 / 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PermutationRow {
     /// Parallel cleaner threads enabled?
     pub parallel_cleaners: bool,
@@ -108,7 +108,7 @@ pub fn load_sweep(base: &SimConfig, client_levels: &[u32]) -> Vec<LoadPoint> {
 }
 
 /// Figure 8 row: peak throughput across the sweep + latency at the knee.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KneeRow {
     /// Setting label ("1", "2", …, "dynamic").
     pub setting: String,
@@ -182,7 +182,7 @@ pub fn chunk_sweep(base: &SimConfig, chunks: &[u64]) -> Vec<(u64, SimResult)> {
 /// against the *real-thread* `wafl` stack (not the discrete-event model),
 /// turning §II-C's crash-consistency claim — "the contents of NVRAM from
 /// before the CP are replayed" — into a measured pass/fail row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RecoveryRow {
     /// Scenario label ("crash@AfterClean", "drive-failure", …).
     pub scenario: String,

@@ -14,7 +14,7 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One client operation as the simulator sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub struct OpShape {
 }
 
 /// The workload shapes of §V.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum WorkloadKind {
     /// Large sequential writes (64 KiB ops = 16 blocks by default).
     SequentialWrite {

@@ -22,10 +22,10 @@
 //! aggregate, stripes per volume, ranges per volume/aggregate) and assigns
 //! every affinity a dense [`AffinityId`] so schedulers can use flat arrays.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which Waffinity generation to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Model {
     /// Classical Waffinity (§III-B): only `Serial` and `Stripe` affinities
     /// are legal message targets; everything non-stripe serializes.
@@ -36,7 +36,7 @@ pub enum Model {
 
 /// A symbolic affinity name. Instance indices are global (volume indices
 /// run across the whole system; the topology maps volumes to aggregates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Affinity {
     /// Excludes everything; the root of the hierarchy.
     Serial,
@@ -59,7 +59,7 @@ pub enum Affinity {
 }
 
 /// Dense affinity index assigned by a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct AffinityId(pub u32);
 
 /// Instance counts and id assignment for one system's affinity tree.
@@ -75,7 +75,7 @@ pub struct AffinityId(pub u32);
 /// assert!(t.conflicts(vl, t.id(Affinity::Serial)));
 /// assert!(!t.conflicts(vl, t.id(Affinity::VolumeVbn(0))));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Topology {
     model: Model,
     aggregates: u32,

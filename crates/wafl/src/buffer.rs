@@ -6,11 +6,11 @@
 //! virtual locations, because "an overwrite in WAFL frees the old block"
 //! (§III-C) — cleaning stages those frees.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wafl_blockdev::{BlockStamp, Vbn};
 
 /// A modified file block awaiting cleaning in the next CP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DirtyBuffer {
     /// File block number (offset within the file).
     pub fbn: u64,
@@ -53,7 +53,7 @@ impl DirtyBuffer {
 
 /// Where a cleaned buffer landed: the result record a cleaner produces
 /// and the CP engine applies to the file's block map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CleanedBlock {
     /// File block number.
     pub fbn: u64,

@@ -28,7 +28,7 @@ use crate::volume::{Volume, VolumeId};
 use alligator::{Allocator, Bucket};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 const VVBN_CHUNK: usize = 64;
 
 /// Cleaner subsystem configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CleanerConfig {
     /// Worker threads in the pool (the paper's cleaner-thread count; 1 =
     /// the serialized-cleaning baseline of Figs 4/7).
@@ -316,10 +316,14 @@ pub fn clean_job(
     })
 }
 
+/// A worker's reply: the item's results (`None` when the aggregate ran
+/// out of space), or the payload of a panic raised while cleaning it.
+type Reply = std::thread::Result<Option<Vec<CleanResult>>>;
+
 enum Msg {
     Item {
         item: CleanItem,
-        reply: Sender<Option<Vec<CleanResult>>>,
+        reply: Sender<Reply>,
     },
 }
 
@@ -416,7 +420,8 @@ impl CleanerPool {
     ///
     /// # Panics
     /// Panics if the aggregate ran out of space mid-CP (no caller can
-    /// make progress in that state).
+    /// make progress in that state), and re-raises a panic from a worker
+    /// on this thread, so a failed item fails the CP instead of hanging it.
     pub fn clean_all(&self, items: Vec<CleanItem>) -> Vec<CleanResult> {
         let (reply_tx, reply_rx) = unbounded();
         let n = items.len();
@@ -431,10 +436,10 @@ impl CleanerPool {
         drop(reply_tx);
         let mut out = Vec::new();
         for _ in 0..n {
-            let results = reply_rx
-                .recv()
-                .expect("cleaner worker dropped its reply")
-                .expect("aggregate out of space during CP");
+            let results = match reply_rx.recv().expect("cleaner worker dropped its reply") {
+                Ok(results) => results.expect("aggregate out of space during CP"),
+                Err(panic) => std::panic::resume_unwind(panic),
+            };
             out.extend(results);
         }
         out
@@ -498,37 +503,46 @@ fn worker(index: usize, shared: &PoolShared) {
             Ok(m) => m,
             Err(_) => return, // all senders gone: shutdown
         };
-        match msg {
-            Msg::Item { item, reply } => {
-                let t0 = std::time::Instant::now();
-                let _sp = obs::trace_span!(obs::EventKind::CleanItem, item.jobs.len() as u64);
-                let mut ctx = CleanerCtx::new(index, shared.cfg.get_batch);
-                let mut stage = shared.alloc.new_stage();
-                let mut results = Vec::with_capacity(item.jobs.len());
-                let mut failed = false;
-                for job in &item.jobs {
-                    match clean_job(&shared.alloc, &mut ctx, &mut stage, job) {
-                        Some(r) => results.push(r),
-                        None => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                // PUT the bucket, requeue unused prefetches, flush the
-                // stage at message end.
-                ctx.finish(&shared.alloc);
-                shared.alloc.flush_stage(&mut stage);
-                shared
-                    .busy_ns
-                    // ordering: statistics counter; staleness is acceptable.
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                // ordering: statistics counter; staleness is acceptable.
-                shared.items_done.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(if failed { None } else { Some(results) });
+        let Msg::Item { item, reply } = msg;
+        // A panic while cleaning goes back to the CP thread, which
+        // re-raises it. The worker lives on, so items queued behind this
+        // one still get their replies.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            clean_item(index, shared, &item)
+        }));
+        let _ = reply.send(outcome);
+    }
+}
+
+/// Clean one message's jobs on worker `index`: `None` when the aggregate
+/// ran out of space.
+fn clean_item(index: usize, shared: &PoolShared, item: &CleanItem) -> Option<Vec<CleanResult>> {
+    let t0 = std::time::Instant::now();
+    let _sp = obs::trace_span!(obs::EventKind::CleanItem, item.jobs.len() as u64);
+    let mut ctx = CleanerCtx::new(index, shared.cfg.get_batch);
+    let mut stage = shared.alloc.new_stage();
+    let mut results = Vec::with_capacity(item.jobs.len());
+    let mut failed = false;
+    for job in &item.jobs {
+        match clean_job(&shared.alloc, &mut ctx, &mut stage, job) {
+            Some(r) => results.push(r),
+            None => {
+                failed = true;
+                break;
             }
         }
     }
+    // PUT the bucket, requeue unused prefetches, flush the stage at
+    // message end.
+    ctx.finish(&shared.alloc);
+    shared.alloc.flush_stage(&mut stage);
+    shared
+        .busy_ns
+        // ordering: statistics counter; staleness is acceptable.
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    // ordering: statistics counter; staleness is acceptable.
+    shared.items_done.fetch_add(1, Ordering::Relaxed);
+    (!failed).then_some(results)
 }
 
 #[cfg(test)]
@@ -921,5 +935,48 @@ mod tests {
         assert_eq!(total, 100);
         pool.set_active_limit(4);
         assert!(pool.items_done() > 0);
+    }
+
+    /// A panic on a cleaner worker fails the CP on the CP thread. With one
+    /// worker, the first item's panic must not leave `clean_all` waiting
+    /// for a reply the dead worker would never send.
+    #[test]
+    fn worker_panic_fails_clean_all_instead_of_hanging() {
+        let alloc = mk_alloc();
+        let v = vol();
+        let cfg = CleanerConfig {
+            threads: 1,
+            batching: false,
+            ..Default::default()
+        };
+        let pool = CleanerPool::new(Arc::clone(&alloc), cfg);
+        // A VVBN that was never allocated: freeing it is a double free.
+        let bad = DirtyBuffer {
+            old_vvbn: Some(60_000),
+            ..DirtyBuffer::first_write(0, wafl_blockdev::stamp(1, 0, 1))
+        };
+        let items = partition_work(
+            vec![
+                (Arc::clone(&v), FileId(1), vec![bad]),
+                (v, FileId(2), dirty(4)),
+            ],
+            &cfg,
+        );
+        assert_eq!(items.len(), 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let r =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.clean_all(items)));
+            // Shut the pool down before replying, so the bounded wait
+            // below covers the shutdown too.
+            drop(pool);
+            let _ = tx.send(r.err().and_then(|p| p.downcast::<String>().ok()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("clean_all and the pool's shutdown returned within 10 s");
+        let msg = msg.expect("clean_all re-raised the worker's panic message");
+        assert!(msg.contains("double VVBN free"), "{msg}");
+        helper.join().expect("helper thread exits");
     }
 }

@@ -2,10 +2,10 @@
 
 use crate::cleaner::CleanerConfig;
 use alligator::AllocConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Top-level configuration for a [`Filesystem`](crate::fs::Filesystem).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FsConfig {
     /// Write-allocator settings (chunk size, infra mode, …).
     pub alloc: AllocConfig,

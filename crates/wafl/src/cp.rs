@@ -49,14 +49,14 @@ use crate::snapshot::Snapshot;
 use crate::volume::{Volume, VolumeId};
 use alligator::Allocator;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wafl_blockdev::Vbn;
 
 /// Identifies the owner of a metafile block: the aggregate's active map,
 /// or a volume's VVBN map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum MetafileSrc {
     /// The aggregate active map / AA metadata.
     Aggregate,
@@ -262,7 +262,7 @@ impl SuperblockStore {
 /// replayed (§II-C: "If the system crashes before the superblock is
 /// written, the file system state from the most recently completed CP is
 /// loaded and all subsequent operations are replayed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CrashPoint {
     /// After the NVLog/inode freeze, before any cleaning.
     AfterFreeze,
@@ -287,7 +287,7 @@ impl CrashPoint {
 }
 
 /// What one CP did (returned by [`run_cp`]).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct CpReport {
     /// CP sequence number.
     pub cp_id: u64,
@@ -328,7 +328,8 @@ pub struct CpReport {
 /// Profiler names of the CP phases, index-aligned with
 /// [`CpReport::phase_ns`]. Phase 5 is split at its two very different
 /// costs: the I/O `barrier` (scales with queue depth and device speed)
-/// and the in-memory image `commit`.
+/// and the in-memory image `commit`. A traced build records one
+/// `obs::EventKind::CpPhase` span per entry, its `arg` the 1-based index.
 pub const CP_PHASE_NAMES: [&str; 6] = ["freeze", "clean", "apply", "metafile", "barrier", "commit"];
 
 impl CpReport {
@@ -493,10 +494,12 @@ fn run_cp_inner(
     // deep I/O queue pays (or hides) its debt, `commit_ns` is the
     // in-memory update of the committed image.
     let t0 = std::time::Instant::now();
-    let _sp5 = obs::trace_span!(obs::EventKind::CpPhase, 5);
+    let sp5 = obs::trace_span!(obs::EventKind::CpPhase, 5);
     alloc.infra().drain_io();
     report.barrier_ns = t0.elapsed().as_nanos() as u64;
+    drop(sp5);
     let t0 = std::time::Instant::now();
+    let _sp6 = obs::trace_span!(obs::EventKind::CpPhase, 6);
     sb.commit_delta(cp_id, volumes, &results, mf_locs.snapshot());
     nvlog.commit_cp();
     report.commit_ns = t0.elapsed().as_nanos() as u64;

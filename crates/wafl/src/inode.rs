@@ -23,17 +23,17 @@
 //! hold it.
 
 use crate::buffer::{CleanedBlock, DirtyBuffer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use wafl_blockdev::{BlockStamp, Vbn};
 
 /// File identifier, unique within a volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FileId(pub u64);
 
 /// A block's on-disk location: `(vvbn, pvbn)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BlockPtr {
     /// Virtual VBN (offset space of the volume).
     pub vvbn: u64,

@@ -19,11 +19,11 @@
 use crate::inode::FileId;
 use crate::volume::VolumeId;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wafl_blockdev::BlockStamp;
 
 /// A logged client operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Op {
     /// Create a file in a volume.
     Create {

@@ -11,7 +11,7 @@
 //! ordinary affinity rules rather than a private lock order.
 //!
 //! Each scrub **unit** is one `(raid group, AA)` pair. Detection is
-//! read-only and runs concurrently, `ScrubConfig::workers` units at a
+//! read-only and runs concurrently, `SCRUB_WORKERS` units at a
 //! time; repair is serialized on the calling thread inside a CP-quiet
 //! window. The pipeline per finding is a small state machine:
 //!
@@ -33,10 +33,9 @@
 //!   same exponential-backoff shape as [`RetryPolicy`] before a block
 //!   is declared unreadable.
 //! * **Graceful degradation**: between waves the scrubber samples
-//!   cleaner-pool utilization and pauses above
-//!   [`ScrubConfig::pause_above`], resuming below
-//!   [`ScrubConfig::resume_below`] — the §V-B hysteresis shape, applied
-//!   to background work instead of thread counts.
+//!   cleaner-pool utilization and pauses above `PAUSE_ABOVE`,
+//!   resuming below `RESUME_BELOW` — the §V-B hysteresis shape,
+//!   applied to background work instead of thread counts.
 //!
 //! Every `scrub_*` counter flows through [`alligator::AllocStats`] into
 //! the unified `obs` metrics surface, and each unit scan emits an
@@ -63,40 +62,30 @@ const CONFIRM_ROUNDS: u32 = 16;
 /// cleaner pool can delay but never livelock the scrub.
 const MAX_PAUSE_TICKS: u32 = 200;
 
+/// Units scanned concurrently per wave (Waffinity messages in flight).
+const SCRUB_WORKERS: usize = 4;
+
+/// Cleaner-pool utilization above which the scrubber pauses between
+/// waves (§V-B activation threshold shape).
+const PAUSE_ABOVE: f64 = 0.90;
+
+/// Utilization below which a paused scrubber resumes.
+const RESUME_BELOW: f64 = 0.50;
+
+/// Bounded spins (200 µs each) waiting for a CP-quiet window before
+/// each quarantine evaluation round.
+const QUIESCE_SPINS: u32 = 64;
+
 /// Configuration for one scrub pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScrubConfig {
-    /// Units scanned concurrently per wave (Waffinity messages in
-    /// flight). Clamped to at least 1.
-    pub workers: usize,
     /// Retry/backoff policy for transiently faulted reads during
     /// detection and re-verification.
     pub retry: RetryPolicy,
-    /// Cleaner-pool utilization above which the scrubber pauses
-    /// between waves (§V-B activation threshold shape).
-    pub pause_above: f64,
-    /// Utilization below which a paused scrubber resumes.
-    pub resume_below: f64,
     /// Scan at most this many units in this call (the cursor checkpoint
     /// makes the next call resume where this one stopped). `None`
     /// scans to the end of the pass.
     pub unit_budget: Option<usize>,
-    /// Bounded spins (200 µs each) waiting for a CP-quiet window before
-    /// each quarantine evaluation round.
-    pub quiesce_spins: u32,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            workers: 4,
-            retry: RetryPolicy::default(),
-            pause_above: 0.90,
-            resume_below: 0.50,
-            unit_budget: None,
-            quiesce_spins: 64,
-        }
-    }
 }
 
 /// A typed corruption finding. The variants cover the seeded fault
@@ -371,34 +360,22 @@ impl ScrubReport {
 }
 
 /// §V-B-style hysteresis gate: pause when utilization crosses
-/// `pause_above`, resume only when it falls below `resume_below`.
+/// `PAUSE_ABOVE`, resume only when it falls below `RESUME_BELOW`.
 /// The dead band prevents flapping under oscillating load.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PressureGate {
-    pause_above: f64,
-    resume_below: f64,
     paused: bool,
 }
 
 impl PressureGate {
-    /// Gate with the given thresholds (`resume_below` should be well
-    /// under `pause_above`; 0.90/0.50 mirrors the §V-B tuner).
-    pub fn new(pause_above: f64, resume_below: f64) -> Self {
-        PressureGate {
-            pause_above,
-            resume_below,
-            paused: false,
-        }
-    }
-
     /// Feed one utilization sample (0.0..=1.0); returns the post-sample
     /// paused state.
     pub fn observe(&mut self, utilization: f64) -> bool {
         if self.paused {
-            if utilization < self.resume_below {
+            if utilization < RESUME_BELOW {
                 self.paused = false;
             }
-        } else if utilization > self.pause_above {
+        } else if utilization > PAUSE_ABOVE {
             self.paused = true;
         }
         self.paused
@@ -638,8 +615,8 @@ fn scan_unit(ctx: &ScanCtx, aa: AaId) -> UnitScan {
 }
 
 /// Spin (bounded) until no CP is in flight.
-fn wait_cp_quiet(fs: &Filesystem, spins: u32) {
-    for _ in 0..spins {
+fn wait_cp_quiet(fs: &Filesystem) {
+    for _ in 0..QUIESCE_SPINS {
         if !fs.cp_in_flight() {
             return;
         }
@@ -736,7 +713,6 @@ fn recheck(
 #[allow(clippy::type_complexity)]
 fn confirm_unit(
     fs: &Filesystem,
-    cfg: &ScrubConfig,
     ctx: &ScanCtx,
     cands: Vec<ScrubError>,
 ) -> (Vec<ScrubError>, u64, BTreeMap<u64, Option<BlockStamp>>) {
@@ -755,7 +731,7 @@ fn confirm_unit(
     let mut still: Vec<ScrubError> = Vec::new();
     let mut refs = BTreeMap::new();
     for round in 0..CONFIRM_ROUNDS {
-        wait_cp_quiet(fs, cfg.quiesce_spins);
+        wait_cp_quiet(fs);
         let cp0 = fs.cp_count();
         if needs_flush {
             // Retire every cached (unheld) bucket and drain pending
@@ -947,7 +923,6 @@ fn repair_finding(
 /// the checkpoint suppression set and the report.
 fn process_unit(
     fs: &Filesystem,
-    cfg: &ScrubConfig,
     ctx: &ScanCtx,
     cands: Vec<ScrubError>,
     repaired_keys: &mut BTreeSet<String>,
@@ -956,7 +931,7 @@ fn process_unit(
     if cands.is_empty() {
         return;
     }
-    let (mut confirmed, false_alarms, refs) = confirm_unit(fs, cfg, ctx, cands);
+    let (mut confirmed, false_alarms, refs) = confirm_unit(fs, ctx, cands);
     // ordering: statistics counter; staleness is acceptable.
     ctx.stats
         .scrub_false_alarms
@@ -1088,7 +1063,7 @@ pub fn run_scrub(fs: &Filesystem, cfg: &ScrubConfig, store: &ScrubCheckpointStor
         resumed_from,
         ..ScrubReport::default()
     };
-    let mut gate = PressureGate::new(cfg.pause_above, cfg.resume_below);
+    let mut gate = PressureGate::default();
     let mut sampler = UtilSampler::new(fs);
     let hist = obs::LogHistogram::new();
 
@@ -1096,7 +1071,6 @@ pub fn run_scrub(fs: &Filesystem, cfg: &ScrubConfig, store: &ScrubCheckpointStor
         Some(b) => (start + b).min(units.len()),
         None => units.len(),
     };
-    let workers = cfg.workers.max(1);
     let pool = fs.waffinity_pool().cloned();
     let topo = Arc::clone(fs.topology());
     let aggr = fs.allocator().aggr();
@@ -1104,7 +1078,7 @@ pub fn run_scrub(fs: &Filesystem, cfg: &ScrubConfig, store: &ScrubCheckpointStor
     let mut next = start;
     while next < end {
         maybe_pause(fs, &mut gate, &mut sampler, &ctx.stats, &mut report);
-        let wave_end = (next + workers).min(end);
+        let wave_end = (next + SCRUB_WORKERS).min(end);
         let mut outs: Vec<(usize, UnitScan)> = Vec::with_capacity(wave_end - next);
         match &pool {
             Some(p) => {
@@ -1140,7 +1114,7 @@ pub fn run_scrub(fs: &Filesystem, cfg: &ScrubConfig, store: &ScrubCheckpointStor
             ctx.stats
                 .scrub_blocks_checked
                 .fetch_add(scan.blocks, Ordering::Relaxed);
-            process_unit(fs, cfg, &ctx, scan.cands, &mut repaired_keys, &mut report);
+            process_unit(fs, &ctx, scan.cands, &mut repaired_keys, &mut report);
             store.commit(ScrubCheckpoint {
                 pass,
                 next_unit: (i + 1) as u64,
@@ -1171,7 +1145,7 @@ mod tests {
 
     #[test]
     fn pressure_gate_hysteresis() {
-        let mut g = PressureGate::new(0.90, 0.50);
+        let mut g = PressureGate::default();
         assert!(!g.observe(0.80), "below activation stays open");
         assert!(g.observe(0.95), "crossing the high threshold pauses");
         assert!(g.observe(0.70), "dead band holds the pause");

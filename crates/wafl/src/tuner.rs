@@ -13,10 +13,10 @@
 //! [`CleanerPool`](crate::cleaner::CleanerPool) and the discrete-event
 //! simulator drive the same controller.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Controller parameters (§V-B defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TunerConfig {
     /// Minimum active cleaners (at least one, or cleaning stalls).
     pub min_threads: usize,

@@ -11,13 +11,13 @@ use crate::inode::{FileId, Inode};
 use crate::snapshot::{Snapshot, SnapshotSet};
 use crate::vvbn::VvbnSpace;
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use wafl_blockdev::BlockStamp;
 
 /// Volume identifier within the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct VolumeId(pub u32);
 
 /// A file's inode behind its own lock. Taken under `cp.image` (the delta

@@ -179,13 +179,17 @@ fn cp_profile_attributes_wall_time_to_phases() {
 }
 
 /// A `--features trace` build records a real CP into the event rings:
-/// the CP thread's ring holds one `CpPhase` span per phase, and the
-/// cleaning path's GET, PUT and refill land in some ring. Without the
-/// feature the macros are no-ops and no ring is ever registered.
+/// the CP thread's ring holds one `CpPhase` span per entry of
+/// `CP_PHASE_NAMES`, and the cleaning path's GET, PUT and refill land in
+/// some ring. The Chrome exporter renders each phase span as one `X`
+/// event on the CP thread's track. Without the feature the macros are
+/// no-ops and no ring is ever registered.
 #[test]
 fn traced_cp_lands_in_the_rings() {
     use obs::EventKind;
+    use serde::Value;
     use std::collections::BTreeSet;
+    use wafl::cp::CP_PHASE_NAMES;
     let f = fs();
     f.create_volume(VolumeId(0));
     f.create_file(VolumeId(0), FileId(1));
@@ -213,7 +217,7 @@ fn traced_cp_lands_in_the_rings() {
         .collect();
     assert_eq!(
         phases,
-        BTreeSet::from([1, 2, 3, 4, 5]),
+        (1..=CP_PHASE_NAMES.len() as u64).collect(),
         "one span per phase"
     );
     for kind in [EventKind::Get, EventKind::Put, EventKind::Refill] {
@@ -224,6 +228,38 @@ fn traced_cp_lands_in_the_rings() {
             "no ring holds a {kind:?} event"
         );
     }
+
+    // The same rings through the exporter: one complete (`X`) event per
+    // phase on this thread's track, in phase order.
+    let doc = serde_json::from_str(&obs::chrome::chrome_trace_json(&rings, 0))
+        .expect("exporter output parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_seq)
+        .expect("traceEvents is an array");
+    let is = |e: &Value, key: &str, want: &str| e.get(key).and_then(Value::as_str) == Some(want);
+    let tid = events
+        .iter()
+        .find(|e| is(e, "ph", "M") && e.get("args").is_some_and(|a| is(a, "name", &me)))
+        .and_then(|e| e.get("tid"))
+        .expect("this thread's track is named");
+    let phase_args: Vec<&Value> = events
+        .iter()
+        .filter(|e| {
+            e.get("tid") == Some(tid)
+                && is(e, "ph", "X")
+                && is(e, "name", EventKind::CpPhase.name())
+        })
+        .filter_map(|e| e.get("args")?.get("arg"))
+        .collect();
+    let want: Vec<Value> = (1..=CP_PHASE_NAMES.len() as u128)
+        .map(Value::UInt)
+        .collect();
+    assert_eq!(
+        phase_args,
+        want.iter().collect::<Vec<_>>(),
+        "one X event per CP phase"
+    );
 }
 
 #[test]

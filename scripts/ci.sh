@@ -17,8 +17,11 @@ cargo test --workspace -q
 
 echo "=== cargo test --workspace --features trace -q (obs rings compiled in) ==="
 # The trace feature swaps the no-op macros for real per-thread event
-# rings; the whole suite must stay green with them armed. Debug builds
-# arm the vendored locks' rank check on every acquisition.
+# rings; the whole suite must stay green with them armed. The golden
+# traced smoke is cp_units::traced_cp_lands_in_the_rings: a real CP's
+# phase spans, GET/PUT/refill events, and the Chrome exporter's one X
+# event per CP phase. Debug builds arm the vendored locks' rank check on
+# every acquisition.
 cargo test --workspace --features trace -q
 
 echo "=== e2e: the benchmark's own tests ==="
@@ -62,8 +65,7 @@ cargo clippy --workspace --all-targets \
 echo "=== cargo fmt --check ==="
 cargo fmt --check
 
-# Bench smokes write into a scratch dir so CI numbers never clobber the
-# committed records.
+# Scratch dir for the O_DIRECT probe and the file-backend re-run.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
@@ -85,24 +87,5 @@ else
 file-backend re-run (buffered-fallback coverage still ran in the \
 workspace suite)"
 fi
-
-# One row per real-path bench: bin | cargo features | smoke argument.
-# Every row runs the same three commands: a quick run into the scratch
-# dir, then --validate of the fresh record and of the committed one
-# (schema + the bench's own gates; the quick run relaxes only the
-# wall-clock ones). exp_put_convoy runs traced so the obs rings and the
-# Chrome-trace exporter are exercised.
-while IFS='|' read -r bin features smoke; do
-  echo "=== $bin smoke + schema validation ==="
-  run=(cargo run --release -q -p wafl-bench ${features:+--features "$features"} --bin "$bin" --)
-  WAFL_BENCH_QUICK=1 WAFL_BENCH_ROOT="$SMOKE_DIR" WAFL_RESULTS_DIR="$SMOKE_DIR" \
-    "${run[@]}" ${smoke:+"$smoke"}
-  "${run[@]}" --validate "$SMOKE_DIR/BENCH_${bin#exp_}.json"
-  "${run[@]}" --validate "BENCH_${bin#exp_}.json"
-done <<'BENCHES'
-exp_put_convoy|trace|
-exp_scrub||--smoke
-exp_io_engine||
-BENCHES
 
 echo "CI green."
