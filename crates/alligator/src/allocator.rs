@@ -37,12 +37,14 @@ use wafl_metafile::{AggregateMap, BITS_PER_MF_BLOCK};
 /// use alligator::{AllocConfig, Allocator, InlineExecutor};
 /// use std::sync::Arc;
 /// use waffinity::{Model, Topology};
-/// use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
+/// use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine};
 /// use wafl_metafile::AggregateMap;
 ///
 /// let geo = Arc::new(GeometryBuilder::new().aa_stripes(64).raid_group(3, 1, 4096).build());
 /// let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
 /// let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+/// // Every tetris stripe goes to RAID through the async engine over `io`.
+/// let _aio = AioEngine::new(Arc::clone(&io), 8);
 /// let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
 /// let alloc = Allocator::new(
 ///     AllocConfig::with_chunk(64), aggmap, io, Arc::new(InlineExecutor), topo, 0,
@@ -403,9 +405,10 @@ mod tests {
     use super::*;
     use crate::executor::{InlineExecutor, PoolExecutor};
     use waffinity::{Model, WaffinityPool};
-    use wafl_blockdev::{DriveKind, GeometryBuilder};
+    use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder};
 
-    fn mk(cfg: AllocConfig, executor: Arc<dyn Executor>) -> Arc<Allocator> {
+    /// An allocator, and the async engine its stripes go through.
+    fn mk(cfg: AllocConfig, executor: Arc<dyn Executor>) -> (Arc<Allocator>, Arc<AioEngine>) {
         let geo = Arc::new(
             GeometryBuilder::new()
                 .aa_stripes(64)
@@ -414,13 +417,14 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let aio = AioEngine::new(Arc::clone(&io), 8);
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        Allocator::new(cfg, aggmap, io, executor, topo, 0)
+        (Allocator::new(cfg, aggmap, io, executor, topo, 0), aio)
     }
 
     #[test]
     fn get_use_put_cycle_inline() {
-        let a = mk(AllocConfig::with_chunk(16), Arc::new(InlineExecutor));
+        let (a, _aio) = mk(AllocConfig::with_chunk(16), Arc::new(InlineExecutor));
         let mut b = a.get_bucket().unwrap();
         let mut vbns = Vec::new();
         while let Some(v) = b.use_vbn(0xfeed) {
@@ -442,7 +446,7 @@ mod tests {
     fn consecutive_uses_yield_contiguous_vbns() {
         // §IV-C objective: consecutive file blocks land contiguously on
         // one drive.
-        let a = mk(AllocConfig::with_chunk(64), Arc::new(InlineExecutor));
+        let (a, _aio) = mk(AllocConfig::with_chunk(64), Arc::new(InlineExecutor));
         let mut b = a.get_bucket().unwrap();
         let v1 = b.use_vbn(1).unwrap();
         let v2 = b.use_vbn(2).unwrap();
@@ -454,7 +458,7 @@ mod tests {
 
     #[test]
     fn free_stage_commits_when_full() {
-        let a = mk(AllocConfig::with_chunk(8), Arc::new(InlineExecutor));
+        let (a, _aio) = mk(AllocConfig::with_chunk(8), Arc::new(InlineExecutor));
         let mut b = a.get_bucket().unwrap();
         let vbns: Vec<Vbn> = std::iter::from_fn(|| b.use_vbn(9)).collect();
         a.put_bucket(b);
@@ -472,7 +476,7 @@ mod tests {
 
     #[test]
     fn flush_partial_stage() {
-        let a = mk(AllocConfig::with_chunk(8), Arc::new(InlineExecutor));
+        let (a, _aio) = mk(AllocConfig::with_chunk(8), Arc::new(InlineExecutor));
         let mut b = a.get_bucket().unwrap();
         let v = b.use_vbn(1).unwrap();
         a.put_bucket(b);
@@ -495,6 +499,7 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let _aio = AioEngine::new(Arc::clone(&io), 8);
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 2, 2));
         let a = Allocator::new(
             AllocConfig::with_chunk(32),
@@ -539,6 +544,7 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let _aio = AioEngine::new(Arc::clone(&io), 8);
         let a = Allocator::new(
             AllocConfig::with_chunk(64),
             aggmap,
@@ -594,6 +600,7 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let _aio = AioEngine::new(Arc::clone(&io), 8);
         let a = Allocator::new(
             AllocConfig::with_chunk(16).serial_infra(),
             aggmap,

@@ -199,8 +199,7 @@ impl Bucket {
             generation,
             ..
         } = self;
-        let io = tetris.deposit_and_complete(drive_in_rg, writes);
-        let io_error = matches!(io, Some(Err(_)));
+        tetris.deposit_and_complete(drive_in_rg, writes);
         FinishedBucket {
             rg,
             drive_in_rg,
@@ -208,8 +207,6 @@ impl Bucket {
             aa,
             consumed: vbns[..next].to_vec(),
             unused: vbns[next..].to_vec(),
-            io_submitted: io.is_some(),
-            io_error,
             generation,
         }
     }
@@ -243,11 +240,6 @@ pub struct FinishedBucket {
     pub consumed: Vec<Vbn>,
     /// VBNs never consumed — to be released back to free.
     pub unused: Vec<Vbn>,
-    /// Whether this PUT completed its tetris and submitted the RAID I/O.
-    pub io_submitted: bool,
-    /// Whether the submitted RAID I/O failed terminally (only meaningful
-    /// when `io_submitted` is true).
-    pub io_error: bool,
     /// Refill generation.
     pub generation: u64,
 }
@@ -256,9 +248,11 @@ pub struct FinishedBucket {
 mod tests {
     use super::*;
     use crate::stats::AllocStats;
-    use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
+    use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine};
 
-    fn tetris(outstanding: usize) -> (Arc<Tetris>, Arc<IoEngine>) {
+    /// A tetris over an engine whose stripes go through the returned
+    /// async engine.
+    fn tetris(outstanding: usize) -> (Arc<Tetris>, Arc<AioEngine>) {
         let engine = Arc::new(IoEngine::new(
             Arc::new(
                 GeometryBuilder::new()
@@ -274,7 +268,7 @@ mod tests {
             Arc::clone(&engine),
             Arc::new(AllocStats::default()),
         );
-        (t, engine)
+        (t, AioEngine::new(engine, 8))
     }
 
     fn bucket(t: &Arc<Tetris>, start: u64, len: u64, base: u64) -> Bucket {
@@ -318,23 +312,24 @@ mod tests {
 
     #[test]
     fn finish_reports_consumed_and_unused() {
-        let (t, engine) = tetris(1);
+        let (t, aio) = tetris(1);
         let mut b = bucket(&t, 5, 4, 0);
         b.use_vbn(0xaa);
         b.use_vbn(0xbb);
         let f = b.finish();
         assert_eq!(f.consumed, vec![Vbn(5), Vbn(6)]);
         assert_eq!(f.unused, vec![Vbn(7), Vbn(8)]);
-        assert!(f.io_submitted, "last bucket of the tetris submits");
-        assert!(!f.io_error);
-        assert_eq!(engine.read_vbn(Vbn(5)).unwrap(), 0xaa);
-        assert_eq!(engine.read_vbn(Vbn(6)).unwrap(), 0xbb);
+        assert!(t.is_submitted(), "last bucket of the tetris submits");
+        let done = aio.drain();
+        assert!(done[0].result.is_ok());
+        assert_eq!(aio.io().read_vbn(Vbn(5)).unwrap(), 0xaa);
+        assert_eq!(aio.io().read_vbn(Vbn(6)).unwrap(), 0xbb);
     }
 
     #[test]
     fn dbn_conversion_uses_drive_base() {
         // Drive 1 of the group owns VBNs [256, 512); its DBNs start at 0.
-        let (t, engine) = tetris(1);
+        let (t, aio) = tetris(1);
         let mut b = Bucket::new(
             RaidGroupId(0),
             1,
@@ -351,7 +346,8 @@ mod tests {
         assert_eq!(b.base_dbn(), 0);
         b.use_vbn(0x42);
         b.finish();
-        assert_eq!(engine.read_vbn(Vbn(256)).unwrap(), 0x42);
+        aio.drain();
+        assert_eq!(aio.io().read_vbn(Vbn(256)).unwrap(), 0x42);
     }
 
     #[test]

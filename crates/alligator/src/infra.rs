@@ -115,12 +115,10 @@ impl Infrastructure {
         self.exhausted.load(Ordering::Acquire)
     }
 
-    /// Harvest completions of queued writes without blocking (there are
-    /// none when the engine writes inline). Counts terminal I/O errors
-    /// here, per *completion*, exactly where the inline path counts them
-    /// per call — crucial for the fault machinery under depth > 1. Depth
-    /// and latency live in the engine itself. Returns the number of
-    /// completions harvested.
+    /// Harvest completions of queued writes without blocking. A stripe
+    /// write that failed terminally is counted here, per *completion*,
+    /// and nowhere else. Depth and latency live in the engine itself.
+    /// Returns the number of completions harvested.
     pub fn harvest_io(&self) -> usize {
         self.account_completions(self.io.poll())
     }
@@ -448,9 +446,11 @@ impl std::fmt::Debug for Infrastructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wafl_blockdev::{DriveKind, GeometryBuilder};
+    use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder};
 
-    fn setup(chunk: usize) -> (Arc<Infrastructure>, BucketCache) {
+    /// An infrastructure and an empty cache, and the async engine the
+    /// infrastructure's stripes go through.
+    fn setup(chunk: usize) -> (Arc<Infrastructure>, BucketCache, Arc<AioEngine>) {
         let geo = Arc::new(
             GeometryBuilder::new()
                 .aa_stripes(64)
@@ -460,18 +460,19 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let aio = AioEngine::new(Arc::clone(&io), 8);
         let infra = Infrastructure::new(
             AllocConfig::with_chunk(chunk),
             aggmap,
             io,
             Arc::new(AllocStats::default()),
         );
-        (infra, BucketCache::new())
+        (infra, BucketCache::new(), aio)
     }
 
     #[test]
     fn refill_builds_one_bucket_per_drive() {
-        let (infra, cache) = setup(16);
+        let (infra, cache, _aio) = setup(16);
         let n = infra.refill_round(&cache);
         assert_eq!(n, 5, "3 + 2 data drives");
         assert_eq!(cache.len(), 5);
@@ -482,7 +483,7 @@ mod tests {
 
     #[test]
     fn buckets_start_at_top_of_emptiest_aa() {
-        let (infra, cache) = setup(8);
+        let (infra, cache, _aio) = setup(8);
         infra.refill_round(&cache);
         // All AAs equally free → AA 0 → buckets start at each drive's
         // VBN base.
@@ -498,7 +499,7 @@ mod tests {
 
     #[test]
     fn successive_refills_advance_equally_per_drive() {
-        let (infra, cache) = setup(8);
+        let (infra, cache, _aio) = setup(8);
         infra.refill_round(&cache);
         while cache.try_get().is_some() {}
         infra.refill_round(&cache);
@@ -513,7 +514,7 @@ mod tests {
 
     #[test]
     fn aa_switch_when_exhausted() {
-        let (infra, cache) = setup(64); // one AA per refill (64 stripes)
+        let (infra, cache, _aio) = setup(64); // one AA per refill (64 stripes)
         infra.refill_round(&cache);
         // ordering: statistics counter; staleness is acceptable.
         let before = infra.stats().aa_switches.load(Ordering::Relaxed);
@@ -529,7 +530,7 @@ mod tests {
 
     #[test]
     fn commit_bucket_updates_metafiles() {
-        let (infra, cache) = setup(8);
+        let (infra, cache, _aio) = setup(8);
         infra.refill_round(&cache);
         let mut b = cache.try_get().unwrap();
         let v1 = b.use_vbn(0x1).unwrap();
@@ -549,7 +550,7 @@ mod tests {
 
     #[test]
     fn commit_frees_restores_space() {
-        let (infra, cache) = setup(8);
+        let (infra, cache, _aio) = setup(8);
         infra.refill_round(&cache);
         let mut b = cache.try_get().unwrap();
         let v = b.use_vbn(0x9).unwrap();
@@ -570,6 +571,7 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let _aio = AioEngine::new(Arc::clone(&io), 8);
         let infra = Infrastructure::new(
             AllocConfig::with_chunk(16),
             aggmap,
@@ -599,7 +601,7 @@ mod tests {
 
     #[test]
     fn consumed_vbns_survive_metafile_consistency_check() {
-        let (infra, cache) = setup(32);
+        let (infra, cache, _aio) = setup(32);
         for _ in 0..3 {
             infra.refill_round(&cache);
             while let Some(mut b) = cache.try_get() {

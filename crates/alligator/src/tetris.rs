@@ -24,7 +24,7 @@ use crate::stats::AllocStats;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use wafl_blockdev::{BlockStamp, IoEngine, IoError, IoResult, RaidGroupId, WriteIo, WriteSegment};
+use wafl_blockdev::{BlockStamp, IoEngine, RaidGroupId, WriteIo, WriteSegment};
 
 /// One drive's deposited writes: `(drive_in_rg, [(dbn, stamp)])`.
 type DriveDeposit = (u32, Vec<(u64, BlockStamp)>);
@@ -84,18 +84,13 @@ impl Tetris {
 
     /// Deposit a finished bucket's block list and decrement the
     /// outstanding count. When the count reaches zero, the write I/O is
-    /// constructed and sent to RAID. Returns the I/O outcome if this call
-    /// triggered submission; an `Err` means the write engine exhausted its
-    /// retries (e.g. too many failed drives) and the stamps did not reach
-    /// stable storage.
+    /// constructed and sent to RAID; returns whether this call sent it.
+    /// The write's outcome arrives later, as a completion of the
+    /// aggregate's async engine.
     ///
     /// `writes` may be empty (a bucket returned unused at CP end still
     /// participates in the countdown).
-    pub fn deposit_and_complete(
-        &self,
-        drive_in_rg: u32,
-        writes: Vec<(u64, BlockStamp)>,
-    ) -> Option<Result<IoResult, IoError>> {
+    pub fn deposit_and_complete(&self, drive_in_rg: u32, writes: Vec<(u64, BlockStamp)>) -> bool {
         if !writes.is_empty() {
             self.deposits.lock().push((drive_in_rg, writes));
         }
@@ -104,13 +99,12 @@ impl Tetris {
         let prev = self.outstanding.fetch_sub(1, Ordering::AcqRel);
         assert!(prev > 0, "tetris completed more buckets than outstanding");
         if prev == 1 {
-            Some(self.submit())
-        } else {
-            None
+            self.submit();
         }
+        prev == 1
     }
 
-    fn submit(&self) -> Result<IoResult, IoError> {
+    fn submit(&self) {
         // ordering: AcqRel — one-shot submit guard; the winner's setup is
         // released to later observers; pairs-with: tetris.submit.
         let was = self.submitted.swap(true, Ordering::AcqRel);
@@ -144,14 +138,9 @@ impl Tetris {
         let _sp = obs::trace_span!(obs::EventKind::StripeFire, io.blocks());
         // ordering: statistics counter; staleness is acceptable.
         self.stats.tetris_ios.fetch_add(1, Ordering::Relaxed);
-        // Queued or inline is the engine's decision; a queued stripe's
-        // errors are accounted at harvest (`Infrastructure::harvest_io`).
-        let result = self.io.write(io);
-        if result.is_err() {
-            // ordering: statistics counter; staleness is acceptable.
-            self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        // A failed write is counted when its completion is harvested
+        // (`Infrastructure::harvest_io`).
+        self.io.write(io);
     }
 }
 
@@ -168,9 +157,11 @@ impl std::fmt::Debug for Tetris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wafl_blockdev::{DriveKind, GeometryBuilder, Vbn};
+    use crate::{AllocConfig, Infrastructure};
+    use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, Vbn};
+    use wafl_metafile::AggregateMap;
 
-    fn io() -> Arc<IoEngine> {
+    fn bare() -> Arc<IoEngine> {
         Arc::new(IoEngine::new(
             Arc::new(
                 GeometryBuilder::new()
@@ -182,19 +173,26 @@ mod tests {
         ))
     }
 
+    /// An engine and the async engine its stripes go through.
+    fn io() -> (Arc<IoEngine>, Arc<AioEngine>) {
+        let io = bare();
+        let aio = AioEngine::new(Arc::clone(&io), 8);
+        (io, aio)
+    }
+
     #[test]
     fn submits_exactly_when_last_bucket_completes() {
-        let engine = io();
+        let (engine, aio) = io();
         let stats = Arc::new(AllocStats::default());
         let t = Tetris::new(RaidGroupId(0), 3, Arc::clone(&engine), Arc::clone(&stats));
-        assert!(t.deposit_and_complete(0, vec![(0, 10), (1, 11)]).is_none());
-        assert!(t.deposit_and_complete(1, vec![(0, 20), (1, 21)]).is_none());
+        assert!(!t.deposit_and_complete(0, vec![(0, 10), (1, 11)]));
+        assert!(!t.deposit_and_complete(1, vec![(0, 20), (1, 21)]));
         assert!(!t.is_submitted());
-        let r = t
-            .deposit_and_complete(2, vec![(0, 30), (1, 31)])
-            .unwrap()
-            .unwrap();
+        assert!(t.deposit_and_complete(2, vec![(0, 30), (1, 31)]));
         assert!(t.is_submitted());
+        let done = aio.drain();
+        assert_eq!(done.len(), 1, "one tetris, one write I/O");
+        let r = done[0].result.as_ref().unwrap();
         assert_eq!(r.blocks_written, 6);
         assert_eq!(r.parity_reads, 0, "aligned tetris is all full stripes");
         assert_eq!(engine.full_stripe_ratio(), Some(1.0));
@@ -207,25 +205,39 @@ mod tests {
 
     #[test]
     fn empty_deposits_still_count_down() {
-        let engine = io();
+        let (engine, aio) = io();
         let stats = Arc::new(AllocStats::default());
         let t = Tetris::new(RaidGroupId(0), 2, engine, stats);
-        assert!(t.deposit_and_complete(0, vec![(5, 99)]).is_none());
-        let r = t.deposit_and_complete(1, Vec::new()).unwrap().unwrap();
+        assert!(!t.deposit_and_complete(0, vec![(5, 99)]));
+        assert!(t.deposit_and_complete(1, Vec::new()));
+        let done = aio.drain();
+        let r = done[0].result.as_ref().unwrap();
         assert_eq!(r.blocks_written, 1);
         assert!(r.parity_reads > 0, "ragged tail pays parity reads");
     }
 
     #[test]
+    fn tetris_of_unused_buckets_is_counted_without_a_queue() {
+        // Nothing reaches a drive, so no async engine is needed.
+        let engine = bare();
+        let stats = Arc::new(AllocStats::default());
+        let t = Tetris::new(RaidGroupId(0), 2, Arc::clone(&engine), Arc::clone(&stats));
+        assert!(!t.deposit_and_complete(0, Vec::new()));
+        assert!(t.deposit_and_complete(1, Vec::new()));
+        let s = engine.counters().snapshot();
+        assert_eq!((s.write_ios, s.blocks_written), (1, 0));
+        // ordering: test readback.
+        assert_eq!(stats.tetris_ios.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
     fn noncontiguous_writes_become_multiple_segments() {
-        let engine = io();
+        let (engine, aio) = io();
         let stats = Arc::new(AllocStats::default());
         let t = Tetris::new(RaidGroupId(0), 1, Arc::clone(&engine), stats);
-        let r = t
-            .deposit_and_complete(0, vec![(0, 1), (1, 2), (7, 3)])
-            .unwrap()
-            .unwrap();
-        assert_eq!(r.blocks_written, 3);
+        assert!(t.deposit_and_complete(0, vec![(0, 1), (1, 2), (7, 3)]));
+        let done = aio.drain();
+        assert_eq!(done[0].result.as_ref().unwrap().blocks_written, 3);
         // 2 drive writes: run [0,2) and run [7,8).
         let d0 = &engine.raid_group(RaidGroupId(0)).data_drives()[0];
         assert_eq!(d0.stats().writes, 2);
@@ -233,7 +245,7 @@ mod tests {
 
     #[test]
     fn concurrent_completion_submits_once() {
-        let engine = io();
+        let (engine, aio) = io();
         let stats = Arc::new(AllocStats::default());
         let t = Tetris::new(RaidGroupId(0), 8, engine, Arc::clone(&stats));
         let mut handles = Vec::new();
@@ -241,7 +253,6 @@ mod tests {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 t.deposit_and_complete(d % 3, vec![(d as u64 * 2, d as u128 + 1)])
-                    .is_some()
             }));
         }
         let submitters: usize = handles
@@ -251,29 +262,39 @@ mod tests {
         assert_eq!(submitters, 1, "exactly one completer submits");
         // ordering: test readback.
         assert_eq!(stats.tetris_ios.load(Ordering::Relaxed), 1);
+        assert_eq!(aio.drain().len(), 1);
     }
 
     #[test]
     fn unrecoverable_submission_is_reported_and_counted() {
-        let engine = io();
+        let (engine, _aio) = io();
         // Two data drives offline in a single-parity group: the write
         // cannot be completed or reconstructed.
         let rg = engine.raid_group(RaidGroupId(0));
         rg.data_drives()[0].take_offline();
         rg.data_drives()[1].take_offline();
         let stats = Arc::new(AllocStats::default());
+        let aggmap = Arc::new(AggregateMap::new(Arc::clone(engine.geometry())));
+        let infra = Infrastructure::new(
+            AllocConfig::with_chunk(8),
+            aggmap,
+            Arc::clone(&engine),
+            Arc::clone(&stats),
+        );
         let t = Tetris::new(RaidGroupId(0), 1, engine, Arc::clone(&stats));
-        let r = t.deposit_and_complete(0, vec![(0, 7)]).unwrap();
-        assert!(r.is_err(), "double drive failure must surface as an error");
+        assert!(t.deposit_and_complete(0, vec![(0, 7)]));
+        assert!(t.is_submitted());
+        // The failure surfaces as the write's completion, counted where
+        // completions are harvested.
+        assert_eq!(infra.drain_io(), 1);
         // ordering: test readback.
         assert_eq!(stats.io_errors.load(Ordering::Relaxed), 1);
-        assert!(t.is_submitted());
     }
 
     #[test]
     #[should_panic(expected = "more buckets than outstanding")]
     fn over_completion_panics() {
-        let engine = io();
+        let engine = bare();
         let stats = Arc::new(AllocStats::default());
         let t = Tetris::new(RaidGroupId(0), 1, engine, stats);
         t.deposit_and_complete(0, Vec::new());

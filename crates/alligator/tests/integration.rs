@@ -4,10 +4,12 @@
 use alligator::{AllocConfig, Allocator, InlineExecutor, PoolExecutor, ReinsertPolicy};
 use std::sync::Arc;
 use waffinity::{Affinity, Model, Topology, WaffinityPool};
-use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine, Vbn};
+use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine, Vbn};
 use wafl_metafile::AggregateMap;
 
-fn stack(cfg: AllocConfig, blocks_per_drive: u64) -> (Arc<Allocator>, Arc<IoEngine>) {
+/// An allocator over a fresh aggregate, and the async engine its
+/// stripes go through.
+fn stack(cfg: AllocConfig, blocks_per_drive: u64) -> (Arc<Allocator>, Arc<AioEngine>) {
     let geo = Arc::new(
         GeometryBuilder::new()
             .aa_stripes(64)
@@ -16,22 +18,16 @@ fn stack(cfg: AllocConfig, blocks_per_drive: u64) -> (Arc<Allocator>, Arc<IoEngi
     );
     let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
     let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+    let aio = AioEngine::new(Arc::clone(&io), 8);
     let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-    let a = Allocator::new(
-        cfg,
-        aggmap,
-        Arc::clone(&io),
-        Arc::new(InlineExecutor),
-        topo,
-        0,
-    );
-    (a, io)
+    let a = Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0);
+    (a, aio)
 }
 
 #[test]
 fn figure2_cycle_step_by_step() {
     // Walk the exact steps of Figure 2 and observe each one.
-    let (alloc, io) = stack(AllocConfig::with_chunk(16), 4096);
+    let (alloc, aio) = stack(AllocConfig::with_chunk(16), 4096);
 
     // Step 1: infrastructure fills buckets into the bucket cache.
     alloc.request_refill();
@@ -60,8 +56,9 @@ fn figure2_cycle_step_by_step() {
     let s = alloc.stats();
     assert_eq!(s.vbns_committed, 16);
     assert!(s.tetris_ios >= 1, "the round's write I/O was sent to RAID");
+    assert!(alloc.infra().drain_io() >= 1, "and completed");
     for (i, v) in vbns.iter().enumerate() {
-        assert_eq!(io.read_vbn(*v).unwrap(), 0xD00D + i as u128);
+        assert_eq!(aio.io().read_vbn(*v).unwrap(), 0xD00D + i as u128);
         assert!(alloc.infra().aggmap().is_used(*v));
     }
     alloc.infra().aggmap().verify().unwrap();
@@ -71,7 +68,7 @@ fn figure2_cycle_step_by_step() {
 fn immediate_mode_full_cycle_is_functionally_correct() {
     let mut cfg = AllocConfig::with_chunk(32);
     cfg.reinsert = ReinsertPolicy::Immediate;
-    let (alloc, io) = stack(cfg, 4096);
+    let (alloc, aio) = stack(cfg, 4096);
     let mut total = 0u64;
     for round in 0..20 {
         let Some(mut b) = alloc.get_bucket() else {
@@ -88,12 +85,13 @@ fn immediate_mode_full_cycle_is_functionally_correct() {
     // Immediate mode), then audit.
     alloc.flush_cache();
     alloc.stats().check_conservation(0).unwrap();
-    io.scrub().unwrap();
+    alloc.infra().drain_io();
+    aio.io().scrub().unwrap();
 }
 
 #[test]
 fn frees_reopen_an_exhausted_aggregate() {
-    let (alloc, _) = stack(AllocConfig::with_chunk(64), 128);
+    let (alloc, _aio) = stack(AllocConfig::with_chunk(64), 128);
     let mut live: Vec<Vbn> = Vec::new();
     while let Some(mut b) = alloc.get_bucket() {
         while let Some(v) = b.use_vbn(7) {
@@ -131,6 +129,7 @@ fn parallel_infra_uses_multiple_range_affinities() {
     );
     let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
     let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+    let _aio = AioEngine::new(Arc::clone(&io), 8);
     let alloc = Allocator::new(
         AllocConfig::with_chunk(64),
         aggmap,
@@ -160,7 +159,7 @@ fn parallel_infra_uses_multiple_range_affinities() {
 #[test]
 fn get_timeout_starvation_returns_none_quickly() {
     // An exhausted tiny aggregate: GET must give up, not hang.
-    let (alloc, _) = stack(AllocConfig::with_chunk(64), 64);
+    let (alloc, _aio) = stack(AllocConfig::with_chunk(64), 64);
     let mut all = Vec::new();
     while let Some(mut b) = alloc.get_bucket() {
         while let Some(v) = b.use_vbn(1) {
@@ -179,7 +178,7 @@ fn get_timeout_starvation_returns_none_quickly() {
 
 #[test]
 fn stats_snapshot_serializes() {
-    let (alloc, _) = stack(AllocConfig::with_chunk(8), 1024);
+    let (alloc, _aio) = stack(AllocConfig::with_chunk(8), 1024);
     let mut b = alloc.get_bucket().unwrap();
     b.use_vbn(1);
     alloc.put_bucket(b);

@@ -6,10 +6,11 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 use waffinity::{Model, Topology};
-use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine, Vbn};
+use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine, Vbn};
 use wafl_metafile::AggregateMap;
 
-fn mk(chunk: usize, reinsert: ReinsertPolicy) -> (Arc<Allocator>, Arc<IoEngine>) {
+/// An allocator, and the async engine its stripes go through.
+fn mk(chunk: usize, reinsert: ReinsertPolicy) -> (Arc<Allocator>, Arc<AioEngine>) {
     let geo = Arc::new(
         GeometryBuilder::new()
             .aa_stripes(64)
@@ -18,17 +19,18 @@ fn mk(chunk: usize, reinsert: ReinsertPolicy) -> (Arc<Allocator>, Arc<IoEngine>)
     );
     let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
     let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+    let aio = AioEngine::new(Arc::clone(&io), 8);
     let mut cfg = AllocConfig::with_chunk(chunk);
     cfg.reinsert = reinsert;
     let alloc = Allocator::new(
         cfg,
         aggmap,
-        Arc::clone(&io),
+        io,
         Arc::new(InlineExecutor),
         Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 2, 4)),
         0,
     );
-    (alloc, io)
+    (alloc, aio)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +65,7 @@ proptest! {
         } else {
             ReinsertPolicy::Immediate
         };
-        let (alloc, io) = mk(chunk, reinsert);
+        let (alloc, aio) = mk(chunk, reinsert);
         let mut live: Vec<Vbn> = Vec::new();
         let mut ever_used: HashSet<u64> = HashSet::new();
         let mut stage = alloc.new_stage();
@@ -108,8 +110,9 @@ proptest! {
         }
         // Data integrity: the media holds a nonzero stamp wherever we
         // wrote.
+        alloc.infra().drain_io();
         for v in live.iter().take(20) {
-            prop_assert_ne!(io.read_vbn(*v).unwrap(), 0, "written block must be on media");
+            prop_assert_ne!(aio.io().read_vbn(*v).unwrap(), 0, "written block must be on media");
         }
     }
 
@@ -119,7 +122,7 @@ proptest! {
         cycles in 1usize..12,
     ) {
         // §IV-C: buckets are contiguous VBN runs on one drive.
-        let (alloc, _) = mk(chunk, ReinsertPolicy::Collective);
+        let (alloc, _aio) = mk(chunk, ReinsertPolicy::Collective);
         let geo = Arc::clone(alloc.infra().aggmap().geometry());
         for _ in 0..cycles {
             let Some(mut b) = alloc.get_bucket() else { break };
@@ -146,7 +149,7 @@ proptest! {
     ) {
         // DESIGN.md invariant 7: after full consumption of each round,
         // per-drive fill offsets differ by at most one chunk.
-        let (alloc, _) = mk(chunk, ReinsertPolicy::Collective);
+        let (alloc, _aio) = mk(chunk, ReinsertPolicy::Collective);
         let geo = Arc::clone(alloc.infra().aggmap().geometry());
         let mut max_dbn = vec![0u64; 3];
         for _ in 0..rounds {

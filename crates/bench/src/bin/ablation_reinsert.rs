@@ -12,7 +12,7 @@ use alligator::{AllocConfig, Allocator, InlineExecutor, ReinsertPolicy};
 use std::sync::Arc;
 use waffinity::{Model, Topology};
 use wafl_bench::emit;
-use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
+use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine};
 use wafl_metafile::AggregateMap;
 use wafl_simsrv::FigureTable;
 
@@ -25,6 +25,7 @@ fn run(policy: ReinsertPolicy) -> (f64, u64) {
     );
     let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
     let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+    let _aio = AioEngine::new(Arc::clone(&io), 8);
     let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
     let mut cfg = AllocConfig::with_chunk(64);
     cfg.reinsert = policy;
@@ -53,6 +54,7 @@ fn run(policy: ReinsertPolicy) -> (f64, u64) {
         alloc.drain();
     }
     alloc.drain();
+    alloc.infra().drain_io();
     let ratio = io.full_stripe_ratio().unwrap_or(0.0);
     let parity_reads = io.counters().snapshot().parity_reads;
     (ratio, parity_reads)

@@ -1,18 +1,18 @@
 //! Asynchronous write-I/O engine: submission/completion queues over the
 //! aggregate's [`IoEngine`], with an optional real-file backend.
 //!
-//! The synchronous engine completes every tetris inline on the
-//! submitting thread, so a CP drains its dirty set one stripe at a time
-//! and the paper's §IV tetris machinery never exploits per-drive
-//! parallelism. This module adds the io_uring-shaped alternative:
+//! Every tetris stripe goes through here: [`IoEngine::write`] enqueues
+//! it on the engine built over that `IoEngine`, so the cleaner that
+//! completes a tetris goes on cleaning while the stripe's media write
+//! runs, and the RAID groups write in parallel. The queues are
+//! io_uring-shaped:
 //!
 //! * [`AioEngine::submit`] enqueues a [`WriteIo`] on its RAID group's
 //!   bounded submit ring and returns an [`IoTicket`] immediately;
 //! * a worker per RAID group services the ring in FIFO order (one
 //!   worker per group keeps every drive's fault-plan op ordinals
 //!   identical at any queue depth — retries and offlining decisions are
-//!   made **per completion**, exactly as the synchronous engine made
-//!   them per call);
+//!   made **per completion**, in the order the stripes were submitted);
 //! * finished writes go on one lock-protected completion list, counted
 //!   under the same lock — a tetris I/O carries a few hundred buffers,
 //!   so the lock is taken once per few hundred buffers (§IV-C: amortise
@@ -39,6 +39,7 @@ use crate::fault::IoError;
 use crate::geometry::{AggregateGeometry, Dbn, RaidGroupId, BLOCK_SIZE};
 use crate::io::{IoEngine, IoResult, WriteIo};
 use crate::BlockStamp;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -75,8 +76,8 @@ impl IoTicket {
 pub struct Completion {
     /// The ticket returned by the matching [`AioEngine::submit`].
     pub ticket: IoTicket,
-    /// The write outcome, exactly as the synchronous engine would have
-    /// returned it (degraded writes absorbed, unrecoverable ones `Err`).
+    /// The write outcome, as [`IoEngine::submit_write`] returned it on
+    /// the worker (degraded writes absorbed, unrecoverable ones `Err`).
     pub result: Result<IoResult, IoError>,
     /// Wall-clock nanoseconds from submit to completion publish.
     pub submit_to_complete_ns: u64,
@@ -109,14 +110,13 @@ impl DiskKind {
     }
 }
 
-/// When the file backend makes completed writes durable.
+/// When the file backend makes completed writes durable. There is one
+/// discipline; the type stays because callers of [`FileBackend::open`]
+/// name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fdatasync` after every write I/O — the synchronous engine's
-    /// discipline (each stripe durable before the next is submitted).
-    PerWrite,
     /// `fdatasync` only at [`FileBackend::sync_all`] barriers (CP phase
-    /// boundaries / [`AioEngine::drain`]) — the pipelined discipline.
+    /// boundaries / [`AioEngine::drain`]).
     Barrier,
 }
 
@@ -139,7 +139,6 @@ pub struct FileBackend {
     rg_base: Vec<usize>,
     blocks_per_drive: Vec<u64>,
     o_direct: bool,
-    policy: SyncPolicy,
     /// Set by [`FileBackend::crash`]: all subsequent file writes are
     /// dropped, tearing any multi-segment write in progress.
     crashed: AtomicBool,
@@ -152,7 +151,7 @@ impl FileBackend {
     pub fn open(
         dir: &Path,
         geometry: &AggregateGeometry,
-        policy: SyncPolicy,
+        _policy: SyncPolicy,
     ) -> Result<FileBackend, IoError> {
         if DiskKind::probe(dir) == DiskKind::BlockDevice {
             return Err(IoError::NotYetSupported {
@@ -202,7 +201,6 @@ impl FileBackend {
             rg_base,
             blocks_per_drive,
             o_direct,
-            policy,
             crashed: AtomicBool::new(false),
         })
     }
@@ -218,12 +216,6 @@ impl FileBackend {
     #[inline]
     pub fn o_direct(&self) -> bool {
         self.o_direct
-    }
-
-    /// The configured durability policy.
-    #[inline]
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
     }
 
     /// Simulate power loss: drop every file write from now on. A
@@ -256,11 +248,6 @@ impl FileBackend {
             let idx = base + seg.drive_in_rg as usize;
             let buf = AlignedBuf::fill(&seg.stamps);
             self.files[idx].write_at(buf.bytes(), seg.start_dbn * BLOCK_SIZE as u64)?;
-        }
-        if self.policy == SyncPolicy::PerWrite && !self.is_crashed() {
-            for seg in &io.segments {
-                self.files[base + seg.drive_in_rg as usize].sync_data()?;
-            }
         }
         Ok(())
     }
@@ -446,6 +433,9 @@ struct Done {
     completed: u64,
     dropped: u64,
     lat_total_ns: u64,
+    /// The first panic a worker raised while writing, for the next
+    /// [`AioEngine::drain`] to re-raise.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl Done {
@@ -479,8 +469,10 @@ pub struct AioEngine {
 
 impl AioEngine {
     /// Build an engine over `io` with one worker and one submit ring
-    /// per RAID group. `depth` bounds each ring (minimum 1): a submit
-    /// against a full ring blocks until the worker makes room.
+    /// per RAID group, and register it there ([`IoEngine::set_aio`]), so
+    /// `io`'s stripes go through it for as long as it lives. `depth`
+    /// bounds each ring (minimum 1): a submit against a full ring blocks
+    /// until the worker makes room.
     pub fn new(io: Arc<IoEngine>, depth: usize) -> Arc<AioEngine> {
         let depth = depth.max(1);
         let groups = io.raid_groups().len();
@@ -512,10 +504,12 @@ impl AioEngine {
                     .expect("spawn aio worker")
             })
             .collect();
-        Arc::new(AioEngine {
+        let engine = Arc::new(AioEngine {
             inner,
             workers: parking_lot::Mutex::ranked(workers, "aio.workers", 75),
-        })
+        });
+        engine.inner.io.set_aio(&engine);
+        engine
     }
 
     /// The engine this one submits to.
@@ -576,9 +570,14 @@ impl AioEngine {
     /// all unharvested completions. This is the only point with
     /// ordering guarantees — completions before the barrier, in any
     /// order; nothing in flight after it.
+    ///
+    /// # Panics
+    /// Re-raises, on this thread, a panic a worker raised while writing
+    /// since the last drain, so a failed write fails the barrier instead
+    /// of hanging it.
     pub fn drain(&self) -> Vec<Completion> {
         let inner = &*self.inner;
-        let harvested = {
+        let (harvested, panic) = {
             let mut done = inner.done.lock();
             // ordering: Relaxed — a submission made before this call is
             // visible by program order or the caller's own hand-off, and
@@ -588,8 +587,11 @@ impl AioEngine {
             while done.completed < inner.submitted.load(Ordering::Relaxed) {
                 inner.done_cv.wait(&mut done);
             }
-            done.harvest()
+            (done.harvest(), done.panic.take())
         };
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
+        }
         // The durability half of the barrier: everything the workers
         // wrote is on media before the caller proceeds (CP phase
         // boundary / superblock commit).
@@ -691,16 +693,28 @@ impl std::fmt::Debug for AioEngine {
 }
 
 impl Inner {
-    /// Publish one finished write and wake any drainer.
-    fn complete(&self, ticket: u64, result: Result<IoResult, IoError>, ns: u64) {
+    /// Publish one finished write and wake any drainer. A write whose
+    /// service panicked still counts as completed; its panic is kept
+    /// (the first one only) for the next drain to re-raise.
+    fn complete(
+        &self,
+        ticket: u64,
+        outcome: std::thread::Result<Result<IoResult, IoError>>,
+        ns: u64,
+    ) {
         // ordering: Relaxed — statistics gauge.
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         let mut done = self.done.lock();
-        done.list.push(Completion {
-            ticket: IoTicket(ticket),
-            result,
-            submit_to_complete_ns: ns,
-        });
+        match outcome {
+            Ok(result) => done.list.push(Completion {
+                ticket: IoTicket(ticket),
+                result,
+                submit_to_complete_ns: ns,
+            }),
+            Err(panic) => {
+                done.panic.get_or_insert(panic);
+            }
+        }
         done.lat_total_ns += ns;
         done.completed += 1;
         self.done_cv.notify_all();
@@ -748,10 +762,15 @@ fn worker_loop(inner: &Inner, rg: usize) {
             continue;
         }
         let sp = obs::trace_span!(obs::EventKind::Io, pending.io.blocks());
-        let result = inner.io.submit_write(&pending.io);
+        // A panic while writing goes to the next drain, which re-raises
+        // it. The write still counts as completed, so the drain is not
+        // left waiting for it, and the worker lives on.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inner.io.submit_write(&pending.io)
+        }));
         drop(sp);
         let ns = pending.submitted_at.elapsed().as_nanos() as u64;
-        inner.complete(pending.ticket, result, ns);
+        inner.complete(pending.ticket, outcome, ns);
     }
 }
 
@@ -897,6 +916,39 @@ mod tests {
             }
             assert_eq!(sorted_ids(aio.drain()), [round]);
         }
+    }
+
+    /// A panic on an aio worker fails the next `drain` on the draining
+    /// thread. Without the catch the worker dies with the write
+    /// uncounted, and `drain`, whose wait has no timeout, never returns.
+    #[test]
+    fn worker_panic_fails_drain_instead_of_hanging() {
+        let aio = AioEngine::new(engine(), 8);
+        // Drive 3 of a three-drive group: `submit_write` indexes past
+        // its per-drive maps, in debug and release builds alike.
+        aio.submit(WriteIo {
+            rg: RaidGroupId(0),
+            segments: vec![WriteSegment {
+                drive_in_rg: 3,
+                start_dbn: 0,
+                stamps: vec![1],
+            }],
+        })
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| aio.drain()));
+            // Shut the engine down before replying, so the bounded wait
+            // below covers the shutdown too.
+            drop(aio);
+            let _ = tx.send(r.err().and_then(|p| p.downcast::<String>().ok()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("drain and the engine's shutdown returned within 10 s");
+        let msg = msg.expect("drain re-raised the worker's panic message");
+        assert!(msg.contains("index out of bounds"), "{msg}");
+        helper.join().expect("helper thread exits");
     }
 
     #[test]

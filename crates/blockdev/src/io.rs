@@ -131,8 +131,9 @@ pub struct IoEngine {
     /// Optional real-file mirror: every write that completes against the
     /// simulated drives is also persisted here (see [`crate::aio`]).
     mirror: Mutex<Option<Arc<FileBackend>>>,
-    /// Back-reference to an attached async engine, if any. Weak: the
-    /// [`AioEngine`] owns an `Arc<IoEngine>`, never the reverse.
+    /// Back-reference to the async engine built over this one, which
+    /// every stripe goes through. Weak: the [`AioEngine`] owns an
+    /// `Arc<IoEngine>`, never the reverse.
     aio: Mutex<Weak<AioEngine>>,
 }
 
@@ -187,8 +188,9 @@ impl IoEngine {
 
     /// Register an async engine layered on top of this one. From now on
     /// [`IoEngine::write`], [`IoEngine::poll`], [`IoEngine::barrier`] and
-    /// [`IoEngine::crash`] go through it; callers of those four never
-    /// ask which mode they are in.
+    /// [`IoEngine::crash`] go through it. [`AioEngine::new`] registers
+    /// the engine it builds, so this only re-points an `IoEngine` at an
+    /// engine that already exists.
     pub fn set_aio(&self, engine: &Arc<AioEngine>) {
         *self.aio.lock() = Arc::downgrade(engine);
     }
@@ -198,46 +200,47 @@ impl IoEngine {
         self.aio.lock().upgrade()
     }
 
-    /// Send a tetris to RAID. With an async engine attached the write is
-    /// only enqueued — it completes in the background, so parity
+    /// The registered engine, for the verbs that go through it.
+    fn engine(&self) -> Arc<AioEngine> {
+        // invariant: whoever writes stripes through this engine built an
+        // `AioEngine` over it and keeps it alive (a `Filesystem` owns its
+        // own); there is no inline stripe path to fall back to.
+        self.aio()
+            .expect("stripe I/O on an IoEngine with no AioEngine built over it")
+    }
+
+    /// Send a tetris to RAID. The write is only enqueued on the attached
+    /// [`AioEngine`] — it completes in the background, so parity
     /// computation for the next tetris overlaps this one's media time —
-    /// and the returned [`IoResult`] carries the block count alone; its
-    /// outcome arrives as a [`Completion`] from [`IoEngine::poll`] or
-    /// [`IoEngine::barrier`]. Without one (or for an I/O with nothing in
-    /// it) the write completes inline, as [`IoEngine::submit_write`].
-    pub fn write(&self, io: WriteIo) -> Result<IoResult, IoError> {
-        match self.aio() {
-            Some(aio) if !io.segments.is_empty() => {
-                let blocks_written = io.blocks();
-                aio.submit(io)?;
-                Ok(IoResult {
-                    service_ns: 0,
-                    parity_reads: 0,
-                    blocks_written,
-                })
-            }
-            _ => self.submit_write(&io),
+    /// and its outcome arrives as a [`Completion`] from
+    /// [`IoEngine::poll`] or [`IoEngine::barrier`]. An I/O with nothing
+    /// in it (a tetris whose buckets all came back unused) reaches no
+    /// drive and is only counted, inline.
+    pub fn write(&self, io: WriteIo) {
+        if io.segments.is_empty() {
+            // invariant: with no segment there is no drive op and no
+            // mirror write, so nothing in `submit_write` can fail.
+            self.submit_write(&io)
+                .expect("an empty write reaches no drive");
+            return;
         }
+        // invariant: `AioEngine::submit` has no failing path; a write
+        // lost to a crash point still gets its ticket.
+        self.engine()
+            .submit(io)
+            .expect("AioEngine::submit does not fail");
     }
 
     /// Completions of queued writes that have finished since the last
-    /// call, without blocking. Always empty without an async engine.
+    /// call, without blocking.
     pub fn poll(&self) -> Vec<Completion> {
-        self.aio()
-            .map_or_else(Vec::new, |aio| aio.poll_completions())
+        self.engine().poll_completions()
     }
 
     /// The durability barrier: wait for every queued write, make the file
     /// mirror (if any) durable, and return the unharvested completions.
     pub fn barrier(&self) -> Vec<Completion> {
-        match self.aio() {
-            // `drain` already ends with the media fsync.
-            Some(aio) => aio.drain(),
-            None => {
-                let _ = self.sync_media();
-                Vec::new()
-            }
-        }
+        self.engine().drain()
     }
 
     /// A crash point fired: everything submitted but not yet on media is
@@ -254,13 +257,7 @@ impl IoEngine {
     /// halves, so replay supersedes it
     /// (`abandoned_cp_overwrites_only_blocks_the_log_supersedes`).
     pub fn crash(&self) {
-        match self.aio() {
-            // Tears the mirror too.
-            Some(aio) => {
-                aio.crash_drop_inflight();
-            }
-            None => self.crash_mirror(),
-        }
+        self.engine().crash_drop_inflight();
     }
 
     /// Build an engine whose drives (data and parity) share a seeded

@@ -207,18 +207,12 @@ pub struct RecoveryRow {
 
 const SWEEP_FILES: u64 = 2;
 
-fn sweep_fs_with(kind: DriveKind, spec: FaultSpec) -> Filesystem {
-    sweep_fs_depth(kind, spec, 0)
-}
-
-/// `io_queue_depth > 0` routes every CP stripe through the
-/// `blockdev::aio` submission/completion queues — the sweep's crash
-/// cells then exercise the pipelined path, where a crash point drops
-/// the in-flight queues instead of landing between synchronous writes.
-fn sweep_fs_depth(kind: DriveKind, spec: FaultSpec, io_queue_depth: usize) -> Filesystem {
+/// A sweep cell's file system. Every CP stripe goes through the
+/// `blockdev::aio` submission/completion queues, so a crash cell's
+/// crash point drops the in-flight queues.
+fn sweep_fs(kind: DriveKind, spec: FaultSpec) -> Filesystem {
     let cfg = FsConfig {
         vvbn_per_volume: 1 << 14,
-        io_queue_depth,
         ..FsConfig::default()
     };
     let geometry = GeometryBuilder::new()
@@ -302,11 +296,10 @@ pub fn recovery_sweep(seed: u64, blocks_per_file: u64) -> Vec<RecoveryRow> {
 
     // Cells 1–4: crash at each CP phase, recover from the committed image
     // plus an NVLog replay of acknowledged-but-uncommitted overwrites.
-    // Depth-8 async: the CP pipelines stripes through the aio queues, so
-    // each crash point drops in-flight submissions outright — replay
+    // Each crash point drops in-flight submissions outright — replay
     // must still reconstruct every acknowledged op.
     for at in CrashPoint::ALL {
-        let fs = sweep_fs_depth(DriveKind::Ssd, FaultSpec::default(), 8);
+        let fs = sweep_fs(DriveKind::Ssd, FaultSpec::default());
         write_generation(&fs, blocks_per_file, 1);
         fs.run_cp();
         write_generation(&fs, blocks_per_file, 2);
@@ -333,7 +326,7 @@ pub fn recovery_sweep(seed: u64, blocks_per_file: u64) -> Vec<RecoveryRow> {
     // by XOR reconstruction, then the drive is rebuilt from parity.
     {
         let fail_after = 8 + seed % 8;
-        let fs = sweep_fs_with(DriveKind::Ssd, FaultSpec::drive_failure(1, fail_after));
+        let fs = sweep_fs(DriveKind::Ssd, FaultSpec::drive_failure(1, fail_after));
         write_generation(&fs, blocks_per_file, 1);
         fs.run_cp();
         let (blocks_checked, ok) = check_generation(&fs, blocks_per_file, 1);
@@ -362,7 +355,7 @@ pub fn recovery_sweep(seed: u64, blocks_per_file: u64) -> Vec<RecoveryRow> {
             latency_spike_ppm: 5_000,
             ..FaultSpec::default()
         };
-        let fs = sweep_fs_with(DriveKind::Ssd, spec);
+        let fs = sweep_fs(DriveKind::Ssd, spec);
         write_generation(&fs, blocks_per_file, 1);
         fs.run_cp();
         let (blocks_checked, ok) = check_generation(&fs, blocks_per_file, 1);
@@ -383,7 +376,7 @@ pub fn recovery_sweep(seed: u64, blocks_per_file: u64) -> Vec<RecoveryRow> {
     // offline; replay re-drives the lost CP in degraded mode, then the
     // drive is rebuilt.
     {
-        let fs = sweep_fs_with(DriveKind::Ssd, FaultSpec::drive_failure(2, 4));
+        let fs = sweep_fs(DriveKind::Ssd, FaultSpec::drive_failure(2, 4));
         write_generation(&fs, blocks_per_file, 1);
         fs.run_cp();
         write_generation(&fs, blocks_per_file, 2);
@@ -420,7 +413,7 @@ pub fn recovery_sweep(seed: u64, blocks_per_file: u64) -> Vec<RecoveryRow> {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let fs = sweep_fs_depth(DriveKind::Ssd, FaultSpec::default(), 8);
+        let fs = sweep_fs(DriveKind::Ssd, FaultSpec::default());
         fs.attach_file_backend(&dir, wafl_blockdev::SyncPolicy::Barrier)
             .expect("file backend opens in a tmpdir");
         write_generation(&fs, blocks_per_file, 1);

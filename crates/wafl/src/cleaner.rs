@@ -551,10 +551,13 @@ mod tests {
     use alligator::{AllocConfig, InlineExecutor};
     use std::sync::Arc;
     use waffinity::{Model, Topology};
-    use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
+    use wafl_blockdev::{AioEngine, DriveKind, GeometryBuilder, IoEngine};
     use wafl_metafile::AggregateMap;
 
-    fn mk_alloc() -> Arc<Allocator> {
+    /// An allocator over three data drives, and the async engine its
+    /// stripes go through. Every inline refill round adds 3 buckets (one
+    /// per drive), so cache depths are exact and deterministic.
+    fn mk_alloc() -> (Arc<Allocator>, Arc<AioEngine>) {
         let geo = Arc::new(
             GeometryBuilder::new()
                 .aa_stripes(64)
@@ -563,15 +566,11 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let aio = AioEngine::new(Arc::clone(&io), 8);
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        Allocator::new(
-            AllocConfig::with_chunk(64),
-            aggmap,
-            io,
-            Arc::new(InlineExecutor),
-            topo,
-            0,
-        )
+        let cfg = AllocConfig::with_chunk(64);
+        let alloc = Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0);
+        (alloc, aio)
     }
 
     fn vol() -> Arc<Volume> {
@@ -663,7 +662,7 @@ mod tests {
 
     #[test]
     fn clean_job_assigns_contiguous_vbns_and_frees_old() {
-        let alloc = mk_alloc();
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let mut ctx = CleanerCtx::new(0, 4);
         let mut stage = alloc.new_stage();
@@ -703,7 +702,7 @@ mod tests {
 
     #[test]
     fn small_jobs_reserve_only_the_vvbns_they_use() {
-        let alloc = mk_alloc();
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let total = v.vvbn().total();
         let mut ctx = CleanerCtx::new(0, 4);
@@ -744,6 +743,7 @@ mod tests {
         );
         let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
         let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let _aio = AioEngine::new(Arc::clone(&io), 8);
         let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 2, 2));
         let alloc = Allocator::new(
             AllocConfig::with_chunk(32),
@@ -778,17 +778,7 @@ mod tests {
     fn batched_get_prefetches_and_requeues_leftovers() {
         // One refill round is 3 buckets (one per drive), so a
         // get_batch=4 GET takes the whole round in one acquisition.
-        let geo = Arc::new(
-            GeometryBuilder::new()
-                .aa_stripes(64)
-                .raid_group(3, 1, 4096)
-                .build(),
-        );
-        let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
-        let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
-        let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        let cfg = AllocConfig::with_chunk(64);
-        let alloc = Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0);
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let mut ctx = CleanerCtx::new(0, 4);
         let mut stage = alloc.new_stage();
@@ -825,26 +815,9 @@ mod tests {
         alloc.stats().check_conservation(0).unwrap();
     }
 
-    /// Allocator for the adaptive-batch transition tests: every inline
-    /// refill round adds 3 buckets (one per drive), so the cache depth is
-    /// exact and deterministic.
-    fn mk_alloc_three_drives() -> Arc<Allocator> {
-        let geo = Arc::new(
-            GeometryBuilder::new()
-                .aa_stripes(64)
-                .raid_group(3, 1, 4096)
-                .build(),
-        );
-        let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
-        let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
-        let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
-        let cfg = AllocConfig::with_chunk(64);
-        Allocator::new(cfg, aggmap, io, Arc::new(InlineExecutor), topo, 0)
-    }
-
     #[test]
     fn adaptive_batch_grows_when_cache_runs_deep() {
-        let alloc = mk_alloc_three_drives();
+        let (alloc, _aio) = mk_alloc();
         let ctx = CleanerCtx::new(0, 2);
         // Two inline refill rounds: 6 buckets in the cache, past 2× the
         // base batch of 2.
@@ -864,7 +837,7 @@ mod tests {
 
     #[test]
     fn adaptive_batch_shrinks_near_low_watermark() {
-        let alloc = mk_alloc_three_drives();
+        let (alloc, _aio) = mk_alloc();
         let ctx = CleanerCtx::new(0, 4);
         // One round: 3 buckets — above the watermark (2), below the
         // grow threshold (8) — the base applies.
@@ -888,7 +861,7 @@ mod tests {
 
     #[test]
     fn pool_cleans_items_in_parallel() {
-        let alloc = mk_alloc();
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let cfg = CleanerConfig {
             threads: 4,
@@ -920,7 +893,7 @@ mod tests {
 
     #[test]
     fn reduced_active_limit_still_completes() {
-        let alloc = mk_alloc();
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let cfg = CleanerConfig {
             threads: 4,
@@ -942,7 +915,7 @@ mod tests {
     /// for a reply the dead worker would never send.
     #[test]
     fn worker_panic_fails_clean_all_instead_of_hanging() {
-        let alloc = mk_alloc();
+        let (alloc, _aio) = mk_alloc();
         let v = vol();
         let cfg = CleanerConfig {
             threads: 1,

@@ -14,12 +14,9 @@ pub struct FsConfig {
     /// VVBNs per volume created through
     /// [`Filesystem::create_volume`](crate::fs::Filesystem::create_volume).
     pub vvbn_per_volume: u64,
-    /// Per-RAID-group submission-queue depth for the async I/O engine
-    /// (`blockdev::aio`). `0` — the default — keeps every write
-    /// synchronous and inline, exactly the pre-aio behavior; any
-    /// positive depth routes tetris stripes through submission/
-    /// completion queues, with CP phase boundaries as the only
-    /// durability barriers.
+    /// Read by nothing. Every `Filesystem` sends its tetris stripes
+    /// through its own `blockdev::aio` engine at one fixed depth; the
+    /// field stays only because the e2e harness still sets it.
     pub io_queue_depth: usize,
 }
 

@@ -431,9 +431,9 @@ fn run_cp_inner(
         return None;
     }
 
-    // Phase 2: clean. With an async engine attached, each completed
-    // tetris is only *submitted* here — its media write overlaps the
-    // cleaning (and parity computation) of the stripes after it.
+    // Phase 2: clean. Each completed tetris is only *submitted* here —
+    // its media write overlaps the cleaning (and parity computation) of
+    // the stripes after it.
     let t0 = std::time::Instant::now();
     let sp2 = obs::trace_span!(obs::EventKind::CpPhase, 2);
     let items = partition_work(frozen, &cfg.cleaner);

@@ -33,7 +33,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use waffinity::{Model, Topology, WaffinityPool};
-use wafl_blockdev::{AggregateGeometry, BlockStamp, DriveKind, FaultSpec, IoEngine, RetryPolicy};
+use wafl_blockdev::{
+    AggregateGeometry, AioEngine, BlockStamp, DriveKind, FaultSpec, IoEngine, RetryPolicy,
+    SyncPolicy,
+};
 use wafl_metafile::AggregateMap;
 
 /// How infrastructure messages execute.
@@ -51,16 +54,19 @@ pub enum ExecMode {
 const VOLUME_SLOTS: u32 = 8;
 const STRIPES_PER_VOLUME: u32 = 8;
 const RANGES: u32 = 8;
+/// Per-RAID-group submit-ring depth of every file system's async I/O
+/// engine.
+const AIO_DEPTH: usize = 8;
 
 /// A WAFL-like file system over one simulated aggregate.
 pub struct Filesystem {
     cfg: FsConfig,
     topo: Arc<Topology>,
     io: Arc<IoEngine>,
-    /// The async I/O engine, when `cfg.io_queue_depth > 0`. The
-    /// filesystem owns the strong reference; the `IoEngine` holds only a
+    /// The async I/O engine every tetris stripe goes through. The file
+    /// system owns the strong reference; the `IoEngine` holds only a
     /// `Weak` back-pointer (no cycle).
-    aio: Option<Arc<wafl_blockdev::AioEngine>>,
+    aio: Arc<AioEngine>,
     alloc: Arc<Allocator>,
     volumes: RwLock<BTreeMap<VolumeId, Arc<Volume>>>,
     nvlog: NvLog,
@@ -157,15 +163,9 @@ impl Filesystem {
             aggr,
         );
         let pool = CleanerPool::new(Arc::clone(&alloc), cfg.cleaner);
-        // Positive queue depth: stand up the async engine and register it
-        // on the I/O engine, so the tetris fire path pipelines stripes
-        // instead of completing them inline. Because the depth travels in
-        // `cfg`, `crash_and_recover` re-creates the engine automatically.
-        let aio = (cfg.io_queue_depth > 0).then(|| {
-            let engine = wafl_blockdev::AioEngine::new(Arc::clone(&io), cfg.io_queue_depth);
-            io.set_aio(&engine);
-            engine
-        });
+        // The engine registers itself on `io`, taking over from any an
+        // earlier instance on the same media built (`crash_and_recover`).
+        let aio = AioEngine::new(Arc::clone(&io), AIO_DEPTH);
         Self {
             cfg,
             topo,
@@ -202,11 +202,12 @@ impl Filesystem {
         &self.alloc
     }
 
-    /// The async I/O engine, when one is configured
-    /// (`FsConfig::io_queue_depth > 0`).
+    /// The async I/O engine this file system's stripes go through.
+    /// Always `Some`; the `Option` stays for the e2e harness, which
+    /// still matches on it.
     #[inline]
-    pub fn aio(&self) -> Option<&Arc<wafl_blockdev::AioEngine>> {
-        self.aio.as_ref()
+    pub fn aio(&self) -> Option<&Arc<AioEngine>> {
+        Some(&self.aio)
     }
 
     /// The cleaner pool (e.g., for dynamic-tuner actuation).
@@ -540,7 +541,7 @@ impl Filesystem {
     pub fn attach_file_backend(
         &self,
         dir: &std::path::Path,
-        policy: wafl_blockdev::SyncPolicy,
+        policy: SyncPolicy,
     ) -> Result<Arc<wafl_blockdev::FileBackend>, wafl_blockdev::IoError> {
         let backend = Arc::new(wafl_blockdev::FileBackend::open(
             dir,
@@ -564,14 +565,13 @@ impl Filesystem {
         dir: &std::path::Path,
         exec: ExecMode,
     ) -> Result<Filesystem, String> {
-        let mirror = self
-            .io
+        self.io
             .file_mirror()
             .ok_or("remount_from_files requires an attached file backend")?;
         let kind = self.io.raid_groups()[0].data_drives()[0].kind();
         let fresh_io = Arc::new(IoEngine::new(Arc::clone(self.io.geometry()), kind));
         let backend = Arc::new(
-            wafl_blockdev::FileBackend::open(dir, fresh_io.geometry(), mirror.policy())
+            wafl_blockdev::FileBackend::open(dir, fresh_io.geometry(), SyncPolicy::Barrier)
                 .map_err(|e| format!("reopen file backend: {e}"))?,
         );
         backend
@@ -1172,6 +1172,71 @@ mod tests {
         }
         assert!(r.io().rebuild_offline() > 0, "the failed drive rebuilds");
         r.verify_integrity().unwrap();
+    }
+
+    /// However an instance came to be — fresh, recovered, remounted from
+    /// files, or an aggregate of a `StorageSystem` — its media's stripes
+    /// go to the engine it owns, and a CP sends them there.
+    #[test]
+    fn every_instance_writes_its_stripes_through_its_own_engine() {
+        let check = |fs: &Filesystem, file: u64| {
+            let aio = fs.aio().expect("every file system owns an engine");
+            let registered = fs.io().aio().expect("an engine is registered on the media");
+            assert!(
+                Arc::ptr_eq(aio, &registered),
+                "file {file}: a foreign engine"
+            );
+            let before = aio.submitted();
+            fs.create_volume(VolumeId(0));
+            fs.create_file(VolumeId(0), FileId(file));
+            for fbn in 0..8 {
+                fs.write(
+                    VolumeId(0),
+                    FileId(file),
+                    fbn,
+                    wafl_blockdev::stamp(file, fbn, 1),
+                );
+            }
+            fs.run_cp();
+            assert!(
+                aio.submitted() > before,
+                "file {file}: the CP queued no stripe"
+            );
+        };
+        let fresh = fs(ExecMode::Inline);
+        check(&fresh, 1);
+        check(&fresh.crash_and_recover(ExecMode::Inline), 2);
+
+        let dir = std::env::temp_dir().join(format!("wafl-own-engine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mirrored = fs(ExecMode::Inline);
+        mirrored
+            .attach_file_backend(&dir, SyncPolicy::Barrier)
+            .unwrap();
+        check(&mirrored, 1);
+        let remounted = mirrored.remount_from_files(&dir, ExecMode::Inline);
+        check(&remounted.unwrap(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let geometry = || {
+            GeometryBuilder::new()
+                .aa_stripes(64)
+                .raid_group(3, 1, 4096)
+                .build()
+        };
+        let system = crate::StorageSystem::new(
+            FsConfig::default(),
+            vec![geometry(), geometry()],
+            DriveKind::Ssd,
+            ExecMode::Inline,
+        );
+        for i in 0..system.aggregate_count() {
+            check(system.aggregate(i), 1);
+        }
+        let recovered = system.crash_and_recover(ExecMode::Inline);
+        for i in 0..recovered.aggregate_count() {
+            check(recovered.aggregate(i), 2);
+        }
     }
 
     #[test]
