@@ -38,6 +38,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wafl_blockdev::Vbn;
 
 /// The lock-protected FIFO of available buckets.
 #[derive(Debug)]
@@ -133,6 +134,15 @@ impl BucketCache {
             .cache_get_batched
             // ordering: statistics counter.
             .fetch_add(k.saturating_sub(1) as u64, Ordering::Relaxed);
+    }
+
+    /// Visit every VBN the cached buckets hold reserved: set in the active
+    /// map, referenced by no tree yet. One critical section, so the set is
+    /// a consistent cut of the cache; `f` must take no lock.
+    pub fn for_each_reserved(&self, mut f: impl FnMut(Vbn)) {
+        for b in self.lock_queue().iter() {
+            b.unused().iter().copied().for_each(&mut f);
+        }
     }
 
     /// Infrastructure side: insert one bucket (the Immediate-reinsertion

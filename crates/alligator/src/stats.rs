@@ -140,28 +140,6 @@ alloc_counters! {
         /// GET batches the adaptive sizer shrank toward 1 because the
         /// cache was at or under the refill low watermark.
         cache_batch_shrinks,
-        /// Scrub range messages executed (one per allocation-area unit).
-        scrub_units,
-        /// Media blocks the scrubber cross-checked (stamps + parity).
-        scrub_blocks_checked,
-        /// Corruption findings confirmed after quarantine re-check.
-        scrub_findings,
-        /// Findings repaired through the degraded/reconstruction path.
-        scrub_repairs,
-        /// Repairs that passed the post-repair re-verify read-back.
-        scrub_reverified,
-        /// Detection candidates dismissed during quarantine (racing CP or
-        /// allocator activity, not corruption) — the false-positive guard.
-        scrub_false_alarms,
-        /// Transiently faulted scrub reads retried under the bounded
-        /// backoff policy.
-        scrub_retries,
-        /// Times the scrubber paused under cleaner pressure (§VI-style
-        /// utilization signal above the activation threshold).
-        scrub_pauses,
-        /// Times the scrubber resumed after pressure fell below the
-        /// deactivation threshold.
-        scrub_resumes,
     }
     gauges {
         /// PUT-side convoy gauge: commit messages submitted but not yet

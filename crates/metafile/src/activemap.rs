@@ -199,6 +199,14 @@ impl ActiveMap {
         Ok(())
     }
 
+    /// Move the running free count by `delta` without touching a bit —
+    /// fault injection for the consistency checker's free-count drift
+    /// findings; every other path keeps the count and the bits in step.
+    pub fn skew_free_count(&self, delta: i64) {
+        // ordering: advisory gauge; staleness is acceptable.
+        self.free_count.fetch_add(delta as u64, Ordering::Relaxed);
+    }
+
     /// Record that a reserved block was consumed by a cleaner thread: the
     /// covering metafile block becomes dirty. The bit itself was already
     /// set at reservation time.

@@ -467,61 +467,13 @@ impl Filesystem {
         self.volumes().iter().map(|v| v.dirty_count()).sum()
     }
 
-    /// Verify that every committed block reads back its expected stamp
-    /// from the simulated media, and that the free-space metadata is
-    /// internally consistent: the aggregate's, and each volume's VVBN map,
-    /// whose used VVBNs are exactly those the block maps and retained
-    /// snapshots reference.
+    /// [`Filesystem::check`] as a pass/fail gate: the first finding, as
+    /// text, or `Ok` when every invariant holds.
     pub fn verify_integrity(&self) -> Result<(), String> {
-        for v in self.volumes() {
-            let space = v.vvbn();
-            let mut referenced = vec![0u64; space.total().div_ceil(64) as usize];
-            let mut unallocated = 0u64;
-            let mut mark = |vvbn: u64| {
-                referenced[(vvbn / 64) as usize] |= 1 << (vvbn % 64);
-                unallocated += u64::from(!space.map().is_used(vvbn));
-            };
-            for snap in v.snapshots().list() {
-                snap.iter_blocks().for_each(|(_, _, ptr)| mark(ptr.vvbn));
-            }
-            for f in v.file_ids() {
-                let inode = v.inode(f).expect("listed file exists");
-                let inode = inode.lock();
-                for (fbn, ptr) in inode.block_map().iter() {
-                    mark(ptr.vvbn);
-                    let got = self.io.read_vbn(ptr.pvbn).map_err(|e| {
-                        format!("read failed vol {:?} file {:?} fbn {fbn}: {e}", v.id(), f)
-                    })?;
-                    if got != ptr.stamp {
-                        return Err(format!(
-                            "stamp mismatch vol {:?} file {:?} fbn {fbn}: disk {got:#x}, map {:#x}",
-                            v.id(),
-                            f,
-                            ptr.stamp
-                        ));
-                    }
-                }
-            }
-            let free = space.free_count();
-            let recount = space.map().recount_free();
-            if recount != free {
-                return Err(format!(
-                    "vol {:?}: VVBN free count {free}, bitmap recount {recount}",
-                    v.id()
-                ));
-            }
-            let distinct: u64 = referenced.iter().map(|w| u64::from(w.count_ones())).sum();
-            if unallocated > 0 || space.total() - free != distinct {
-                return Err(format!(
-                    "vol {:?}: {} VVBNs used, {distinct} referenced by block maps and \
-                     snapshots ({unallocated} of them free)",
-                    v.id(),
-                    space.total() - free
-                ));
-            }
+        match self.check().first() {
+            Some(e) => Err(e.to_string()),
+            None => Ok(()),
         }
-        self.alloc.infra().aggmap().verify()?;
-        self.io.scrub()
     }
 
     /// Simulate a crash: drop all in-memory state and recover from the
@@ -1126,10 +1078,22 @@ mod tests {
             fs.io().fault_snapshot().reconstructed_reads > 0,
             "reads off the failed drive were reconstructed from parity"
         );
-        // The raw media is inconsistent until the drive is rebuilt.
-        assert!(fs.verify_integrity().is_err(), "scrub fails while degraded");
+        // Until the drive is rebuilt, the check reports it — and only it:
+        // the degraded group's stale parity is the dead drive's finding.
+        let dead = fs.io().offline_drives()[0].0;
+        assert_eq!(
+            fs.check(),
+            vec![crate::ScrubError::DeadDrive { drive: dead }]
+        );
         assert!(fs.io().rebuild_offline() > 0);
-        fs.verify_integrity().unwrap();
+        assert!(fs.io().offline_drives().is_empty());
+        fs.io().scrub().expect("the rebuild restored parity");
+        // The planned failure is persistent: the check's own reads take
+        // the drive out again, and that is all it finds.
+        assert_eq!(
+            fs.check(),
+            vec![crate::ScrubError::DeadDrive { drive: dead }]
+        );
     }
 
     #[test]

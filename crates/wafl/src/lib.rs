@@ -35,9 +35,10 @@
 //! * [`tuner::DynamicTuner`] — the 50 ms cleaner-thread count controller
 //!   with 90 % / 50 % activation thresholds (§V-B);
 //! * [`cp`] — the consistency-point state machine ([`cp::run_cp`]);
-//! * [`scrub`] — online parallel scrub/fsck over the Waffinity pool,
-//!   with checkpointed cursors and a detect→quarantine→repair→re-verify
-//!   state machine.
+//! * [`scrub`] — the read-only consistency checker
+//!   ([`Filesystem::check`]), split into per-volume and per-(RAID group,
+//!   AA) units on the Waffinity pool, and the online scrub built on it
+//!   (check → quarantine → repair → re-verify).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -63,10 +64,7 @@ pub use cp::{CpReport, CrashPoint, DiskImage, MetafileLocs, SuperblockStore};
 pub use fs::{ExecMode, Filesystem};
 pub use inode::{FileId, Inode};
 pub use nvlog::{NvLog, Op};
-pub use scrub::{
-    Finding, FindingState, PressureGate, ScrubCheckpoint, ScrubCheckpointStore, ScrubConfig,
-    ScrubError, ScrubReport,
-};
+pub use scrub::{Finding, FindingState, ScrubError, ScrubReport};
 pub use snapshot::{Snapshot, SnapshotSet};
 pub use system::StorageSystem;
 pub use tuner::{DynamicTuner, TunerConfig};

@@ -1,19 +1,23 @@
-//! Detection-power property test for the online scrubber.
+//! Detection-power property test for the consistency checker and the
+//! scrub built on it.
 //!
-//! For every corruption class the scrubber claims to detect — media
+//! For every corruption class the checker claims to detect — media
 //! bit-flips, stale and missing active-bitmap bits, AA refcount skew,
-//! bad parity — seed one instance with randomized placement and payload
-//! and assert the scrub (a) always reports it, (b) reports nothing
-//! outside the seeded fault and its physically entailed collaterals
-//! (a flipped data block also breaks its stripe's parity; a bitmap edit
-//! also skews its AA's counter), and (c) leaves the aggregate clean on
-//! a re-scan. A second property asserts zero false positives on clean
-//! images across randomized fill shapes.
+//! bad parity, and the metadata classes: a VVBN freed under a referenced
+//! block, a leaked VVBN, VVBN and aggregate free-count drift — seed one
+//! instance with randomized placement and payload and assert the scrub
+//! (a) always reports it, (b) reports nothing outside the seeded fault
+//! and its physically entailed collaterals (a flipped data block also
+//! breaks its stripe's parity; a bitmap edit also skews its AA's
+//! counter), and (c) repairs it so a re-scan is clean — or, for the
+//! metadata classes no redundancy covers, reports it `Unrepairable`.
+//! A second property asserts zero false positives on clean images
+//! across randomized fill shapes.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use wafl::scrub::{FindingState, ScrubCheckpointStore, ScrubConfig};
+use wafl::scrub::FindingState;
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
 use wafl_blockdev::{stamp, BlockStamp, Dbn, DriveKind, GeometryBuilder, Vbn};
 
@@ -113,6 +117,32 @@ enum Seed {
     BadParity { mask: u128 },
     /// Inflate an AA's tracked free count (refcount skew).
     RefcountSkew { pick: usize, delta: u64 },
+    /// Free a referenced block's VVBN.
+    VvbnCleared { pick: usize },
+    /// Mark a free VVBN used with no block referencing it.
+    VvbnLeak { pick: usize },
+    /// Move the volume's running VVBN free count off its bitmap.
+    VvbnFreeDrift { delta: i64 },
+    /// Move the aggregate's running free count off its bitmap.
+    AggrFreeDrift { delta: i64 },
+}
+
+impl Seed {
+    /// The metadata classes: detected, but beyond what redundancy repairs.
+    fn repairable(self) -> bool {
+        !matches!(
+            self,
+            Seed::VvbnCleared { .. }
+                | Seed::VvbnLeak { .. }
+                | Seed::VvbnFreeDrift { .. }
+                | Seed::AggrFreeDrift { .. }
+        )
+    }
+}
+
+/// A nonzero drift of either sign.
+fn drift() -> impl Strategy<Value = i64> {
+    prop_oneof![-8i64..-1, 1i64..8]
 }
 
 fn seeds() -> impl Strategy<Value = Seed> {
@@ -122,6 +152,10 @@ fn seeds() -> impl Strategy<Value = Seed> {
         (0usize..1 << 20).prop_map(|pick| Seed::MissingBit { pick }),
         (1u128..u128::MAX).prop_map(|mask| Seed::BadParity { mask }),
         (0usize..1 << 20, 1u64..4).prop_map(|(pick, delta)| Seed::RefcountSkew { pick, delta }),
+        (0usize..1 << 20).prop_map(|pick| Seed::VvbnCleared { pick }),
+        (0usize..1 << 20).prop_map(|pick| Seed::VvbnLeak { pick }),
+        drift().prop_map(|delta| Seed::VvbnFreeDrift { delta }),
+        drift().prop_map(|delta| Seed::AggrFreeDrift { delta }),
     ]
 }
 
@@ -202,6 +236,113 @@ fn plant(fs: &Filesystem, seed: Seed) -> (String, BTreeSet<String>) {
             let key = format!("aaskew:rg={}:aa={}", aa.rg.0, aa.index);
             (key.clone(), BTreeSet::from([key]))
         }
+        Seed::VvbnCleared { pick } => {
+            let vvbns = file_vvbns(fs);
+            vol0(fs).vvbn().free(vvbns[pick % vvbns.len()]);
+            let key = "vvbnconserve:vol=0".to_string();
+            (key.clone(), BTreeSet::from([key]))
+        }
+        Seed::VvbnLeak { pick } => {
+            let vol = vol0(fs);
+            let space = vol.vvbn();
+            let free: Vec<u64> = (0..space.total())
+                .filter(|v| !space.map().is_used(*v))
+                .take(256)
+                .collect();
+            space.adopt(free[pick % free.len()]);
+            let key = "vvbnconserve:vol=0".to_string();
+            (key.clone(), BTreeSet::from([key]))
+        }
+        Seed::VvbnFreeDrift { delta } => {
+            vol0(fs).vvbn().map().skew_free_count(delta);
+            let key = "vvbnfree:vol=0".to_string();
+            (key.clone(), BTreeSet::from([key]))
+        }
+        Seed::AggrFreeDrift { delta } => {
+            aggmap.active_map().skew_free_count(delta);
+            let key = "aggrfree".to_string();
+            (key.clone(), BTreeSet::from([key]))
+        }
+    }
+}
+
+fn vol0(fs: &Filesystem) -> std::sync::Arc<wafl::Volume> {
+    fs.volume(VolumeId(0)).expect("volume 0 exists")
+}
+
+/// Every VVBN a committed file block holds.
+fn file_vvbns(fs: &Filesystem) -> Vec<u64> {
+    let img = fs.committed_image().expect("at least one CP committed");
+    img.volumes
+        .iter()
+        .flat_map(|vi| vi.files.values())
+        .flat_map(|blocks| blocks.iter().map(|(_fbn, ptr)| ptr.vvbn))
+        .collect()
+}
+
+/// Plant `seed` on a freshly filled instance, scrub, and hold the scrub
+/// to the detection, false-positive and repair contract of the module
+/// docs.
+fn scrub_catches(seed: Seed) -> Result<(), TestCaseError> {
+    let fs = mk_fs();
+    fill(&fs, 4, FBNS);
+    fill_whole_round(&fs, FileId(4));
+    let (required, allowed) = plant(&fs, seed);
+
+    let report = fs.scrub();
+    let keys: BTreeSet<String> = report.findings.iter().map(|f| f.error.key()).collect();
+    prop_assert!(
+        keys.contains(&required),
+        "seed {seed:?} undetected; got {keys:?}"
+    );
+    for k in &keys {
+        prop_assert!(
+            allowed.contains(k),
+            "false positive {k} for seed {seed:?} (allowed {allowed:?})"
+        );
+    }
+    let again = fs.scrub();
+    if !seed.repairable() {
+        for f in &report.findings {
+            prop_assert_eq!(f.state, FindingState::Unrepairable, "{}", &f.error);
+        }
+        prop_assert!(again.findings.iter().any(|f| f.error.key() == required));
+        prop_assert!(fs.verify_integrity().is_err());
+        return Ok(());
+    }
+    for f in &report.findings {
+        prop_assert!(
+            matches!(f.state, FindingState::Repaired | FindingState::Reverified),
+            "finding {} not repaired: {:?}",
+            f.error,
+            f.state
+        );
+    }
+    prop_assert!(
+        again.is_clean(),
+        "re-scan after repair of {seed:?} found {:?}",
+        again.findings
+    );
+    fs.verify_integrity()
+        .map_err(|e| TestCaseError::fail(format!("post-repair integrity: {e}")))
+}
+
+/// One seed of every class, so each is exercised whatever the random
+/// draw of the property below.
+#[test]
+fn every_corruption_class_is_detected_once() {
+    for seed in [
+        Seed::BitFlip { pick: 7, mask: 1 },
+        Seed::StaleBit { pick: 7 },
+        Seed::MissingBit { pick: 7 },
+        Seed::BadParity { mask: 1 },
+        Seed::RefcountSkew { pick: 7, delta: 1 },
+        Seed::VvbnCleared { pick: 7 },
+        Seed::VvbnLeak { pick: 7 },
+        Seed::VvbnFreeDrift { delta: -1 },
+        Seed::AggrFreeDrift { delta: 1 },
+    ] {
+        scrub_catches(seed).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -210,45 +351,11 @@ proptest! {
 
     /// Every seeded corruption is detected (100 % detection), nothing
     /// outside the seed and its entailed collaterals is reported (no
-    /// false positives), every finding is repaired and re-verified, and
-    /// a second pass comes back clean.
+    /// false positives), and every repairable finding is repaired and
+    /// re-verified so a second pass comes back clean.
     #[test]
     fn every_corruption_class_is_detected_and_repaired(seed in seeds()) {
-        let fs = mk_fs();
-        fill(&fs, 4, FBNS);
-        fill_whole_round(&fs, FileId(4));
-        let (required, allowed) = plant(&fs, seed);
-
-        let store = ScrubCheckpointStore::new();
-        let report = fs.scrub(&ScrubConfig::default(), &store);
-        prop_assert!(report.completed);
-        let keys: BTreeSet<String> =
-            report.findings.iter().map(|f| f.error.key()).collect();
-        prop_assert!(
-            keys.contains(&required),
-            "seed {seed:?} undetected; got {keys:?}"
-        );
-        for k in &keys {
-            prop_assert!(
-                allowed.contains(k),
-                "false positive {k} for seed {seed:?} (allowed {allowed:?})"
-            );
-        }
-        for f in &report.findings {
-            prop_assert!(
-                matches!(f.state, FindingState::Repaired | FindingState::Reverified),
-                "finding {} not repaired: {:?}", f.error, f.state
-            );
-        }
-
-        let again = fs.scrub(&ScrubConfig::default(), &store);
-        prop_assert!(
-            again.is_clean(),
-            "re-scan after repair of {seed:?} found {:?}", again.findings
-        );
-        fs.verify_integrity().map_err(|e| {
-            TestCaseError::fail(format!("post-repair integrity: {e}"))
-        })?;
+        scrub_catches(seed)?;
     }
 
     /// A clean image never produces findings, whatever its fill shape.
@@ -256,9 +363,7 @@ proptest! {
     fn clean_images_produce_zero_findings(files in 1u64..5, fbns in 8u64..64) {
         let fs = mk_fs();
         fill(&fs, files, fbns);
-        let store = ScrubCheckpointStore::new();
-        let report = fs.scrub(&ScrubConfig::default(), &store);
-        prop_assert!(report.completed);
+        let report = fs.scrub();
         prop_assert!(
             report.is_clean(),
             "clean image produced findings: {:?}", report.findings

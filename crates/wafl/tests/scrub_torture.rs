@@ -2,16 +2,17 @@
 //!
 //! Seeds every corruption class the scrubber claims to handle — media
 //! bit-flips, bad parity, stale/missing active-map bits, AA summary
-//! skew, dead drives, transient read faults — and asserts the full
-//! detect → quarantine → repair → re-verify pipeline: 100 % detection,
+//! skew, dead drives, a double drive failure, transient read faults —
+//! and asserts the full check → quarantine → repair → re-verify
+//! pipeline: 100 % detection,
 //! repair via redundancy, a clean re-scan afterwards, and zero findings
-//! on uncorrupted images. Also exercises the checkpoint cursor across
-//! `crash_and_recover` and the scrub running online against an active
+//! on uncorrupted images. Also exercises the read-only check against a
+//! warm bucket cache and the scrub running online against an active
 //! cleaner pool.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wafl::scrub::{FindingState, ScrubCheckpoint, ScrubCheckpointStore, ScrubConfig};
+use wafl::scrub::FindingState;
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
 use wafl_blockdev::{
     stamp, BlockStamp, Dbn, DriveKind, FaultSpec, GeometryBuilder, RetryPolicy, Vbn,
@@ -177,21 +178,6 @@ fn free_unreferenced_vbn(fs: &Filesystem, refs: &BTreeSet<u64>) -> u64 {
     panic!("no free unreferenced vbn");
 }
 
-/// The scrub-unit index (pass cursor position) covering `vbn`.
-fn unit_of(fs: &Filesystem, vbn: u64) -> usize {
-    let geo = fs.io().geometry();
-    let loc = geo.locate(Vbn(vbn)).expect("valid vbn");
-    let aa = geo.aa_of(Vbn(vbn));
-    let mut idx = 0usize;
-    for rg in geo.rg_ids() {
-        if rg == loc.rg {
-            return idx + aa.index as usize;
-        }
-        idx += geo.aa_count(rg) as usize;
-    }
-    unreachable!("vbn located in an unknown raid group");
-}
-
 fn finding_keys(report: &wafl::ScrubReport) -> BTreeSet<String> {
     report.findings.iter().map(|f| f.error.key()).collect()
 }
@@ -213,17 +199,33 @@ fn clean_image_scrub_reports_nothing() {
     let fs = mk_fs(ExecMode::Inline);
     fill(&fs, VolumeId(0), 4, 1);
     fill(&fs, VolumeId(1), 3, 2);
-    let store = ScrubCheckpointStore::new();
-    let report = fs.scrub(&ScrubConfig::default(), &store);
-    assert!(report.completed, "pass ran to the end");
-    assert_eq!(report.units_scanned, report.units_total);
-    assert!(report.blocks_checked > 0);
+    let report = fs.scrub();
     assert!(
         report.is_clean(),
         "clean image produced findings: {:?}",
         report.findings
     );
     assert_eq!(report.false_alarms, 0, "quiesced clean scan saw no races");
+}
+
+/// The check counts the bucket cache's outstanding reservations as
+/// referenced, so a quiescent instance with a warm cache checks clean —
+/// and it leaves the cache as it found it.
+#[test]
+fn check_is_read_only_and_clean_with_a_warm_cache() {
+    for exec in [ExecMode::Inline, ExecMode::Pool(2)] {
+        let fs = mk_fs(exec);
+        fill(&fs, VolumeId(0), 4, 1);
+        let alloc = fs.allocator();
+        let bucket = alloc.get_bucket().expect("space left");
+        alloc.requeue_bucket(bucket);
+        alloc.drain();
+        let warm = alloc.cache().len();
+        assert!(warm > 0, "a GET leaves the cache warm");
+        assert_eq!(fs.check(), vec![], "{exec:?}: reservations are not leaks");
+        assert_eq!(alloc.cache().len(), warm, "{exec:?}: the check flushed");
+        fs.verify_integrity().expect("warm cache verifies");
+    }
 }
 
 #[test]
@@ -258,12 +260,14 @@ fn scrub_detects_and_repairs_every_seeded_corruption_class() {
     // referenced block, again skewing its AA summary.
     let (&miss_vbn, _) = refs1
         .iter()
-        .find(|(v, _)| unit_of(&fs, **v) != unit_of(&fs, stale_vbn) && **v != flip_vbn)
-        .expect("a referenced block outside the stale unit");
+        .find(|(v, _)| {
+            let geo = fs.io().geometry();
+            geo.aa_of(Vbn(**v)) != geo.aa_of(Vbn(stale_vbn)) && **v != flip_vbn
+        })
+        .expect("a referenced block outside the stale AA");
     aggmap.active_map().free(miss_vbn).expect("was used");
 
-    let store = ScrubCheckpointStore::new();
-    let report = fs.scrub(&ScrubConfig::default(), &store);
+    let report = fs.scrub();
 
     let keys = finding_keys(&report);
     let required = [
@@ -294,13 +298,12 @@ fn scrub_detects_and_repairs_every_seeded_corruption_class() {
     }
 
     assert_all_reverified(&report);
-    assert!(report.repaired() >= required.len() as u64);
 
     // Repairs restored every invariant: full integrity check (stamps,
     // bitmap vs trees, AA summaries, raw parity scrub) passes, and a
     // fresh scrub pass is clean.
     fs.verify_integrity().expect("post-repair integrity");
-    let second = fs.scrub(&ScrubConfig::default(), &store);
+    let second = fs.scrub();
     assert!(
         second.is_clean(),
         "re-scan after repair found: {:?}",
@@ -334,17 +337,8 @@ fn scrub_retries_through_transient_read_faults_without_false_positives() {
     fs.create_volume(VolumeId(0));
     fill(&fs, VolumeId(0), 4, 1);
 
-    let store = ScrubCheckpointStore::new();
-    let scfg = ScrubConfig {
-        retry: RetryPolicy {
-            backoff_base_ns: 1_000, // keep the test fast
-            ..RetryPolicy::default()
-        },
-        ..ScrubConfig::default()
-    };
     let retries_before = fs.io().fault_snapshot().io_retries;
-    let report = fs.scrub(&scfg, &store);
-    assert!(report.completed);
+    let report = fs.scrub();
     assert!(
         report.is_clean(),
         "transient faults must not become findings: {:?}",
@@ -365,57 +359,30 @@ fn dead_drive_mid_scrub_is_detected_rebuilt_and_reverified() {
     fill(&fs, VolumeId(0), 4, 1);
     fill(&fs, VolumeId(1), 3, 2);
     let refs = all_file_refs(&fs);
+    let (&bad_vbn, &bad_stamp) = refs.iter().last().expect("image has file blocks");
+    corrupt_stamp(&fs, bad_vbn, bad_stamp ^ 0xF00D);
 
-    // Derive the slice boundary from where the allocator actually put
-    // the data: corrupt a stamp in the *last* populated unit so its
-    // detection happens while the group is degraded.
-    let geo = fs.io().geometry();
-    let last_unit = refs
-        .keys()
-        .map(|v| unit_of(&fs, *v))
-        .max()
-        .expect("image has file blocks");
-    assert!(last_unit > 0, "fill spans more than one scrub unit");
-    let (&late_vbn, &late_stamp) = refs
-        .iter()
-        .find(|(v, _)| unit_of(&fs, **v) == last_unit)
-        .expect("a referenced block in the last populated unit");
-    corrupt_stamp(&fs, late_vbn, late_stamp ^ 0xF00D);
-
-    // Scan up to (but not into) the corrupted unit, then kill a drive
-    // "mid-scrub".
-    let store = ScrubCheckpointStore::new();
-    let first = fs.scrub(
-        &ScrubConfig {
-            unit_budget: Some(last_unit),
-            ..ScrubConfig::default()
-        },
-        &store,
-    );
-    assert!(!first.completed);
-    let dead_loc = geo.locate(Vbn(late_vbn)).unwrap();
-    let group = fs.io().raid_group(dead_loc.rg);
     // Kill a *different* drive of the same group, so the corrupted
     // block stays directly readable while the group is degraded.
+    let dead_loc = fs.io().geometry().locate(Vbn(bad_vbn)).unwrap();
+    let group = fs.io().raid_group(dead_loc.rg);
     let dead_in_rg = (dead_loc.drive_in_rg + 1) % group.data_drives().len() as u32;
     let dead_id = group.data_drives()[dead_in_rg as usize].id().0;
     group.data_drives()[dead_in_rg as usize].take_offline();
 
-    // Resume: the scrubber must report the dead drive, rebuild it via
-    // the degraded path, and still catch the stamp corruption.
-    let second = fs.scrub(&ScrubConfig::default(), &store);
-    assert_eq!(second.resumed_from, Some(last_unit as u64));
-    assert!(second.completed);
-    let keys = finding_keys(&second);
+    // The scrubber must report the dead drive, rebuild it, and still
+    // catch the stamp corruption in the degraded group.
+    let report = fs.scrub();
+    let keys = finding_keys(&report);
     assert!(
         keys.contains(&format!("dead:drive={dead_id}")),
         "dead drive unreported: {keys:?}"
     );
     assert!(
-        keys.contains(&format!("stamp:vbn={late_vbn}")),
+        keys.contains(&format!("stamp:vbn={bad_vbn}")),
         "degraded-mode stamp detection failed: {keys:?}"
     );
-    assert_all_reverified(&second);
+    assert_all_reverified(&report);
     assert!(fs.io().offline_drives().is_empty(), "drive rebuilt online");
     assert!(
         fs.io().fault_snapshot().blocks_rebuilt > 0,
@@ -424,127 +391,33 @@ fn dead_drive_mid_scrub_is_detected_rebuilt_and_reverified() {
     fs.verify_integrity().expect("post-rebuild integrity");
 }
 
+/// With two data drives of a single-parity group down, a block on either
+/// is past reconstruction: the check reports it unreadable beside both
+/// dead drives, and the scrub cannot repair it.
 #[test]
-fn interrupted_scrub_resumes_from_checkpoint_across_crash() {
+fn double_drive_failure_reads_as_unreadable_blocks() {
     let fs = mk_fs(ExecMode::Inline);
     fill(&fs, VolumeId(0), 4, 1);
-    fill(&fs, VolumeId(1), 3, 2);
-    let refs = all_file_refs(&fs);
+    let (&vbn, _) = all_file_refs(&fs).iter().next().expect("file blocks");
+    let loc = fs.io().geometry().locate(Vbn(vbn)).unwrap();
+    let group = fs.io().raid_group(loc.rg);
+    let width = group.data_drives().len() as u32;
+    let mut required = BTreeSet::from([format!("unread:vbn={vbn}")]);
+    for d in [loc.drive_in_rg, (loc.drive_in_rg + 1) % width] {
+        let drive = &group.data_drives()[d as usize];
+        drive.take_offline();
+        required.insert(format!("dead:drive={}", drive.id().0));
+    }
+    let keys: BTreeSet<String> = fs.check().iter().map(|e| e.key()).collect();
+    assert!(keys.is_superset(&required), "{required:?} not in {keys:?}");
 
-    // Derive the slice boundary from where the allocator actually put
-    // the data: one corruption in the first populated unit, one in the
-    // last, with the checkpoint cursor parked between them.
-    let units: BTreeSet<usize> = refs.keys().map(|v| unit_of(&fs, *v)).collect();
-    let first_unit = *units.first().expect("image has file blocks");
-    let last_unit = *units.last().expect("image has file blocks");
-    assert!(
-        last_unit > first_unit,
-        "fill spans more than one scrub unit"
-    );
-    let (&early_vbn, &early_stamp) = refs
+    let report = fs.scrub();
+    let unread = report
+        .findings
         .iter()
-        .find(|(v, _)| unit_of(&fs, **v) == first_unit)
-        .expect("a referenced block in the first populated unit");
-    let (&late_vbn, &late_stamp) = refs
-        .iter()
-        .find(|(v, _)| unit_of(&fs, **v) == last_unit)
-        .expect("a referenced block in the last populated unit");
-    corrupt_stamp(&fs, early_vbn, early_stamp ^ 0xAAAA);
-    corrupt_stamp(&fs, late_vbn, late_stamp ^ 0xBBBB);
-
-    // Slice 1 stops just short of the late unit: finds and repairs the
-    // early seed only.
-    let store = ScrubCheckpointStore::new();
-    let first = fs.scrub(
-        &ScrubConfig {
-            unit_budget: Some(last_unit),
-            ..ScrubConfig::default()
-        },
-        &store,
-    );
-    assert!(!first.completed);
-    assert_eq!(first.units_scanned, last_unit as u64);
-    let first_keys = finding_keys(&first);
-    assert!(first_keys.contains(&format!("stamp:vbn={early_vbn}")));
-    assert!(!first_keys.contains(&format!("stamp:vbn={late_vbn}")));
-    let cp = store.load().expect("cursor committed");
-    assert_eq!(cp.next_unit, last_unit as u64);
-    assert!(cp.repaired.contains(&format!("stamp:vbn={early_vbn}")));
-
-    // Crash and recover; the checkpoint store survives like the
-    // superblock store does (the caller holds the Arc).
-    let recovered = fs.crash_and_recover(ExecMode::Inline);
-
-    // Slice 2 resumes at the cursor: scans only the remaining units,
-    // reports only the late seed — the already-repaired early finding
-    // is not re-reported.
-    let second = recovered.scrub(&ScrubConfig::default(), &store);
-    assert_eq!(second.resumed_from, Some(last_unit as u64));
-    assert!(second.completed);
-    assert_eq!(second.units_scanned, second.units_total - last_unit as u64);
-    let second_keys = finding_keys(&second);
-    assert!(second_keys.contains(&format!("stamp:vbn={late_vbn}")));
-    assert!(
-        !second_keys.contains(&format!("stamp:vbn={early_vbn}")),
-        "repaired finding re-reported after resume"
-    );
-
-    recovered.verify_integrity().expect("post-repair integrity");
-    let fresh = recovered.scrub(&ScrubConfig::default(), &store);
-    assert!(fresh.resumed_from.is_none(), "completed pass starts fresh");
-    assert!(fresh.is_clean(), "third pass found: {:?}", fresh.findings);
-}
-
-#[test]
-fn checkpointed_repairs_are_suppressed_not_rereported() {
-    let fs = mk_fs(ExecMode::Inline);
-    fill(&fs, VolumeId(0), 4, 1);
-    fill(&fs, VolumeId(1), 3, 2);
-    let all = all_refs(&fs);
-    let aggmap = fs.allocator().infra().aggmap();
-
-    // Seed a stale bit in some unit > 0 (bitmap repairs are in-memory
-    // until the next CP persists the metafiles, so this is the class a
-    // crash can revert after the checkpoint already recorded it).
-    let stale_vbn = free_unreferenced_vbn(&fs, &all);
-    let stale_unit = unit_of(&fs, stale_vbn);
-    assert!(stale_unit > 0, "free space exists beyond unit 0");
-    aggmap.active_map().reserve(stale_vbn).expect("was free");
-
-    // Simulate the post-crash store state: the pass cursor sits before
-    // the stale unit, and the repair is already on record.
-    let geo = fs.io().geometry();
-    let total: u64 = geo.rg_ids().map(|rg| geo.aa_count(rg) as u64).sum();
-    let stale_aa = geo.aa_of(Vbn(stale_vbn));
-    let mut repaired = BTreeSet::new();
-    repaired.insert(format!("stalebit:vbn={stale_vbn}"));
-    repaired.insert(format!("aaskew:rg={}:aa={}", stale_aa.rg.0, stale_aa.index));
-    let store = ScrubCheckpointStore::new();
-    store.commit(ScrubCheckpoint {
-        pass: 3,
-        next_unit: 1,
-        total_units: total,
-        repaired,
-    });
-
-    let report = fs.scrub(&ScrubConfig::default(), &store);
-    assert_eq!(report.resumed_from, Some(1));
-    assert!(report.completed);
-    assert!(
-        report.suppressed >= 1,
-        "re-detected repaired finding was not suppressed"
-    );
-    let keys = finding_keys(&report);
-    assert!(
-        !keys.contains(&format!("stalebit:vbn={stale_vbn}")),
-        "suppressed finding re-reported: {keys:?}"
-    );
-    // Suppression still repairs: the leak is gone.
-    assert!(
-        !aggmap.is_used(Vbn(stale_vbn)),
-        "suppressed finding left unrepaired"
-    );
-    fs.verify_integrity().expect("post-repair integrity");
+        .find(|f| f.error.key() == format!("unread:vbn={vbn}"))
+        .expect("the unreadable block is confirmed");
+    assert_eq!(unread.state, FindingState::Unrepairable);
 }
 
 #[test]
@@ -588,10 +461,9 @@ fn online_scrub_against_active_cleaners_catches_all_seeds() {
                 fs.run_cp();
             }
         });
-        fs.scrub(&ScrubConfig::default(), &ScrubCheckpointStore::new())
+        fs.scrub()
     });
 
-    assert!(report.completed);
     let keys = finding_keys(&report);
     let required = [
         format!("stamp:vbn={flip_vbn}"),
@@ -630,7 +502,7 @@ fn online_scrub_against_active_cleaners_catches_all_seeds() {
     // Quiesce, then a fresh pass over the whole pool must be clean.
     fs.run_cp();
     fs.verify_integrity().expect("post-torture integrity");
-    let quiet = fs.scrub(&ScrubConfig::default(), &ScrubCheckpointStore::new());
+    let quiet = fs.scrub();
     assert!(
         quiet.is_clean(),
         "post-torture re-scan found: {:?}",
