@@ -924,8 +924,8 @@ mod tests {
     #[test]
     fn worker_panic_fails_drain_instead_of_hanging() {
         let aio = AioEngine::new(engine(), 8);
-        // Drive 3 of a three-drive group: `submit_write` indexes past
-        // its per-drive maps, in debug and release builds alike.
+        // Drive 3 of a three-drive group: the RAID write indexes past
+        // its per-drive runs, in debug and release builds alike.
         aio.submit(WriteIo {
             rg: RaidGroupId(0),
             segments: vec![WriteSegment {

@@ -13,6 +13,21 @@
 //! a bucket's drive range exclusively, §IV-E), so this lock is uncontended
 //! in practice; it exists to keep the substrate safe under arbitrary test
 //! harnesses.
+//!
+//! ## One pass per drive
+//!
+//! [`Drive::read_block`] and [`Drive::write_run`] are single ops. A RAID
+//! write instead makes one pass per drive (`read_pass`, `write_pass`):
+//! every block it reads and every run it writes is still one op, with its
+//! own fault draw and its own share of the statistics, but the ops run
+//! under one content guard and the statistics are added once per pass.
+//! A concurrent reader of [`Drive::stats`] may see a pass half-added; the
+//! totals are exact once the system is quiescent. `clean_ops` checks a
+//! pass's fault draws before it starts, so a pass never meets a fault
+//! that fails its op: such ops go one at a time through
+//! [`Drive::read_block`] and [`Drive::write_run`] instead, and the drive
+//! sees the same op ordinals either way. The plan is set once, so a
+//! draw reads it without a lock.
 
 use crate::fault::{FaultDecision, FaultPlan, IoError, OpKind};
 use crate::geometry::{Dbn, DriveId};
@@ -20,7 +35,7 @@ use crate::BlockStamp;
 use parking_lot::RwLock;
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The kind of media behind a simulated drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -77,6 +92,42 @@ impl ServiceModel {
     }
 }
 
+/// Stamps for a contiguous range of DBNs on one drive. In a pass,
+/// adjacent extents form one run: one write op, as if they were one
+/// slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent<'a> {
+    /// First DBN.
+    pub(crate) start: u64,
+    /// One stamp per DBN from `start`.
+    pub(crate) stamps: &'a [BlockStamp],
+}
+
+impl Extent<'_> {
+    /// DBN just past the extent.
+    #[inline]
+    pub(crate) fn end(&self) -> u64 {
+        self.start + self.stamps.len() as u64
+    }
+
+    /// The runs of `extents` (ascending): maximal groups of adjacent
+    /// extents, each one write op.
+    pub(crate) fn runs<'e, 'a>(
+        extents: &'e [Extent<'a>],
+    ) -> impl Iterator<Item = &'e [Extent<'a>]> {
+        extents.chunk_by(|a, b| a.end() == b.start)
+    }
+}
+
+/// The fault draws of a pass's ops, checked by [`Drive::clean_ops`]:
+/// every one lets its op complete.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CleanOps {
+    ops: u64,
+    extra_ns: u64,
+    spikes: u64,
+}
+
 /// A simulated drive: content store + counters + service model.
 #[derive(Debug)]
 pub struct Drive {
@@ -94,8 +145,8 @@ pub struct Drive {
     last_write_end: AtomicU64,
     busy_ns: AtomicU64,
     // Fault machinery.
-    /// Injected fault schedule, if any (None = perfect media).
-    fault: RwLock<Option<Arc<FaultPlan>>>,
+    /// Injected fault schedule, set at most once (unset = perfect media).
+    fault: OnceLock<Arc<FaultPlan>>,
     /// Per-drive op ordinal feeding the fault plan's deterministic draws.
     op_counter: AtomicU64,
     /// Set when the drive has been taken out of service (whole-drive
@@ -122,7 +173,7 @@ impl Drive {
             blocks_read: AtomicU64::new(0),
             last_write_end: AtomicU64::new(u64::MAX),
             busy_ns: AtomicU64::new(0),
-            fault: RwLock::ranked(None, "drive.fault", 77),
+            fault: OnceLock::new(),
             op_counter: AtomicU64::new(0),
             offline: AtomicBool::new(false),
             consecutive_failures: AtomicU32::new(0),
@@ -147,14 +198,16 @@ impl Drive {
         self.blocks
     }
 
-    /// Override the service model (used by the simulator's calibration).
-    pub fn set_service_model(&mut self, model: ServiceModel) {
-        self.model = model;
-    }
-
-    /// Install (or clear) the fault-injection schedule for this drive.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.fault.write() = plan;
+    /// Install the fault-injection schedule for this drive.
+    ///
+    /// # Panics
+    /// Panics if a plan is already installed: a drive's plan is set once.
+    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
+        assert!(
+            self.fault.set(plan).is_ok(),
+            "drive {} already has a fault plan",
+            self.id.0
+        );
     }
 
     /// Is the drive out of service?
@@ -203,7 +256,7 @@ impl Drive {
     fn decide(&self, kind: OpKind) -> FaultDecision {
         // ordering: statistics counter; staleness is acceptable.
         let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
-        let decision = match &*self.fault.read() {
+        let decision = match self.fault.get() {
             Some(plan) => plan.decide(self.id, op, kind),
             None => FaultDecision::Ok,
         };
@@ -219,6 +272,143 @@ impl Drive {
             obs::trace_instant!(obs::EventKind::Fault, code);
         }
         decision
+    }
+
+    /// Check the fault draws of the next `ops` ops of `kind` without
+    /// taking them. `Some` when every op would complete: the drive is in
+    /// service (or `ops` is 0) and no draw fails or tears its op; latency
+    /// spikes are carried along. A pass takes the ordinals, so a reader
+    /// of the same drive that runs between the check and the pass (it
+    /// holds no RAID lock) shifts which draws the pass's ops use, never
+    /// how many.
+    pub(crate) fn clean_ops(&self, kind: OpKind, ops: u64) -> Option<CleanOps> {
+        let mut clean = CleanOps {
+            ops,
+            ..CleanOps::default()
+        };
+        if ops == 0 {
+            return Some(clean);
+        }
+        if self.is_offline() {
+            return None;
+        }
+        if let Some(plan) = self.fault.get() {
+            // ordering: statistics counter; staleness is acceptable.
+            let first = self.op_counter.load(Ordering::Relaxed);
+            for op in first..first + ops {
+                match plan.decide(self.id, op, kind) {
+                    FaultDecision::Ok => {}
+                    FaultDecision::Slow { extra_ns } => {
+                        clean.extra_ns += extra_ns;
+                        clean.spikes += 1;
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        Some(clean)
+    }
+
+    /// Take the ordinals of checked ops.
+    fn take_ops(&self, clean: CleanOps) {
+        // ordering: statistics counter; staleness is acceptable.
+        self.op_counter.fetch_add(clean.ops, Ordering::Relaxed);
+        for _ in 0..clean.spikes {
+            obs::trace_instant!(obs::EventKind::Fault, 1);
+        }
+    }
+
+    /// Account completed ops: the drive answered, so its failure streak
+    /// ends.
+    fn account(&self, ops: &AtomicU64, blocks: &AtomicU64, n: u64, block_count: u64, ns: u64) {
+        // ordering: Release — publishes the health-state transition;
+        // pairs-with: drive.health.
+        self.consecutive_failures.store(0, Ordering::Release);
+        // ordering: statistics counter; staleness is acceptable.
+        ops.fetch_add(n, Ordering::Relaxed);
+        // ordering: statistics counter; staleness is acceptable.
+        blocks.fetch_add(block_count, Ordering::Relaxed);
+        // ordering: statistics counter; staleness is acceptable.
+        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Land the write ops of `extents` (ascending, in range), one per
+    /// run, under one write guard. Returns their service time,
+    /// `extra_ns` included.
+    fn land_writes(&self, extents: &[Extent<'_>], extra_ns: u64) -> u64 {
+        // ordering: statistics counter; staleness is acceptable.
+        let mut last_end = self.last_write_end.load(Ordering::Relaxed);
+        let (mut ns, mut runs, mut blocks) = (extra_ns, 0u64, 0u64);
+        {
+            let mut c = self.content.write();
+            for run in Extent::runs(extents) {
+                let start = run[0].start;
+                for e in run {
+                    c[e.start as usize..e.end() as usize].copy_from_slice(e.stamps);
+                }
+                let end = run[run.len() - 1].end();
+                ns += self.model.service_ns(end - start, last_end == start);
+                runs += 1;
+                blocks += end - start;
+                last_end = end;
+            }
+        }
+        // ordering: statistics counter; staleness is acceptable.
+        self.last_write_end.store(last_end, Ordering::Relaxed);
+        self.account(&self.writes, &self.blocks_written, runs, blocks, ns);
+        ns
+    }
+
+    /// Land the read ops of `ranges` (`(start, len)`, in range), one
+    /// per block, under one read guard, handing each range's stamps to
+    /// `f`.
+    fn land_reads(
+        &self,
+        ranges: &[(u64, u64)],
+        extra_ns: u64,
+        mut f: impl FnMut(u64, &[BlockStamp]),
+    ) {
+        let mut blocks = 0u64;
+        {
+            let c = self.content.read();
+            for &(start, len) in ranges {
+                f(start, &c[start as usize..(start + len) as usize]);
+                blocks += len;
+            }
+        }
+        let ns = blocks * self.model.service_ns(1, false) + extra_ns;
+        self.account(&self.reads, &self.blocks_read, blocks, blocks, ns);
+    }
+
+    /// Write `extents` (ascending, non-overlapping, within capacity) as
+    /// one pass: each run is one write op, with the service time and
+    /// statistics [`Drive::write_run`] would give it. `clean` must be
+    /// [`Drive::clean_ops`] for that many write ops. Returns the summed
+    /// service time.
+    pub(crate) fn write_pass(&self, clean: CleanOps, extents: &[Extent<'_>]) -> u64 {
+        if clean.ops == 0 {
+            return 0;
+        }
+        self.take_ops(clean);
+        self.land_writes(extents, clean.extra_ns)
+    }
+
+    /// Read `ranges` (`(start, len)`, within capacity) as one pass: each
+    /// block is one read op, with the service time and statistics
+    /// [`Drive::read_block`] would give it. `clean` must be
+    /// [`Drive::clean_ops`] for that many read ops. `f` gets each range's
+    /// start and stamps.
+    pub(crate) fn read_pass(
+        &self,
+        clean: CleanOps,
+        ranges: &[(u64, u64)],
+        f: impl FnMut(u64, &[BlockStamp]),
+    ) {
+        if clean.ops == 0 {
+            return;
+        }
+        self.take_ops(clean);
+        self.land_reads(ranges, clean.extra_ns, f);
     }
 
     /// Write a contiguous run of stamps starting at `start`. Returns the
@@ -262,24 +452,11 @@ impl Drive {
                 });
             }
         }
-        {
-            let mut c = self.content.write();
-            c[start.0 as usize..end as usize].copy_from_slice(stamps);
-        }
-        // ordering: Release — publishes the health-state transition;
-        // pairs-with: drive.health.
-        self.consecutive_failures.store(0, Ordering::Release);
-        // ordering: statistics counter; staleness is acceptable.
-        let sequential = self.last_write_end.swap(end, Ordering::Relaxed) == start.0;
-        // ordering: statistics counter; staleness is acceptable.
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.blocks_written
-            // ordering: statistics counter; staleness is acceptable.
-            .fetch_add(stamps.len() as u64, Ordering::Relaxed);
-        let ns = self.model.service_ns(stamps.len() as u64, sequential) + extra_ns;
-        // ordering: statistics counter; staleness is acceptable.
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        Ok(ns)
+        let run = Extent {
+            start: start.0,
+            stamps,
+        };
+        Ok(self.land_writes(&[run], extra_ns))
     }
 
     /// Read one block's stamp. Returns `(stamp, service_ns)` or an error.
@@ -309,60 +486,9 @@ impl Drive {
                 })
             }
         }
-        let stamp = self.content.read()[dbn.0 as usize];
-        // ordering: Release — publishes the health-state transition;
-        // pairs-with: drive.health.
-        self.consecutive_failures.store(0, Ordering::Release);
-        // ordering: statistics counter; staleness is acceptable.
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        // ordering: statistics counter; staleness is acceptable.
-        self.blocks_read.fetch_add(1, Ordering::Relaxed);
-        let ns = self.model.service_ns(1, false) + extra_ns;
-        // ordering: statistics counter; staleness is acceptable.
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        Ok((stamp, ns))
-    }
-
-    /// Read a contiguous run of stamps (e.g., parity reconstruction).
-    pub fn read_run(&self, start: Dbn, len: u64) -> Result<(Vec<BlockStamp>, u64), IoError> {
-        let end = start.0 + len;
-        if end > self.blocks {
-            return Err(IoError::Capacity {
-                drive: self.id,
-                dbn: start,
-                blocks: len,
-            });
-        }
-        if self.is_offline() {
-            return Err(IoError::DriveFailed { drive: self.id });
-        }
-        let mut extra_ns = 0;
-        match self.decide(OpKind::Read) {
-            FaultDecision::Ok | FaultDecision::TornWrite => {}
-            FaultDecision::Slow { extra_ns: ns } => extra_ns = ns,
-            FaultDecision::DriveFailed => {
-                self.take_offline();
-                return Err(IoError::DriveFailed { drive: self.id });
-            }
-            FaultDecision::TransientError => {
-                return Err(IoError::Transient {
-                    drive: self.id,
-                    dbn: start,
-                })
-            }
-        }
-        let out = self.content.read()[start.0 as usize..end as usize].to_vec();
-        // ordering: Release — publishes the health-state transition;
-        // pairs-with: drive.health.
-        self.consecutive_failures.store(0, Ordering::Release);
-        // ordering: statistics counter; staleness is acceptable.
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        // ordering: statistics counter; staleness is acceptable.
-        self.blocks_read.fetch_add(len, Ordering::Relaxed);
-        let ns = self.model.service_ns(len, false) + extra_ns;
-        // ordering: statistics counter; staleness is acceptable.
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        Ok((out, ns))
+        let mut stamp = 0;
+        self.land_reads(&[(dbn.0, 1)], extra_ns, |_, s| stamp = s[0]);
+        Ok((stamp, self.model.service_ns(1, false) + extra_ns))
     }
 
     /// Raw media peek for maintenance paths (scrub, reconstruction,
@@ -513,9 +639,7 @@ mod tests {
     fn injected_drive_failure_takes_drive_offline() {
         use crate::fault::{FaultPlan, FaultSpec};
         let d = Drive::new(DriveId(2), DriveKind::Ssd, 16);
-        d.set_fault_plan(Some(Arc::new(FaultPlan::new(FaultSpec::drive_failure(
-            2, 1,
-        )))));
+        d.set_fault_plan(Arc::new(FaultPlan::new(FaultSpec::drive_failure(2, 1))));
         d.write_run(Dbn(0), &[1]).unwrap(); // op 0 precedes the failure
         assert!(matches!(
             d.write_run(Dbn(1), &[2]),
@@ -533,15 +657,17 @@ mod tests {
             torn_write_ppm: 1_000_000, // every write tears
             ..FaultSpec::default()
         };
-        d.set_fault_plan(Some(Arc::new(FaultPlan::new(spec))));
+        d.set_fault_plan(Arc::new(FaultPlan::new(spec)));
         let err = d.write_run(Dbn(0), &[1, 2, 3, 4]).unwrap_err();
         assert!(matches!(err, IoError::Transient { .. }));
-        assert_eq!(d.peek(Dbn(0)), 1, "prefix reached media");
-        assert_eq!(d.peek(Dbn(2)), 0, "tail lost");
-        // Clearing the plan and retrying rewrites the full run.
-        d.set_fault_plan(None);
-        d.write_run(Dbn(0), &[1, 2, 3, 4]).unwrap();
-        assert_eq!(d.peek(Dbn(3)), 4);
+        let torn: Vec<_> = (0..4).map(|dbn| d.peek(Dbn(dbn))).collect();
+        assert_eq!(torn, [1, 2, 0, 0], "prefix reached media, tail lost");
+        // The retry, on media holding the torn run and no plan, rewrites
+        // the full run.
+        let retry = Drive::new(DriveId(0), DriveKind::Ssd, 64);
+        retry.repair_write(Dbn(0), &torn);
+        retry.write_run(Dbn(0), &[1, 2, 3, 4]).unwrap();
+        assert_eq!(retry.peek(Dbn(3)), 4);
     }
 
     #[test]
@@ -556,7 +682,7 @@ mod tests {
             latency_spike_ns: 5_000_000,
             ..FaultSpec::default()
         };
-        d.set_fault_plan(Some(Arc::new(FaultPlan::new(spec))));
+        d.set_fault_plan(Arc::new(FaultPlan::new(spec)));
         let spiked = d.write_run(Dbn(0), &[1]).unwrap();
         assert_eq!(spiked, base + 5_000_000);
     }

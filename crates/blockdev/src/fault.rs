@@ -73,6 +73,13 @@ pub enum IoError {
         /// The RAID-group-relative description of what was lost.
         detail: &'static str,
     },
+    /// Two segments of one write I/O cover the same block of a drive.
+    OverlappingWrite {
+        /// The drive written twice.
+        drive: DriveId,
+        /// First DBN the second segment covers twice.
+        dbn: Dbn,
+    },
     /// A storage target the backend recognizes but does not implement
     /// yet (e.g. a raw block device behind the `DiskKind` probe).
     NotYetSupported {
@@ -103,6 +110,11 @@ impl fmt::Display for IoError {
             IoError::Unrecoverable { detail } => {
                 write!(f, "unrecoverable data loss: {detail}")
             }
+            IoError::OverlappingWrite { drive, dbn } => write!(
+                f,
+                "write I/O covers DBN {} of drive {} more than once",
+                dbn.0, drive.0
+            ),
             IoError::NotYetSupported { detail } => {
                 write!(f, "not yet supported: {detail}")
             }

@@ -18,7 +18,6 @@ use crate::raid::RaidGroup;
 use crate::BlockStamp;
 use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -281,7 +280,7 @@ impl IoEngine {
         }
         for g in &engine.groups {
             for d in g.data_drives().iter().chain(g.parity_drives()) {
-                d.set_fault_plan(Some(Arc::clone(&plan)));
+                d.set_fault_plan(Arc::clone(&plan));
             }
         }
         engine.fault = Some(plan);
@@ -323,18 +322,8 @@ impl IoEngine {
     /// only when the write is unrecoverable (or structurally invalid).
     pub fn submit_write(&self, io: &WriteIo) -> Result<IoResult, IoError> {
         let g = &self.groups[io.rg.0 as usize];
-        let width = g.width() as usize;
-        let mut per_drive: Vec<BTreeMap<u64, BlockStamp>> = vec![BTreeMap::new(); width];
-        let mut blocks = 0u64;
-        for seg in &io.segments {
-            let m = &mut per_drive[seg.drive_in_rg as usize];
-            for (i, &s) in seg.stamps.iter().enumerate() {
-                let prev = m.insert(seg.start_dbn + i as u64, s);
-                debug_assert!(prev.is_none(), "duplicate block in one WriteIo");
-                blocks += 1;
-            }
-        }
-        let (service_ns, parity_reads) = g.write(&per_drive)?;
+        let (service_ns, parity_reads) = g.write_segments(&io.segments)?;
+        let blocks = io.blocks();
         if let Some(m) = self.file_mirror() {
             m.apply_write(io).map_err(|_| IoError::Unrecoverable {
                 detail: "file backend write failed",
@@ -570,6 +559,37 @@ mod tests {
         let r = e.submit_write(&io).unwrap();
         assert_eq!(r.parity_reads, 2); // the other drive, 2 stripes
         assert!(e.full_stripe_ratio().unwrap() < 1.0);
+        e.scrub().unwrap();
+    }
+
+    #[test]
+    fn overlapping_segments_are_rejected_before_any_drive_op() {
+        let e = engine();
+        let seg = |start_dbn, stamps: Vec<BlockStamp>| WriteSegment {
+            drive_in_rg: 1,
+            start_dbn,
+            stamps,
+        };
+        let io = WriteIo {
+            rg: RaidGroupId(0),
+            segments: vec![
+                seg(20, vec![1; 4]),
+                seg(10, vec![2; 3]),
+                seg(12, vec![3; 2]),
+            ],
+        };
+        let g = e.raid_group(RaidGroupId(0));
+        assert_eq!(
+            e.submit_write(&io),
+            Err(IoError::OverlappingWrite {
+                drive: g.data_drives()[1].id(),
+                dbn: crate::geometry::Dbn(12),
+            })
+        );
+        for d in g.data_drives().iter().chain(g.parity_drives()) {
+            assert_eq!(d.stats(), Default::default(), "no drive op ran");
+        }
+        assert_eq!(e.counters().snapshot(), IoSnapshot::default());
         e.scrub().unwrap();
     }
 

@@ -29,6 +29,33 @@
 //!   media and returns the drive to service, after which a raw-media
 //!   parity scrub passes again.
 //!
+//! ## One write, one pass per drive
+//!
+//! A tetris reaches the group as one write I/O
+//! ([`RaidGroup::write_segments`]), and the group spends per run and per
+//! drive on it, not per block. It sorts each drive's segments and finds
+//! the stripes they touch by merging the drives' runs into spans (DBN
+//! ranges written by the same drives); parity for every touched stripe
+//! is built in one buffer. Then, per drive:
+//!
+//! * the blocks its partial stripes leave untouched are read in one pass,
+//!   under one content read guard, and folded into parity;
+//! * its runs are written in one pass, under one content write guard;
+//!   the parity drive's runs follow the same way.
+//!
+//! Each block read and each run written is still one drive op with its
+//! own fault draw: a drive sees the same op sequence, in the same order,
+//! as when every block was read on its own. Before a pass the drive
+//! checks that none of its draws would fail an op; if one would (or the
+//! drive is offline), the reads go one at a time in stripe order — the
+//! order the group always used — and that drive's runs one at a time,
+//! through [`RaidGroup::read_with_retries`], [`RaidGroup::write_with_retries`]
+//! and the degraded-mode fallbacks, with no content guard held. Drive
+//! statistics and the [`ParityModel`] counts are added once per drive
+//! per write; their totals are exactly what per-op accounting gives, and
+//! exact once the system is quiescent. `RaidGroup::write`, which takes
+//! per-drive block maps, only converts them to segments.
+//!
 //! ## Concurrent writers
 //!
 //! A partial-stripe write is a read-modify-write of the stripe's parity
@@ -39,9 +66,10 @@
 //! rebuild, so parity is always computed from the data that is on media
 //! when it lands. It ranks before the drive locks it is held across.
 
-use crate::drive::{Drive, DriveKind};
-use crate::fault::{IoError, RetryPolicy};
+use crate::drive::{CleanOps, Drive, DriveKind, Extent};
+use crate::fault::{IoError, OpKind, RetryPolicy};
 use crate::geometry::{Dbn, DriveId, RaidGroupGeometry};
+use crate::io::WriteSegment;
 use crate::BlockStamp;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -179,9 +207,9 @@ impl RaidGroup {
         }
     }
 
-    /// Read one block through the retry policy. Backoff is charged to
-    /// the returned service time.
-    fn read_with_retries(&self, drive: &Drive, dbn: Dbn) -> Result<(BlockStamp, u64), IoError> {
+    /// Read one block of `drive` through the retry policy. Backoff is
+    /// charged to the returned service time.
+    pub fn read_with_retries(&self, drive: &Drive, dbn: Dbn) -> Result<(BlockStamp, u64), IoError> {
         let mut backoff_ns = 0u64;
         for attempt in 0..=self.policy.max_retries {
             match drive.read_block(dbn) {
@@ -207,9 +235,9 @@ impl RaidGroup {
         unreachable!("retry loop always returns")
     }
 
-    /// Write one run through the retry policy. Backoff is charged to the
-    /// returned service time.
-    fn write_with_retries(
+    /// Write one run to `drive` through the retry policy. Backoff is
+    /// charged to the returned service time.
+    pub fn write_with_retries(
         &self,
         drive: &Drive,
         start: Dbn,
@@ -240,120 +268,218 @@ impl RaidGroup {
         unreachable!("retry loop always returns")
     }
 
-    /// Write a DBN→stamp map to one drive as maximal contiguous runs,
-    /// applying the retry policy per run. Returns accumulated service
-    /// time, or the first terminal error.
-    fn write_runs(&self, drive: &Drive, m: &BTreeMap<u64, BlockStamp>) -> Result<u64, IoError> {
+    /// Write `extents` (ascending, non-overlapping, non-empty) to one
+    /// drive: one pass when every run fits and draws clean, else run by
+    /// run through the retry policy up to the first terminal error.
+    /// Returns the summed service time.
+    fn write_drive(&self, drive: &Drive, extents: &[Extent<'_>]) -> Result<u64, IoError> {
+        let fits = extents.last().is_none_or(|e| e.end() <= drive.blocks());
+        let runs = Extent::runs(extents).count() as u64;
+        if let Some(clean) = drive.clean_ops(OpKind::Write, runs).filter(|_| fits) {
+            return Ok(drive.write_pass(clean, extents));
+        }
         let mut ns = 0u64;
-        let mut iter = m.iter().peekable();
-        while let Some((&start, &first)) = iter.next() {
-            let mut run = vec![first];
-            let mut next = start + 1;
-            while let Some(&(&d, &s)) = iter.peek() {
-                if d == next {
-                    run.push(s);
-                    next += 1;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            ns += self.write_with_retries(drive, Dbn(start), &run)?;
+        for run in Extent::runs(extents) {
+            let stamps: Vec<BlockStamp> = run.iter().flat_map(|e| e.stamps).copied().collect();
+            ns += self.write_with_retries(drive, Dbn(run[0].start), &stamps)?;
         }
         Ok(ns)
     }
 
-    /// Apply a write organized as per-drive block maps and maintain
-    /// parity. `per_drive[i]` maps DBN → stamp for data drive `i` (index
-    /// within the group). Returns `(service_ns, parity_reads)` where
-    /// `service_ns` is the *maximum* over drives (drives work in
-    /// parallel, the group completes when the slowest member does).
+    /// Add the full and partial stripes of `spans` below `end`.
+    fn count_stripes(&self, spans: &[Span], end: u64) {
+        let (mut full, mut partial) = (0u64, 0u64);
+        for s in spans.iter().take_while(|s| s.start < end) {
+            let n = s.end.min(end) - s.start;
+            if s.covered == self.width() {
+                full += n;
+            } else {
+                partial += n;
+            }
+        }
+        self.counters
+            .full_stripe_writes
+            // ordering: statistics counter; staleness is acceptable.
+            .fetch_add(full, Ordering::Relaxed);
+        self.counters
+            .partial_stripe_writes
+            // ordering: statistics counter; staleness is acceptable.
+            .fetch_add(partial, Ordering::Relaxed);
+    }
+
+    /// Fold into `parity` the old contents of every block the write's
+    /// partial stripes leave untouched, and return how many there are.
+    /// Each drive's blocks are read in one pass when every drive's reads
+    /// draw clean; otherwise they are read one at a time, in stripe order,
+    /// through the retry policy and the degraded-read fallback, which
+    /// errors when the block cannot be reconstructed.
+    fn fold_untouched(
+        &self,
+        per_drive: &[Vec<Extent<'_>>],
+        spans: &[Span],
+        parity: &mut [BlockStamp],
+    ) -> Result<u64, IoError> {
+        let mut untouched: Vec<Vec<(u64, u64)>> = vec![Vec::new(); per_drive.len()];
+        for (extents, reads) in per_drive.iter().zip(&mut untouched) {
+            let mut next = extents.iter().peekable();
+            for s in spans.iter().filter(|s| s.covered < self.width()) {
+                while next.next_if(|e| e.end() <= s.start).is_some() {}
+                if next.peek().is_some_and(|e| e.start <= s.start) {
+                    continue;
+                }
+                match reads.last_mut() {
+                    Some((start, len)) if *start + *len == s.start => *len += s.len() as u64,
+                    _ => reads.push((s.start, s.len() as u64)),
+                }
+            }
+        }
+        let blocks = |reads: &[(u64, u64)]| reads.iter().map(|(_, n)| n).sum::<u64>();
+        let clean: Option<Vec<CleanOps>> = self
+            .data
+            .iter()
+            .zip(&untouched)
+            .map(|(d, reads)| {
+                let fits = reads.last().is_none_or(|(s, n)| s + n <= d.blocks());
+                d.clean_ops(OpKind::Read, blocks(reads)).filter(|_| fits)
+            })
+            .collect();
+        if let Some(clean) = clean {
+            for ((d, reads), clean) in self.data.iter().zip(&untouched).zip(clean) {
+                d.read_pass(clean, reads, |start, old| {
+                    fold(&mut parity[parity_index(spans, start)..], old)
+                });
+            }
+        } else {
+            let mut order: Vec<(u64, usize)> = untouched
+                .iter()
+                .enumerate()
+                .flat_map(|(i, r)| {
+                    r.iter()
+                        .flat_map(move |&(s, n)| (s..s + n).map(move |dbn| (dbn, i)))
+                })
+                .collect();
+            order.sort_unstable();
+            for (dbn, i) in order {
+                let old = match self.read_with_retries(&self.data[i], Dbn(dbn)) {
+                    Ok((old, _)) => old,
+                    Err(_) => {
+                        // Degraded read-modify-write: recover the
+                        // untouched block's logical value from parity +
+                        // surviving media. Failing that, the write stops
+                        // in this stripe, having counted the stripes up
+                        // to it.
+                        if let Err(e) = self.ensure_reconstructable(i as u32) {
+                            self.count_stripes(spans, dbn + 1);
+                            return Err(e);
+                        }
+                        self.counters
+                            .reconstructed_reads
+                            // ordering: statistics counter; staleness is acceptable.
+                            .fetch_add(1, Ordering::Relaxed);
+                        self.reconstruct(i as u32, Dbn(dbn))
+                    }
+                };
+                parity[parity_index(spans, dbn)] ^= old;
+            }
+        }
+        Ok(untouched.iter().map(|r| blocks(r)).sum())
+    }
+
+    /// Apply a write given as per-drive block maps: `per_drive[i]` maps
+    /// DBN → stamp for data drive `i`. An adapter over
+    /// [`RaidGroup::write_segments`], which does the work; see it for the
+    /// return value and the error cases.
+    pub fn write(&self, per_drive: &[BTreeMap<u64, BlockStamp>]) -> Result<(u64, u64), IoError> {
+        assert_eq!(per_drive.len(), self.data.len(), "one map per data drive");
+        let mut segments: Vec<WriteSegment> = Vec::new();
+        for (drive, m) in per_drive.iter().enumerate() {
+            for (&dbn, &stamp) in m {
+                match segments.last_mut() {
+                    Some(s)
+                        if s.drive_in_rg == drive as u32
+                            && s.start_dbn + s.stamps.len() as u64 == dbn =>
+                    {
+                        s.stamps.push(stamp)
+                    }
+                    _ => segments.push(WriteSegment {
+                        drive_in_rg: drive as u32,
+                        start_dbn: dbn,
+                        stamps: vec![stamp],
+                    }),
+                }
+            }
+        }
+        self.write_segments(&segments)
+    }
+
+    /// Apply one write I/O (a tetris) and maintain parity. Segments may
+    /// come in any order, several per drive; two that cover one block
+    /// are an [`IoError::OverlappingWrite`], caught before any drive op.
+    /// Returns `(service_ns, parity_reads)` where `service_ns` is the
+    /// *maximum* over drives (drives work in parallel, the group
+    /// completes when the slowest member does).
+    ///
+    /// The write is one pass per drive (see the module docs). When some
+    /// drive is offline or a fault draw would fail one of its ops, the
+    /// reads go one at a time in stripe order, and that drive's runs one
+    /// at a time, through the retry policy: the per-drive op sequence,
+    /// and so every fault draw, is the same either way.
     ///
     /// A single failed data drive does not fail the write: its media
     /// blocks are skipped but its intended stamps are folded into parity,
     /// leaving them reconstructable (degraded mode). The write errors
     /// only when reconstruction itself is impossible (a second failure in
     /// a single-parity group) or on a structural error.
-    pub fn write(&self, per_drive: &[BTreeMap<u64, BlockStamp>]) -> Result<(u64, u64), IoError> {
-        assert_eq!(per_drive.len(), self.data.len(), "one map per data drive");
+    ///
+    /// # Panics
+    /// Panics if a segment names a drive outside the group.
+    pub fn write_segments(&self, segments: &[WriteSegment]) -> Result<(u64, u64), IoError> {
+        let mut per_drive: Vec<Vec<Extent<'_>>> = vec![Vec::new(); self.data.len()];
+        for seg in segments.iter().filter(|s| !s.stamps.is_empty()) {
+            per_drive[seg.drive_in_rg as usize].push(Extent {
+                start: seg.start_dbn,
+                stamps: &seg.stamps,
+            });
+        }
+        for (extents, d) in per_drive.iter_mut().zip(&self.data) {
+            extents.sort_unstable_by_key(|e| e.start);
+            if let Some(w) = extents.windows(2).find(|w| w[1].start < w[0].end()) {
+                return Err(IoError::OverlappingWrite {
+                    drive: d.id(),
+                    dbn: Dbn(w[1].start),
+                });
+            }
+        }
         let _w = self.stripe_write.lock();
-
-        // Gather the set of stripes touched and whether each is full.
-        let mut stripes: BTreeMap<u64, u32> = BTreeMap::new();
-        for m in per_drive {
-            for &dbn in m.keys() {
-                *stripes.entry(dbn).or_insert(0) += 1;
-            }
+        let spans = spans(&per_drive);
+        let mut parity = vec![0 as BlockStamp; spans.last().map_or(0, |s| s.at + s.len())];
+        for e in per_drive.iter().flatten() {
+            fold(&mut parity[parity_index(&spans, e.start)..], e.stamps);
         }
-
-        let width = self.width();
-        let mut parity_reads = 0u64;
-        let mut parity_updates: BTreeMap<u64, BlockStamp> = BTreeMap::new();
-
-        for (&dbn, &covered) in &stripes {
-            let mut parity = 0u128;
-            if covered == width {
-                // Full stripe: parity from new data only.
-                self.counters
-                    .full_stripe_writes
-                    // ordering: statistics counter; staleness is acceptable.
-                    .fetch_add(1, Ordering::Relaxed);
-                for m in per_drive {
-                    parity ^= m[&dbn];
-                }
-            } else {
-                // Partial stripe: read the untouched blocks back.
-                self.counters
-                    .partial_stripe_writes
-                    // ordering: statistics counter; staleness is acceptable.
-                    .fetch_add(1, Ordering::Relaxed);
-                for (i, m) in per_drive.iter().enumerate() {
-                    match m.get(&dbn) {
-                        Some(&s) => parity ^= s,
-                        None => {
-                            let old = match self.read_with_retries(&self.data[i], Dbn(dbn)) {
-                                Ok((old, _)) => old,
-                                Err(_) => {
-                                    // Degraded read-modify-write: recover
-                                    // the untouched block's logical value
-                                    // from parity + surviving media.
-                                    self.ensure_reconstructable(i as u32)?;
-                                    self.counters
-                                        .reconstructed_reads
-                                        // ordering: statistics counter; staleness is acceptable.
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    self.reconstruct(i as u32, Dbn(dbn))
-                                }
-                            };
-                            parity ^= old;
-                            parity_reads += 1;
-                        }
-                    }
-                }
-            }
-            parity_updates.insert(dbn, parity);
-        }
+        let parity_reads = self.fold_untouched(&per_drive, &spans, &mut parity)?;
+        self.count_stripes(&spans, u64::MAX);
         self.counters
             .parity_read_blocks
             // ordering: statistics counter; staleness is acceptable.
             .fetch_add(parity_reads, Ordering::Relaxed);
 
-        // Issue per-drive writes as maximal contiguous runs; the group's
-        // service time is the slowest drive (drives operate in parallel).
-        // A terminal per-drive failure degrades that drive instead of
-        // failing the I/O: parity above already encodes its stamps.
+        // One pass per drive; the group's service time is the slowest
+        // drive (drives operate in parallel). A terminal per-drive
+        // failure degrades that drive instead of failing the I/O: parity
+        // above already encodes its stamps.
         let mut max_ns = 0u64;
-        for (i, m) in per_drive.iter().enumerate() {
-            if m.is_empty() {
+        for (i, (d, extents)) in self.data.iter().zip(&per_drive).enumerate() {
+            if extents.is_empty() {
                 continue;
             }
-            match self.write_runs(&self.data[i], m) {
+            let blocks: u64 = extents.iter().map(|e| e.stamps.len() as u64).sum();
+            match self.write_drive(d, extents) {
                 Ok(ns) => max_ns = max_ns.max(ns),
                 Err(IoError::Capacity { .. }) => {
                     return Err(IoError::Capacity {
-                        drive: self.data[i].id(),
-                        dbn: Dbn(*m.keys().next().unwrap()),
-                        blocks: m.len() as u64,
+                        drive: d.id(),
+                        dbn: Dbn(extents[0].start),
+                        blocks,
                     })
                 }
                 Err(_) => {
@@ -361,21 +487,28 @@ impl RaidGroup {
                     // that drive: take it out of service unconditionally
                     // (stale media must never serve direct reads) and
                     // rely on parity for its contents.
-                    self.data[i].take_offline();
+                    d.take_offline();
                     self.ensure_reconstructable(i as u32)?;
                     self.counters
                         .degraded_writes
                         // ordering: statistics counter; staleness is acceptable.
-                        .fetch_add(m.len() as u64, Ordering::Relaxed);
+                        .fetch_add(blocks, Ordering::Relaxed);
                     self.counters
                         .degraded_stripes
                         // ordering: statistics counter; staleness is acceptable.
-                        .fetch_add(m.len() as u64, Ordering::Relaxed);
+                        .fetch_add(blocks, Ordering::Relaxed);
                 }
             }
         }
+        let parity_extents: Vec<Extent<'_>> = spans
+            .iter()
+            .map(|s| Extent {
+                start: s.start,
+                stamps: &parity[s.at..s.at + s.len()],
+            })
+            .collect();
         for p in &self.parity {
-            match self.write_runs(p, &parity_updates) {
+            match self.write_drive(p, &parity_extents) {
                 Ok(ns) => max_ns = max_ns.max(ns),
                 Err(e @ IoError::Capacity { .. }) => return Err(e),
                 Err(_) => {
@@ -393,7 +526,7 @@ impl RaidGroup {
                     self.counters
                         .degraded_writes
                         // ordering: statistics counter; staleness is acceptable.
-                        .fetch_add(parity_updates.len() as u64, Ordering::Relaxed);
+                        .fetch_add(parity.len() as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -582,6 +715,64 @@ impl RaidGroup {
     }
 }
 
+/// A maximal DBN range over which the same data drives are written, and
+/// where its parity sits in the write's parity buffer.
+struct Span {
+    start: u64,
+    end: u64,
+    /// Data drives writing it.
+    covered: u32,
+    /// Index of its first stripe's parity.
+    at: usize,
+}
+
+impl Span {
+    fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+}
+
+/// Where `dbn`'s parity sits in the buffer laid out by `spans`.
+fn parity_index(spans: &[Span], dbn: u64) -> usize {
+    let s = &spans[spans.partition_point(|s| s.end <= dbn)];
+    s.at + (dbn - s.start) as usize
+}
+
+/// XOR `stamps` into the front of `parity`.
+fn fold(parity: &mut [BlockStamp], stamps: &[BlockStamp]) {
+    parity.iter_mut().zip(stamps).for_each(|(p, s)| *p ^= s);
+}
+
+/// The stripes a write touches, as spans in DBN order, found by merging
+/// the drives' runs. Every run boundary is a span boundary, so a drive
+/// writes a span whole or not at all.
+fn spans(per_drive: &[Vec<Extent<'_>>]) -> Vec<Span> {
+    let mut edges: Vec<(u64, i32)> = per_drive
+        .iter()
+        .flatten()
+        .flat_map(|e| [(e.start, 1), (e.end(), -1)])
+        .collect();
+    edges.sort_unstable();
+    let mut spans = Vec::new();
+    let (mut covered, mut at) = (0i32, 0usize);
+    for (k, &(dbn, delta)) in edges.iter().enumerate() {
+        covered += delta;
+        match edges.get(k + 1) {
+            Some(&(next, _)) if next > dbn && covered > 0 => {
+                spans.push(Span {
+                    start: dbn,
+                    end: next,
+                    covered: covered as u32,
+                    at,
+                });
+                at += (next - dbn) as usize;
+            }
+            _ => {}
+        }
+    }
+    spans
+}
+
 impl std::fmt::Debug for RaidGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RaidGroup")
@@ -749,7 +940,7 @@ mod tests {
         };
         let plan = Arc::new(FaultPlan::new(spec));
         for d in g.data_drives().iter().chain(g.parity_drives()) {
-            d.set_fault_plan(Some(Arc::clone(&plan)));
+            d.set_fault_plan(Arc::clone(&plan));
         }
         for dbn in 0..32u64 {
             let maps = vec![
@@ -773,7 +964,7 @@ mod tests {
         // Drive 1 dies after its first op.
         let plan = Arc::new(FaultPlan::new(FaultSpec::drive_failure(1, 1)));
         for d in g.data_drives().iter().chain(g.parity_drives()) {
-            d.set_fault_plan(Some(Arc::clone(&plan)));
+            d.set_fault_plan(Arc::clone(&plan));
         }
         // First write succeeds everywhere.
         let w = |dbn: u64| {

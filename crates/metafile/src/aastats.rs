@@ -12,7 +12,7 @@
 //! restored on release/free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wafl_blockdev::{AaId, AggregateGeometry, RaidGroupId, Vbn};
+use wafl_blockdev::{AaId, AggregateGeometry, RaidGroupId};
 
 /// Free-block counts per Allocation Area, per RAID group.
 pub struct AaStats {
@@ -51,15 +51,6 @@ impl AaStats {
         self.per_rg[aa.rg.0 as usize][aa.index as usize].load(Ordering::Relaxed)
     }
 
-    /// Total free blocks accounted to a RAID group.
-    pub fn free_in_rg(&self, rg: RaidGroupId) -> u64 {
-        self.per_rg[rg.0 as usize]
-            .iter()
-            // ordering: statistics counter; staleness is acceptable.
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Select the AA of `rg` with the most free blocks — the paper's AA
     /// selection policy. Ties break toward the lowest index (top of the
     /// drive). Returns `None` only if the group has no free blocks at all.
@@ -89,12 +80,6 @@ impl AaStats {
     pub fn on_release(&self, aa: AaId, n: u64) {
         // ordering: statistics counter; staleness is acceptable.
         self.per_rg[aa.rg.0 as usize][aa.index as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Account one block freed at `vbn` (overwrite or delete).
-    pub fn on_free(&self, geo: &AggregateGeometry, vbn: Vbn) {
-        let aa = geo.aa_of(vbn);
-        self.on_release(aa, 1);
     }
 
     /// Verify that every AA counter matches an exact recount from the
@@ -165,7 +150,15 @@ mod tests {
             }),
             64 * 2
         );
-        assert_eq!(s.free_in_rg(RaidGroupId(0)), 256 * 3);
+        let rg0: u64 = (0..s.aa_count(RaidGroupId(0)))
+            .map(|index| {
+                s.free_in(AaId {
+                    rg: RaidGroupId(0),
+                    index,
+                })
+            })
+            .sum();
+        assert_eq!(rg0, 256 * 3);
     }
 
     #[test]
@@ -236,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn on_free_credits_the_right_aa() {
+    fn a_freed_block_credits_its_aa() {
         let g = geo();
         let s = AaStats::new_all_free(&g);
         // VBN on RG0, drive 1, dbn 100 → AA index 1.
@@ -246,7 +239,7 @@ mod tests {
             index: 1,
         };
         s.on_reserve(aa, 5);
-        s.on_free(&g, vbn);
+        s.on_release(g.aa_of(vbn), 1);
         assert_eq!(s.free_in(aa), 64 * 3 - 4);
     }
 

@@ -90,15 +90,6 @@ impl<M> Scheduler<M> {
         None
     }
 
-    /// Would `pop_runnable` yield anything right now?
-    pub fn has_runnable(&self) -> bool {
-        if self.queued == 0 {
-            return false;
-        }
-        (0..self.queues.len() as u32)
-            .any(|i| !self.queues[i as usize].is_empty() && self.state.can_run(AffinityId(i)))
-    }
-
     /// Mark a previously popped message finished, unblocking excluded
     /// affinities.
     pub fn complete(&mut self, id: AffinityId) {
@@ -162,7 +153,6 @@ mod tests {
         s.enqueue(vl, 1);
         let _ = s.pop_runnable().unwrap();
         s.enqueue(stripe, 2);
-        assert!(!s.has_runnable());
         assert!(s.pop_runnable().is_none());
         s.complete(vl);
         assert_eq!(s.pop_runnable().unwrap(), (stripe, 2));

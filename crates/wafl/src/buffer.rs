@@ -43,12 +43,6 @@ impl DirtyBuffer {
             old_vvbn: Some(old_vvbn),
         }
     }
-
-    /// Does cleaning this buffer free an old block?
-    #[inline]
-    pub fn frees_old_block(&self) -> bool {
-        self.old_pvbn.is_some()
-    }
 }
 
 /// Where a cleaned buffer landed: the result record a cleaner produces
@@ -72,14 +66,13 @@ mod tests {
     #[test]
     fn first_write_has_no_old_location() {
         let b = DirtyBuffer::first_write(7, 0xabc);
-        assert!(!b.frees_old_block());
+        assert_eq!(b.old_pvbn, None);
         assert_eq!(b.old_vvbn, None);
     }
 
     #[test]
     fn overwrite_remembers_old_location() {
         let b = DirtyBuffer::overwrite(7, 0xdef, 42, Vbn(1000));
-        assert!(b.frees_old_block());
         assert_eq!(b.old_pvbn, Some(Vbn(1000)));
         assert_eq!(b.old_vvbn, Some(42));
     }
