@@ -921,33 +921,37 @@ mod tests {
     /// A panic on an aio worker fails the next `drain` on the draining
     /// thread. Without the catch the worker dies with the write
     /// uncounted, and `drain`, whose wait has no timeout, never returns.
+    /// No write input panics (an I/O is checked before any drive op), so
+    /// the panic here is an overflow: a latency spike of `u64::MAX` ns on
+    /// every drive op overflows the service-time sum, which only a debug
+    /// build checks.
+    #[cfg(debug_assertions)]
     #[test]
     fn worker_panic_fails_drain_instead_of_hanging() {
-        let aio = AioEngine::new(engine(), 8);
-        // Drive 3 of a three-drive group: the RAID write indexes past
-        // its per-drive runs, in debug and release builds alike.
-        aio.submit(WriteIo {
-            rg: RaidGroupId(0),
-            segments: vec![WriteSegment {
-                drive_in_rg: 3,
-                start_dbn: 0,
-                stamps: vec![1],
-            }],
-        })
-        .unwrap();
+        let spikes = FaultSpec {
+            latency_spike_ppm: 1_000_000,
+            latency_spike_ns: u64::MAX,
+            ..FaultSpec::default()
+        };
+        let geo = Arc::clone(engine().geometry());
+        let aio = AioEngine::new(
+            Arc::new(IoEngine::with_faults(geo, DriveKind::Ssd, spikes)),
+            8,
+        );
+        aio.submit(stripe_io(0, 0, 2, 3, 1)).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| aio.drain()));
             // Shut the engine down before replying, so the bounded wait
             // below covers the shutdown too.
             drop(aio);
-            let _ = tx.send(r.err().and_then(|p| p.downcast::<String>().ok()));
+            let _ = tx.send(r.err().and_then(|p| p.downcast::<&str>().ok().map(|s| *s)));
         });
         let msg = rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("drain and the engine's shutdown returned within 10 s");
         let msg = msg.expect("drain re-raised the worker's panic message");
-        assert!(msg.contains("index out of bounds"), "{msg}");
+        assert!(msg.contains("overflow"), "{msg}");
         helper.join().expect("helper thread exits");
     }
 

@@ -26,7 +26,7 @@
 //! backoff, and a consecutive-failure threshold after which the RAID
 //! layer takes the drive offline and serves it degraded.
 
-use crate::geometry::{Dbn, DriveId, Vbn};
+use crate::geometry::{Dbn, DriveId, RaidGroupId, Vbn};
 use serde::Serialize;
 use std::fmt;
 
@@ -73,6 +73,15 @@ pub enum IoError {
         /// The RAID-group-relative description of what was lost.
         detail: &'static str,
     },
+    /// A write I/O names a RAID group, or a drive within a group, that the
+    /// geometry does not have.
+    NoSuchTarget {
+        /// The RAID group named.
+        rg: RaidGroupId,
+        /// The drive index named within the group; `None` when the group
+        /// itself does not exist.
+        drive_in_rg: Option<u32>,
+    },
     /// Two segments of one write I/O cover the same block of a drive.
     OverlappingWrite {
         /// The drive written twice.
@@ -110,6 +119,14 @@ impl fmt::Display for IoError {
             IoError::Unrecoverable { detail } => {
                 write!(f, "unrecoverable data loss: {detail}")
             }
+            IoError::NoSuchTarget {
+                rg,
+                drive_in_rg: None,
+            } => write!(f, "no RAID group {}", rg.0),
+            IoError::NoSuchTarget {
+                rg,
+                drive_in_rg: Some(d),
+            } => write!(f, "RAID group {} has no drive {d}", rg.0),
             IoError::OverlappingWrite { drive, dbn } => write!(
                 f,
                 "write I/O covers DBN {} of drive {} more than once",

@@ -321,7 +321,13 @@ impl IoEngine {
     /// absorbed by the RAID layer's degraded mode; the error surfaces
     /// only when the write is unrecoverable (or structurally invalid).
     pub fn submit_write(&self, io: &WriteIo) -> Result<IoResult, IoError> {
-        let g = &self.groups[io.rg.0 as usize];
+        let g = self
+            .groups
+            .get(io.rg.0 as usize)
+            .ok_or(IoError::NoSuchTarget {
+                rg: io.rg,
+                drive_in_rg: None,
+            })?;
         let (service_ns, parity_reads) = g.write_segments(&io.segments)?;
         let blocks = io.blocks();
         if let Some(m) = self.file_mirror() {
@@ -589,6 +595,64 @@ mod tests {
         for d in g.data_drives().iter().chain(g.parity_drives()) {
             assert_eq!(d.stats(), Default::default(), "no drive op ran");
         }
+        assert_eq!(e.counters().snapshot(), IoSnapshot::default());
+        e.scrub().unwrap();
+    }
+
+    /// A partial-stripe run past the end of a drive used to read the
+    /// untouched block past the end, take that for a dead drive and
+    /// panic in `Drive::peek` while reconstructing it.
+    #[test]
+    fn write_past_the_end_of_a_drive_is_a_capacity_error() {
+        let e = engine();
+        let io = WriteIo {
+            rg: RaidGroupId(1),
+            segments: vec![WriteSegment {
+                drive_in_rg: 0,
+                start_dbn: 510,
+                stamps: vec![7; 4],
+            }],
+        };
+        let g = e.raid_group(RaidGroupId(1));
+        assert_eq!(
+            e.submit_write(&io),
+            Err(IoError::Capacity {
+                drive: g.data_drives()[0].id(),
+                dbn: crate::geometry::Dbn(510),
+                blocks: 4,
+            })
+        );
+        for d in g.data_drives().iter().chain(g.parity_drives()) {
+            assert_eq!(d.stats(), Default::default(), "no drive op ran");
+        }
+        e.scrub().unwrap();
+    }
+
+    #[test]
+    fn write_to_a_missing_group_or_drive_is_rejected() {
+        let e = engine();
+        let io = |rg, drive_in_rg| WriteIo {
+            rg: RaidGroupId(rg),
+            segments: vec![WriteSegment {
+                drive_in_rg,
+                start_dbn: 0,
+                stamps: vec![7],
+            }],
+        };
+        assert_eq!(
+            e.submit_write(&io(2, 0)),
+            Err(IoError::NoSuchTarget {
+                rg: RaidGroupId(2),
+                drive_in_rg: None,
+            })
+        );
+        assert_eq!(
+            e.submit_write(&io(1, 2)),
+            Err(IoError::NoSuchTarget {
+                rg: RaidGroupId(1),
+                drive_in_rg: Some(2),
+            })
+        );
         assert_eq!(e.counters().snapshot(), IoSnapshot::default());
         e.scrub().unwrap();
     }

@@ -268,14 +268,13 @@ impl RaidGroup {
         unreachable!("retry loop always returns")
     }
 
-    /// Write `extents` (ascending, non-overlapping, non-empty) to one
-    /// drive: one pass when every run fits and draws clean, else run by
-    /// run through the retry policy up to the first terminal error.
+    /// Write `extents` (ascending, non-overlapping, non-empty, within the
+    /// drive) to one drive: one pass when every run draws clean, else run
+    /// by run through the retry policy up to the first terminal error.
     /// Returns the summed service time.
     fn write_drive(&self, drive: &Drive, extents: &[Extent<'_>]) -> Result<u64, IoError> {
-        let fits = extents.last().is_none_or(|e| e.end() <= drive.blocks());
         let runs = Extent::runs(extents).count() as u64;
-        if let Some(clean) = drive.clean_ops(OpKind::Write, runs).filter(|_| fits) {
+        if let Some(clean) = drive.clean_ops(OpKind::Write, runs) {
             return Ok(drive.write_pass(clean, extents));
         }
         let mut ns = 0u64;
@@ -338,10 +337,7 @@ impl RaidGroup {
             .data
             .iter()
             .zip(&untouched)
-            .map(|(d, reads)| {
-                let fits = reads.last().is_none_or(|(s, n)| s + n <= d.blocks());
-                d.clean_ops(OpKind::Read, blocks(reads)).filter(|_| fits)
-            })
+            .map(|(d, reads)| d.clean_ops(OpKind::Read, blocks(reads)))
             .collect();
         if let Some(clean) = clean {
             for ((d, reads), clean) in self.data.iter().zip(&untouched).zip(clean) {
@@ -413,8 +409,13 @@ impl RaidGroup {
     }
 
     /// Apply one write I/O (a tetris) and maintain parity. Segments may
-    /// come in any order, several per drive; two that cover one block
-    /// are an [`IoError::OverlappingWrite`], caught before any drive op.
+    /// come in any order, several per drive. Before any drive op the I/O
+    /// is checked: a drive outside the group is an
+    /// [`IoError::NoSuchTarget`], two segments that cover one block are an
+    /// [`IoError::OverlappingWrite`], and a drive's runs that pass its
+    /// last block are an [`IoError::Capacity`] (naming the drive's first
+    /// DBN and its block count in the I/O). Every drive op below then
+    /// stays within its drive.
     /// Returns `(service_ns, parity_reads)` where `service_ns` is the
     /// *maximum* over drives (drives work in parallel, the group
     /// completes when the slowest member does).
@@ -430,19 +431,33 @@ impl RaidGroup {
     /// leaving them reconstructable (degraded mode). The write errors
     /// only when reconstruction itself is impossible (a second failure in
     /// a single-parity group) or on a structural error.
-    ///
-    /// # Panics
-    /// Panics if a segment names a drive outside the group.
     pub fn write_segments(&self, segments: &[WriteSegment]) -> Result<(u64, u64), IoError> {
         let mut per_drive: Vec<Vec<Extent<'_>>> = vec![Vec::new(); self.data.len()];
         for seg in segments.iter().filter(|s| !s.stamps.is_empty()) {
-            per_drive[seg.drive_in_rg as usize].push(Extent {
+            let Some(extents) = per_drive.get_mut(seg.drive_in_rg as usize) else {
+                return Err(IoError::NoSuchTarget {
+                    rg: self.geom.id,
+                    drive_in_rg: Some(seg.drive_in_rg),
+                });
+            };
+            extents.push(Extent {
                 start: seg.start_dbn,
                 stamps: &seg.stamps,
             });
         }
+        let cap = self.geom.blocks_per_drive;
         for (extents, d) in per_drive.iter_mut().zip(&self.data) {
             extents.sort_unstable_by_key(|e| e.start);
+            if extents
+                .iter()
+                .any(|e| e.start > cap || e.stamps.len() as u64 > cap - e.start)
+            {
+                return Err(IoError::Capacity {
+                    drive: d.id(),
+                    dbn: Dbn(extents[0].start),
+                    blocks: extents.iter().map(|e| e.stamps.len() as u64).sum(),
+                });
+            }
             if let Some(w) = extents.windows(2).find(|w| w[1].start < w[0].end()) {
                 return Err(IoError::OverlappingWrite {
                     drive: d.id(),
@@ -475,13 +490,6 @@ impl RaidGroup {
             let blocks: u64 = extents.iter().map(|e| e.stamps.len() as u64).sum();
             match self.write_drive(d, extents) {
                 Ok(ns) => max_ns = max_ns.max(ns),
-                Err(IoError::Capacity { .. }) => {
-                    return Err(IoError::Capacity {
-                        drive: d.id(),
-                        dbn: Dbn(extents[0].start),
-                        blocks,
-                    })
-                }
                 Err(_) => {
                     // A write that exhausted its retries lost data on
                     // that drive: take it out of service unconditionally
@@ -510,7 +518,6 @@ impl RaidGroup {
         for p in &self.parity {
             match self.write_drive(p, &parity_extents) {
                 Ok(ns) => max_ns = max_ns.max(ns),
-                Err(e @ IoError::Capacity { .. }) => return Err(e),
                 Err(_) => {
                     // Lost parity: data writes above still landed, but a
                     // concurrent data-drive failure would now be

@@ -21,12 +21,32 @@ fn bump(counter: &AtomicU64, n: u64) {
 /// pass per drive. Every block goes through a per-drive map and a map of
 /// stripes, every untouched block of a partial stripe is read on its own
 /// in stripe order, and each drive's map is written as maximal runs.
-fn oracle_write(
-    g: &RaidGroup,
-    per_drive: &[BTreeMap<u64, BlockStamp>],
-) -> Result<(u64, u64), IoError> {
+/// Before any of that, a segment on a drive the group lacks, or a drive
+/// whose blocks pass its end, fails the write.
+fn oracle_write(g: &RaidGroup, segments: &[WriteSegment]) -> Result<(u64, u64), IoError> {
     let data = g.data_drives();
     let counters = g.counters();
+    let mut per_drive = vec![BTreeMap::new(); data.len()];
+    for seg in segments.iter().filter(|s| !s.stamps.is_empty()) {
+        let Some(m) = per_drive.get_mut(seg.drive_in_rg as usize) else {
+            return Err(IoError::NoSuchTarget {
+                rg: g.geometry().id,
+                drive_in_rg: Some(seg.drive_in_rg),
+            });
+        };
+        for (i, &s) in seg.stamps.iter().enumerate() {
+            m.insert(seg.start_dbn + i as u64, s);
+        }
+    }
+    for (m, d) in per_drive.iter().zip(data) {
+        if m.keys().next_back() >= Some(&g.geometry().blocks_per_drive) {
+            return Err(IoError::Capacity {
+                drive: d.id(),
+                dbn: Dbn(*m.keys().next().unwrap()),
+                blocks: m.len() as u64,
+            });
+        }
+    }
     let ensure_reconstructable = |failed: usize| {
         let others_ok = data
             .iter()
@@ -55,7 +75,7 @@ fn oracle_write(
     };
 
     let mut stripes: BTreeMap<u64, usize> = BTreeMap::new();
-    for m in per_drive {
+    for m in &per_drive {
         for &dbn in m.keys() {
             *stripes.entry(dbn).or_insert(0) += 1;
         }
@@ -66,7 +86,7 @@ fn oracle_write(
         let mut parity = 0u128;
         if covered == data.len() {
             bump(&counters.full_stripe_writes, 1);
-            for m in per_drive {
+            for m in &per_drive {
                 parity ^= m[&dbn];
             }
         } else {
@@ -173,9 +193,14 @@ fn group_state(g: &RaidGroup) -> GroupState {
 /// Blocks per drive in the oracle geometry.
 const ORACLE_BLOCKS: u64 = 48;
 
-/// Segments of one write I/O: `(drive, start, len, salt)`, plus an
-/// optional band `(start, len)` written on every drive (full stripes).
-type IoShape = (Vec<(u32, u64, u64, u64)>, Option<(u64, u64)>);
+/// Segments of one write I/O: `(drive, start, len, salt, wild)`, plus
+/// an optional band `(start, len)` written on every drive (full
+/// stripes). A segment's drive is taken modulo the group's width and its
+/// run is cut at the drive's end, except when `wild` is 0 (the drive
+/// index is kept as generated, and may name no drive) or 1 (the run
+/// starts at one of the drive's last 3 blocks or at its end, and may
+/// pass the end).
+type IoShape = (Vec<(u32, u64, u64, u64, u8)>, Option<(u64, u64)>);
 
 /// Build the I/O in the generated segment order, dropping any segment
 /// that overlaps one already kept on its drive.
@@ -183,10 +208,13 @@ fn build_io(width: u32, (segs, band): &IoShape, round: u64) -> WriteIo {
     let mut out: Vec<WriteSegment> = Vec::new();
     let band = band
         .iter()
-        .flat_map(|&(start, len)| (0..width).map(move |d| (d, start, len, 0)));
-    for (drive, start, len, salt) in segs.iter().copied().chain(band) {
-        let drive = drive % width;
-        let len = len.min(ORACLE_BLOCKS - start);
+        .flat_map(|&(start, len)| (0..width).map(move |d| (d, start, len, 0, u8::MAX)));
+    for (drive, start, len, salt, wild) in segs.iter().copied().chain(band) {
+        let drive = if wild == 0 { drive } else { drive % width };
+        let (start, len) = match wild {
+            1 => (ORACLE_BLOCKS - start % 4, len),
+            _ => (start, len.min(ORACLE_BLOCKS - start)),
+        };
         let overlaps = out.iter().any(|s| {
             s.drive_in_rg == drive
                 && start < s.start_dbn + s.stamps.len() as u64
@@ -208,24 +236,19 @@ fn build_io(width: u32, (segs, band): &IoShape, round: u64) -> WriteIo {
     }
 }
 
-/// The oracle's input: one DBN → stamp map per data drive.
-fn maps_of(width: u32, io: &WriteIo) -> Vec<BTreeMap<u64, BlockStamp>> {
-    let mut maps = vec![BTreeMap::new(); width as usize];
-    for seg in &io.segments {
-        for (i, &s) in seg.stamps.iter().enumerate() {
-            maps[seg.drive_in_rg as usize].insert(seg.start_dbn + i as u64, s);
-        }
-    }
-    maps
-}
-
 /// `Some(value)` half the time.
 fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
     (prop::bool::ANY, s).prop_map(|(some, v)| some.then_some(v))
 }
 
 fn io_shapes() -> impl Strategy<Value = Vec<IoShape>> {
-    let seg = (0u32..8, 0u64..ORACLE_BLOCKS, 1u64..7, 0u64..u64::MAX);
+    let seg = (
+        0u32..8,
+        0u64..ORACLE_BLOCKS,
+        1u64..7,
+        0u64..u64::MAX,
+        0u8..16,
+    );
     let band = maybe((0u64..ORACLE_BLOCKS, 1u64..9));
     prop::collection::vec((prop::collection::vec(seg, 0..7), band), 1..8)
 }
@@ -373,7 +396,8 @@ proptest! {
     /// The one-pass RAID write leaves media, parity, drive statistics and
     /// health, and the group's counters exactly as the per-block oracle
     /// does, and returns the same value or error — healthy, under a
-    /// seeded fault plan, and with one drive (data or parity) offline.
+    /// seeded fault plan, with one drive (data or parity) offline, and
+    /// for I/Os that name a missing drive or run past a drive's end.
     #[test]
     fn one_pass_write_matches_the_per_block_oracle(
         (width, hdd, offline_after) in (1u32..5, prop::bool::ANY, 1u32..4),
@@ -409,7 +433,7 @@ proptest! {
         });
         for (round, shape) in shapes.iter().enumerate() {
             let io = build_io(width, shape, round as u64);
-            let want = oracle_write(&oracle, &maps_of(width, &io));
+            let want = oracle_write(&oracle, &io.segments);
             let got = group.write_segments(&io.segments);
             prop_assert!(got == want, "write {round}: {got:?} != oracle {want:?} for {io:?}");
             let (got, want) = (group_state(&group), group_state(&oracle));

@@ -9,6 +9,11 @@ cargo build --release
 
 echo "=== cargo test -q (tier-1: root package) ==="
 # Debug builds arm the vendored locks' rank check on every acquisition.
+# tests/ordering_annotations.rs scans the whole tree for the ordering
+# annotation contract (DESIGN.md §15): `// ordering:` justifications and
+# paired `pairs-with:` labels. `unsafe` confinement and SAFETY comments
+# are rustc's and clippy's (`[workspace.lints]`), checked by the build
+# and clippy steps.
 cargo test -q
 
 echo "=== cargo test --workspace -q ==="
@@ -37,18 +42,6 @@ echo "=== bucket-cache stress under debug assertions ==="
 # collective inserts, and the property test checks the queue order.
 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p alligator --test cache_stress
-
-echo "=== ward: concurrency analyzer (pairing, orderings) ==="
-# Detection power first (every check must catch its seeded fixture),
-# then the real scan: Release/Acquire pairs-with labels, ordering
-# justifications. --check also emits the machine-readable report,
-# which must validate against the wafl.ward.v1 schema. See DESIGN.md
-# §15 for the annotation contract.
-# `unsafe` confinement and SAFETY comments are rustc's and clippy's
-# (`[workspace.lints]`), checked by the build and clippy steps.
-cargo run --release -q -p ward -- --self-test
-cargo run --release -q -p ward -- --check
-cargo run --release -q -p ward -- --validate results/ward.json
 
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 # With [workspace.lints], an unsafe block or impl without a `// SAFETY:`
